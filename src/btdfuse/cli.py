@@ -201,6 +201,12 @@ def cmd_simulate(args) -> int:
 def cmd_fuse(args) -> int:
     hsi = read_tensor(args.hsi)
     msi = read_tensor(args.msi)
+    for path, t in ((args.hsi, hsi), (args.msi, msi)):
+        bad = t.size - int(np.count_nonzero(np.isfinite(t)))
+        if bad:
+            raise FormatError(
+                f"{path}: {bad} non-finite entries (NaN or Inf); fusion needs finite data"
+            )
     i_m, j_m, k_m = msi.shape
     i_h, j_h, k_h = hsi.shape
     srf = None

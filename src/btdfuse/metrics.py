@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import UndefinedMetricError, UsageError
 from .model import BtdFactors, spatial_map_matrix
@@ -167,6 +166,10 @@ def match_blocks(truth: BtdFactors, est: BtdFactors) -> MatchResult:
     and the assignment over the resulting R x R cost matrix is solved
     exactly.  The matched error is normalized by ``||S||_F^2`` of the truth.
     """
+    # imported here: scipy.optimize costs about 0.3 s of start-up and only
+    # this function needs it
+    from scipy.optimize import linear_sum_assignment
+
     if truth.rank.R != est.rank.R:
         raise UsageError(f"block counts differ: {truth.rank.R} vs {est.rank.R}")
     s_true = spatial_map_matrix(truth)

@@ -12,8 +12,13 @@ A, B, C of the block-term model:
 
 Every block subproblem reduces to a generalized Sylvester equation
 ``H1 @ X @ H2 + H3 @ X @ H4 = H5`` in which either H3 or H2 is a scalar
-multiple of the identity; ``sylvester_solve`` handles exactly those two forms
-by symmetric eigendecomposition.
+multiple of the identity.  Within one block update only H5 changes between
+ADMM steps, so each update factors H1..H4 once (``_SylvesterFactor``, as in
+AO-ADMM) and every step is then four GEMMs, a Hadamard divide and the
+residual check.  The operator Grams ``P1^T P1``, ``P2^T P2``, ``P3^T P3``
+never change during a run, and ``bcd_fuse`` decomposes them once.
+``build_subproblem`` assembles the block Grams from small R x R and L x L
+Grams, without forming the partition-wise Khatri-Rao matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .degradation import DegradationOps
 from .errors import NumericalError, UsageError
@@ -202,78 +206,96 @@ def sylvester_solve(h1, h2, h3, h4, h5) -> np.ndarray:
     raises NumericalError.  For anything more general use
     ``sylvester_solve_dense``.
     """
-    h5 = np.asarray(h5, dtype=np.float64)
-    if h5.ndim != 2:
-        raise UsageError(f"h5 must be a matrix, got shape {h5.shape}")
-    m, n = h5.shape
-    h1 = _as_square(h1, "h1", m)
-    h3 = _as_square(h3, "h3", m)
-    h2 = _as_square(h2, "h2", n)
-    h4 = _as_square(h4, "h4", n)
-    for mat, name in ((h1, "h1"), (h2, "h2"), (h3, "h3"), (h4, "h4")):
-        _require_symmetric(mat, name)
-    if not all(np.isfinite(mat).all() for mat in (h1, h2, h3, h4, h5)):
-        raise NumericalError("non-finite entries in the Sylvester system")
-
-    c3 = _identity_scale(h3)
-    if c3 is not None:
-        x = _solve_rows_reduced(h1, h2, c3 * h4, h5)
-        return _check_residual(h1, h2, h3, h4, h5, x)
-    c2 = _identity_scale(h2)
-    if c2 is not None:
-        x = _solve_cols_reduced(c2 * h1, h3, h4, h5)
-        return _check_residual(h1, h2, h3, h4, h5, x)
-    raise UsageError(
-        "neither h3 nor h2 is a scalar multiple of the identity; "
-        "use sylvester_solve_dense for general systems"
-    )
+    return _SylvesterFactor(h1, h2, h3, h4).solve(h5)
 
 
-def _solve_rows_reduced(h1, h2, h4c, h5):
-    """Solve h1 X h2 + X h4c = h5 via eigh(h1) and a simultaneous reduction."""
-    lam, q = np.linalg.eigh(h1)
-    try:
-        # h2 v = w (h4c) v with V^T h4c V = I; requires h4c positive definite
-        w, v = scipy.linalg.eigh(h2, h4c)
-    except np.linalg.LinAlgError:
-        # h4c is singular: fall back to one small solve per row eigenvalue
-        rhs = q.T @ h5
-        mats = lam[:, None, None] * h2[None, :, :] + h4c[None, :, :]
+def _eigh_pencil(b, c):
+    """Eigenpairs of ``b v = w c v`` scaled so that ``V^T c V = I``.
+
+    With ``c = L L^T`` this is the ordinary symmetric problem for
+    ``L^-1 b L^-T``.  Raises ``np.linalg.LinAlgError`` when c is not
+    positive definite.
+    """
+    l_inv = np.linalg.inv(np.linalg.cholesky(c))
+    w, u = np.linalg.eigh(l_inv @ b @ l_inv.T)
+    return w, l_inv.T @ u
+
+
+class _SylvesterFactor:
+    """One factorization of ``h1 X h2 + h3 X h4 = h5`` for fixed h1..h4.
+
+    The constructor checks h1..h4 (square, symmetric, finite) and picks the
+    form: with ``h3 = c3 I`` it solves ``a Y b + Y c = rhs`` for ``Y = X`` with
+    ``(a, b, c) = (h1, h2, c3 h4)``; with ``h2 = c2 I`` it solves the
+    transposed system, ``Y = X^T``, ``(a, b, c) = (h4, h3, c2 h1)``,
+    ``rhs = h5^T``.  It decomposes ``a = Q diag(lam) Q^T`` (or takes that
+    decomposition from ``eigh``, keyed by the name "H1" or "H4" of the
+    matrix it belongs to) and reduces the pencil ``b V = c V diag(w)`` with
+    ``V^T c V = I``, so that each :meth:`solve` is
+    ``Y = Q ((Q^T rhs V) / (1 + lam w^T)) V^T``.  When c is not positive
+    definite the pencil has no such reduction and every solve falls back to
+    one small dense system per eigenvalue of a.
+    """
+
+    def __init__(self, h1, h2, h3, h4, eigh=None):
+        h1 = _as_square(h1, "h1")
+        h2 = _as_square(h2, "h2")
+        m, n = h1.shape[0], h2.shape[0]
+        h3 = _as_square(h3, "h3", m)
+        h4 = _as_square(h4, "h4", n)
+        for mat, name in ((h1, "h1"), (h2, "h2"), (h3, "h3"), (h4, "h4")):
+            _require_symmetric(mat, name)
+        if not all(np.isfinite(mat).all() for mat in (h1, h2, h3, h4)):
+            raise NumericalError("non-finite entries in the Sylvester system")
+        self.h = (h1, h2, h3, h4)
+        self.shape = (m, n)
+        eigh = eigh or {}
+
+        c3 = _identity_scale(h3)
+        if c3 is not None:
+            self.transposed = False
+            a, b, c, a_name = h1, h2, c3 * h4, "H1"
+        else:
+            c2 = _identity_scale(h2)
+            if c2 is None:
+                raise UsageError(
+                    "neither h3 nor h2 is a scalar multiple of the identity; "
+                    "use sylvester_solve_dense for general systems"
+                )
+            self.transposed = True
+            a, b, c, a_name = h4, h3, c2 * h1, "H4"
+        lam, self.q = eigh[a_name] if a_name in eigh else np.linalg.eigh(a)
         try:
-            y = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular pencil in row-reduced Sylvester solve: {exc}") from exc
-        return q @ y
-    den = 1.0 + np.outer(lam, w)
-    if np.abs(den).min() < 1e-12:
-        raise NumericalError(
-            f"singular pencil: eigenvalue combination 1 + lam*w reaches {np.abs(den).min():.3e}"
-        )
-    g = (q.T @ h5 @ v) / den
-    return q @ g @ v.T
+            w, self.v = _eigh_pencil(b, c)
+        except np.linalg.LinAlgError:
+            # c is singular: one (b-sized) system per eigenvalue of a
+            self.den = None
+            self.mats = lam[:, None, None] * b[None, :, :] + c[None, :, :]
+        else:
+            self.den = 1.0 + np.outer(lam, w)
+            if np.abs(self.den).min() < 1e-12:
+                raise NumericalError(
+                    "singular pencil: eigenvalue combination 1 + lam*w reaches "
+                    f"{np.abs(self.den).min():.3e}"
+                )
 
-
-def _solve_cols_reduced(h1c, h3, h4, h5):
-    """Solve h1c X + h3 X h4 = h5 via eigh(h4) and a simultaneous reduction."""
-    lam, q = np.linalg.eigh(h4)
-    try:
-        # h3 v = w (h1c) v with V^T h1c V = I; requires h1c positive definite
-        w, v = scipy.linalg.eigh(h3, h1c)
-    except np.linalg.LinAlgError:
-        rhs = h5 @ q
-        mats = h1c[None, :, :] + lam[:, None, None] * h3[None, :, :]
-        try:
-            y = np.linalg.solve(mats, rhs.T[:, :, None])[:, :, 0].T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular pencil in column-reduced Sylvester solve: {exc}") from exc
-        return y @ q.T
-    den = 1.0 + np.outer(w, lam)
-    if np.abs(den).min() < 1e-12:
-        raise NumericalError(
-            f"singular pencil: eigenvalue combination 1 + w*lam reaches {np.abs(den).min():.3e}"
-        )
-    g = (v.T @ h5 @ q) / den
-    return v @ g @ q.T
+    def solve(self, h5) -> np.ndarray:
+        """X for right-hand side h5, checked against the residual bound."""
+        h5 = np.asarray(h5, dtype=np.float64)
+        if h5.shape != self.shape:
+            raise UsageError(f"h5 must be {self.shape[0]}x{self.shape[1]}, got shape {h5.shape}")
+        if not np.isfinite(h5).all():
+            raise NumericalError("non-finite entries in the Sylvester system")
+        rhs = h5.T if self.transposed else h5
+        q = self.q
+        if self.den is not None:
+            y = q @ ((q.T @ rhs @ self.v) / self.den) @ self.v.T
+        else:
+            try:
+                y = q @ np.linalg.solve(self.mats, (q.T @ rhs)[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular pencil in Sylvester solve: {exc}") from exc
+        return _check_residual(*self.h, h5, y.T if self.transposed else y)
 
 
 def sylvester_solve_dense(h1, h2, h3, h4, h5) -> np.ndarray:
@@ -311,7 +333,46 @@ def _resolve_rho(rho, gram: np.ndarray, ncols: int) -> float:
     return val
 
 
-def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -> AdmmWorkspace:
+def _operator_grams(ops: DegradationOps) -> dict:
+    """Per block, the Gram ``P^T P`` of its operator and that Gram's eigh.
+
+    The eigendecomposition is keyed by the place ``build_subproblem`` gives
+    the Gram in the block's Sylvester system ("H1" for A and B, "H4" for C),
+    ready to pass to ``_SylvesterFactor``.  Constant for one fusion run;
+    built per run because ``DegradationOps`` is mutable.
+    """
+    grams = {}
+    for block, p, role in (("A", ops.P1, "H1"), ("B", ops.P2, "H1"), ("C", ops.P3, "H4")):
+        g = p.T @ p
+        grams[block] = (g, {role: np.linalg.eigh(g)})
+    return grams
+
+
+def _expand(gram_r: np.ndarray, rank: RankSpec) -> np.ndarray:
+    """Spread an R x R matrix over the column blocks: entry (r, s) fills block (r, s)."""
+    idx = np.repeat(np.arange(rank.R), rank.L)
+    return gram_r[np.ix_(idx, idx)]
+
+
+def _unfold_t_pw_khatri_rao(y, c, m, rank: RankSpec, mode: int) -> np.ndarray:
+    """``unfold(y, mode).T @ pw_khatri_rao(c, m, rank.L)`` for mode 1 or 2.
+
+    Contracts y with c along mode 3 once, then does one GEMM per block,
+    instead of forming the (K*J, sum L) partition-wise Khatri-Rao matrix.
+    """
+    i, j, _ = y.shape
+    # t[r, j, i] = sum_k y[i, j, k] c[k, r]
+    t = (c.T @ unfold(y, 3).T).reshape(rank.R, j, i)
+    out = np.empty((i if mode == 1 else j, rank.total))
+    for r in range(rank.R):
+        cols = rank.block_slice(r)
+        out[:, cols] = (t[r].T if mode == 1 else t[r]) @ m[:, cols]
+    return out
+
+
+def build_subproblem(
+    block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho, *, _grams=None
+) -> AdmmWorkspace:
     """Assemble one block's quadratic subproblem as an AdmmWorkspace.
 
     The unknown is A for block "A", B for block "B", and C^T for block "C";
@@ -322,43 +383,44 @@ def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -
     hsi = _check_tensor3(hsi, "hsi")
     msi = _check_tensor3(msi, "msi")
     _require_coupled_dims(f, hsi, msi, ops)
-    widths = f.rank.L
-    total = f.rank.total
+    rank = f.rank
+    total = rank.total
     p1, p2, p3 = ops.P1, ops.P2, ops.P3
 
-    if block == "A":
-        wh = pw_khatri_rao(f.C, p2 @ f.B, widths)
-        wm = pw_khatri_rao(p3 @ f.C, f.B, widths)
-        gram_m = wm.T @ wm
+    def operator_gram(p):
+        return _grams[block][0] if _grams is not None else p.T @ p
+
+    if block in ("A", "B"):
+        # the HSI term pairs C with the degraded partner factor, the MSI term
+        # P3 C with the partner itself; (c kr m)^T (c kr m) = expand(c^T c) o m^T m
+        if block == "A":
+            p, partner, mode, z = p1, f.B, 1, f.A
+            partner_h = p2 @ f.B
+        else:
+            p, partner, mode, z = p2, f.A, 2, f.B
+            partner_h = p1 @ f.A
+        c_m = p3 @ f.C
+        gram_m = _expand(c_m.T @ c_m, rank) * (partner.T @ partner)
         rho_val = _resolve_rho(rho, gram_m, total)
-        h1 = p1.T @ p1
-        h2 = wh.T @ wh
-        h3 = np.eye(f.A.shape[0])
+        h1 = operator_gram(p)
+        h2 = _expand(f.C.T @ f.C, rank) * (partner_h.T @ partner_h)
+        h3 = np.eye(z.shape[0])
         h4 = gram_m + rho_val * np.eye(total)
-        h5 = p1.T @ (unfold(hsi, 1).T @ wh) + unfold(msi, 1).T @ wm
-        z = f.A.copy()
-    elif block == "B":
-        wh = pw_khatri_rao(f.C, p1 @ f.A, widths)
-        wm = pw_khatri_rao(p3 @ f.C, f.A, widths)
-        gram_m = wm.T @ wm
-        rho_val = _resolve_rho(rho, gram_m, total)
-        h1 = p2.T @ p2
-        h2 = wh.T @ wh
-        h3 = np.eye(f.B.shape[0])
-        h4 = gram_m + rho_val * np.eye(total)
-        h5 = p2.T @ (unfold(hsi, 2).T @ wh) + unfold(msi, 2).T @ wm
-        z = f.B.copy()
+        h5 = (p.T @ _unfold_t_pw_khatri_rao(hsi, f.C, partner_h, rank, mode)
+              + _unfold_t_pw_khatri_rao(msi, c_m, partner, rank, mode))
+        z = z.copy()
     elif block == "C":
         f_h, _ = degrade_factors(f, ops)
         wh = spatial_map_matrix(f_h)
         wm = spatial_map_matrix(f)
         gram_h = wh.T @ wh
-        rho_val = _resolve_rho(rho, gram_h, f.rank.R)
-        h1 = gram_h + rho_val * np.eye(f.rank.R)
+        rho_val = _resolve_rho(rho, gram_h, rank.R)
+        h1 = gram_h + rho_val * np.eye(rank.R)
         h2 = np.eye(f.C.shape[0])
         h3 = wm.T @ wm
-        h4 = p3.T @ p3
-        h5 = wh.T @ unfold(hsi, 3) + wm.T @ (unfold(msi, 3) @ p3)
+        h4 = operator_gram(p3)
+        # (Wm^T Y3) P3, not Wm^T (Y3 P3): no (I*J, K) temporary
+        h5 = wh.T @ unfold(hsi, 3) + (wm.T @ unfold(msi, 3)) @ p3
         z = f.C.T.copy()
     else:
         raise UsageError(f"block must be 'A', 'B' or 'C', got {block!r}")
@@ -369,35 +431,37 @@ def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -
     )
 
 
-def admm_nn_block(w: AdmmWorkspace, inner_iters: int):
+def admm_nn_block(w: AdmmWorkspace, inner_iters: int, *, _eigh=None):
     """Run the fixed-count ADMM loop for one nonnegative block.
 
     Each iteration solves the Sylvester system with right-hand side
     ``H5_base + rho (Z + U)``, projects ``X - U`` onto the nonnegative
-    orthant, and takes a dual step.  Returns the feasible iterate Z (this is
-    what gets stored as the factor) together with the updated workspace.
+    orthant, and takes a dual step.  H1..H4 are factored once before the
+    loop.  Returns the feasible iterate Z (this is what gets stored as the
+    factor) together with the updated workspace.
     """
     if inner_iters < 1:
         raise UsageError(f"inner_iters must be >= 1, got {inner_iters}")
     if not w.rho > 0:
         raise UsageError(f"constrained block updates need rho > 0, got {w.rho}")
+    system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, _eigh)
     for _ in range(inner_iters):
-        h5 = w.H5_base + w.rho * (w.Z + w.U)
-        w.X = sylvester_solve(w.H1, w.H2, w.H3, w.H4, h5)
+        w.X = system.solve(w.H5_base + w.rho * (w.Z + w.U))
         w.Z = np.maximum(w.X - w.U, 0.0)
         w.U = w.U + (w.Z - w.X)
     return w.Z, w
 
 
-def _solve_block_exact(w: AdmmWorkspace, block: str) -> np.ndarray:
+def _solve_block_exact(w: AdmmWorkspace, block: str, eigh=None) -> np.ndarray:
     """Unconstrained exact block solve; one jitter retry on a singular system."""
     try:
-        return sylvester_solve(w.H1, w.H2, w.H3, w.H4, w.H5_base)
+        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, eigh).solve(w.H5_base)
     except NumericalError:
-        if _identity_scale(w.H3) is not None:
-            target, name = w.H4, "H4"
-        else:
-            target, name = w.H1, "H1"
+        # the jitter goes on the matrix paired with the identity (the pencil's
+        # c, never the one ``eigh`` decomposes), into a new array because it
+        # may be the run's shared operator Gram
+        name = "H4" if _identity_scale(w.H3) is not None else "H1"
+        target = getattr(w, name)
         n = target.shape[0]
         jitter = 1e-12 * float(np.trace(target)) / n
         warnings.warn(
@@ -406,8 +470,8 @@ def _solve_block_exact(w: AdmmWorkspace, block: str) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-        target[np.diag_indices(n)] += jitter
-        return sylvester_solve(w.H1, w.H2, w.H3, w.H4, w.H5_base)
+        setattr(w, name, target + jitter * np.eye(n))
+        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, eigh).solve(w.H5_base)
 
 
 def _validate_config(cfg: FusionConfig):
@@ -463,22 +527,24 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     _require_coupled_dims(f, hsi, msi, ops)
 
     constrained = cfg.method in ("cnn_btd", "cnn_cpd")
+    grams = _operator_grams(ops)
     trace = []
     dual_state = {}
     prev_sweep = None
     iters_run = 0
     for sweep in range(cfg.outer_iters):
         for block in ("A", "B", "C"):
+            eigh = grams[block][1]
             if constrained:
-                w = build_subproblem(block, f, hsi, msi, ops, cfg.rho)
+                w = build_subproblem(block, f, hsi, msi, ops, cfg.rho, _grams=grams)
                 if block in dual_state:
                     w.U = dual_state[block]
-                z, w = admm_nn_block(w, cfg.inner_iters)
+                z, w = admm_nn_block(w, cfg.inner_iters, _eigh=eigh)
                 dual_state[block] = w.U
                 new_value = z
             else:
-                w = build_subproblem(block, f, hsi, msi, ops, 0.0)
-                new_value = _solve_block_exact(w, block)
+                w = build_subproblem(block, f, hsi, msi, ops, 0.0, _grams=grams)
+                new_value = _solve_block_exact(w, block, eigh)
             if block == "A":
                 f.A = new_value
             elif block == "B":
@@ -592,7 +658,14 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
 
     c = recover_spectral_factor(hsi, ops, a, b, rank)
     f = BtdFactors(a, b, c, rank)
-    trace.append(objective(f, hsi, msi, ops))
+    j = objective(f, hsi, msi, ops)
+    if not (math.isfinite(j) and np.isfinite(c).all()):
+        raise NumericalError(
+            "spectral recovery from the HSI gave a non-finite spectral factor or "
+            "coupled objective",
+            trace=trace,
+        )
+    trace.append(j)
     return FusionResult(
         factors=f,
         sri_estimate=btd_reconstruct(f),

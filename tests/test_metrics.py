@@ -1,8 +1,13 @@
 """Fusion quality metrics and the block-matching error."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import btdfuse
 from btdfuse import (
     BtdFactors,
     MetricsReport,
@@ -233,3 +238,18 @@ def test_match_blocks_unrelated_factors_separate():
 def test_match_blocks_rank_mismatch():
     with pytest.raises(UsageError):
         match_blocks(random_factors(15), random_factors(16, rank=RankSpec(3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize is only needed by match_blocks and imported there
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btdfuse.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, btdfuse; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -14,12 +14,14 @@ from btdfuse import (
     apply_degradation,
     bcd_fuse,
     btd_reconstruct,
+    degrade_factors,
     frob_norm,
     init_factors,
     make_degradation_ops,
     objective,
     r_snr,
     recover_spectral_factor,
+    spatial_map_matrix,
     sylvester_solve,
     sylvester_solve_dense,
     unfold,
@@ -201,21 +203,48 @@ def blockwise_columns(c, a, rank):
     return np.column_stack(cols)
 
 
-def test_build_subproblem_block_A_assembly():
-    truth, _, ops, hsi, msi = coupled_instance(10, snr=25.0)
-    f = init_factors((12, 12, 8), truth.rank, seed=4, strategy="random_uniform", msi=msi)
+@pytest.mark.parametrize("block", ["A", "B", "C"])
+@pytest.mark.parametrize("rank", [RankSpec(2, 2), RankSpec(3, (1, 2, 3))], ids=["L2", "L123"])
+def test_build_subproblem_assembly(block, rank):
+    # the Gram-based assembly against the explicit Khatri-Rao / map-matrix formulas
+    _, _, ops, hsi, msi = coupled_instance(10, rank=rank, snr=25.0)
+    f = init_factors((12, 12, 8), rank, seed=4, strategy="random_uniform", msi=msi)
     rho = 0.7
-    w = build_subproblem("A", f, hsi, msi, ops, rho)
-    wh = blockwise_columns(f.C, ops.P2 @ f.B, f.rank)
-    wm = blockwise_columns(ops.P3 @ f.C, f.B, f.rank)
-    np.testing.assert_allclose(w.H1, ops.P1.T @ ops.P1, atol=1e-12)
-    np.testing.assert_allclose(w.H2, wh.T @ wh, atol=1e-12)
-    np.testing.assert_allclose(w.H3, np.eye(12), atol=0)
-    np.testing.assert_allclose(w.H4, wm.T @ wm + rho * np.eye(f.rank.total), atol=1e-12)
-    expected_h5 = ops.P1.T @ (unfold(hsi, 1).T @ wh) + unfold(msi, 1).T @ wm
-    np.testing.assert_allclose(w.H5_base, expected_h5, atol=1e-12)
-    np.testing.assert_array_equal(w.Z, f.A)
-    np.testing.assert_array_equal(w.U, np.zeros_like(f.A))
+    w = build_subproblem(block, f, hsi, msi, ops, rho)
+    p1, p2, p3 = ops.P1, ops.P2, ops.P3
+    if block in ("A", "B"):
+        p, partner, partner_h, mode, z = (
+            (p1, f.B, p2 @ f.B, 1, f.A) if block == "A" else (p2, f.A, p1 @ f.A, 2, f.B)
+        )
+        wh = blockwise_columns(f.C, partner_h, rank)
+        wm = blockwise_columns(p3 @ f.C, partner, rank)
+        expected = (
+            p.T @ p,
+            wh.T @ wh,
+            np.eye(z.shape[0]),
+            wm.T @ wm + rho * np.eye(rank.total),
+            p.T @ (unfold(hsi, mode).T @ wh) + unfold(msi, mode).T @ wm,
+        )
+    else:
+        f_h, _ = degrade_factors(f, ops)
+        wh = spatial_map_matrix(f_h)
+        wm = spatial_map_matrix(f)
+        z = f.C.T
+        expected = (
+            wh.T @ wh + rho * np.eye(rank.R),
+            np.eye(f.C.shape[0]),
+            wm.T @ wm,
+            p3.T @ p3,
+            wh.T @ unfold(hsi, 3) + wm.T @ (unfold(msi, 3) @ p3),
+        )
+    got = (w.H1, w.H2, w.H3, w.H4, w.H5_base)
+    for name, g, e in zip(("H1", "H2", "H3", "H4", "H5"), got, expected):
+        assert g.shape == e.shape, name
+        np.testing.assert_allclose(g, e, atol=1e-12, err_msg=name)
+    identity = w.H2 if block == "C" else w.H3
+    np.testing.assert_array_equal(identity, np.eye(identity.shape[0]))
+    np.testing.assert_array_equal(w.Z, z)
+    np.testing.assert_array_equal(w.U, np.zeros_like(z))
     assert w.rho == rho
 
 
@@ -411,6 +440,63 @@ def test_admm_requires_positive_rho():
         admm_nn_block(w, 10)
 
 
+@pytest.mark.parametrize(
+    "block, rank",
+    [("A", RankSpec(2, 2)), ("B", RankSpec(2, 2)), ("C", RankSpec(2, 2)), ("C", RankSpec(1, 1))],
+    ids=["A", "B", "C", "C-R1"],
+)
+def test_admm_factored_path_matches_per_step_solves(block, rank):
+    # admm_nn_block factors H1..H4 once (with the run's operator-Gram
+    # eigendecomposition, as bcd_fuse passes it); every iterate must match a
+    # loop that calls sylvester_solve afresh on each step.  R = 1 makes the
+    # 1x1 H3 of block C identity-scaled with a singular P3^T P3: the
+    # per-eigenvalue fallback inside the factored path.
+    from btdfuse.solver import _operator_grams, _SylvesterFactor
+
+    _, _, ops, hsi, msi = coupled_instance(16, rank=rank, snr=25.0)
+    f = init_factors((12, 12, 8), rank, seed=8, strategy="random_uniform", msi=msi)
+    grams = _operator_grams(ops)
+    eigh = grams[block][1]
+    w0 = build_subproblem(block, f, hsi, msi, ops, "auto", _grams=grams)
+    fallback = block == "C" and rank.R == 1
+    assert (_SylvesterFactor(w0.H1, w0.H2, w0.H3, w0.H4, eigh).den is None) == fallback
+
+    z, u = w0.Z.copy(), w0.U.copy()
+    for steps in range(1, 7):
+        x = sylvester_solve(w0.H1, w0.H2, w0.H3, w0.H4, w0.H5_base + w0.rho * (z + u))
+        z = np.maximum(x - u, 0.0)
+        u = u + (z - x)
+        w = AdmmWorkspace(
+            H1=w0.H1, H2=w0.H2, H3=w0.H3, H4=w0.H4, H5_base=w0.H5_base,
+            Z=w0.Z.copy(), U=w0.U.copy(), rho=w0.rho,
+        )
+        got, w = admm_nn_block(w, steps, _eigh=eigh)
+        # relative to the iterate's scale: U and the clamped part of Z may be 0
+        scale = np.linalg.norm(x)
+        for mine, ref in ((w.X, x), (got, z), (w.U, u)):
+            assert np.linalg.norm(mine - ref) <= 1e-10 * scale
+
+
+def test_exact_solve_jitter_retry_keeps_shared_gram():
+    # H1 and H4 singular: the first exact solve fails, the retry jitters H4.
+    # bcd_fuse hands every build the same operator-Gram arrays, so the retry
+    # must put the jittered matrix in a new array.
+    from btdfuse.solver import _solve_block_exact
+
+    h4 = np.diag([1.0, 0.0])
+    w = AdmmWorkspace(
+        H1=np.diag([2.0, 0.0]), H2=np.eye(2), H3=np.eye(2), H4=h4,
+        H5_base=np.array([[1.0, 0.0], [2.0, 0.0]]),
+        Z=np.zeros((2, 2)), U=np.zeros((2, 2)), rho=0.0,
+    )
+    with pytest.warns(RuntimeWarning, match="jitter"):
+        x = _solve_block_exact(w, "A")
+    np.testing.assert_array_equal(h4, np.diag([1.0, 0.0]))
+    assert w.H4[1, 1] > 0.0
+    res = np.linalg.norm(w.H1 @ x @ w.H2 + w.H3 @ x @ w.H4 - w.H5_base)
+    assert res <= 1e-8 * np.linalg.norm(w.H5_base)
+
+
 # ---------------------------------------------------------------------------
 # bcd_fuse
 
@@ -596,6 +682,17 @@ def test_two_stage_recovers_from_warm_start():
     assert r_snr(sri, res.sri_estimate) >= 40.0
     # trace ends with the full coupled objective after the spectral stage
     assert res.objective_trace[-1] <= res.objective_trace[0]
+
+
+def test_two_stage_nan_hsi_raises():
+    # stage 1 sees only the MSI; a NaN in the HSI must not come back as an image
+    truth, _, ops, hsi, msi = coupled_instance(63)
+    hsi = hsi.copy()
+    hsi[1, 2, 3] = np.nan
+    cfg = FusionConfig(method="two_stage", rank=truth.rank, outer_iters=5)
+    with pytest.raises(NumericalError, match="non-finite") as info:
+        bcd_fuse(hsi, msi, ops, cfg)
+    assert len(info.value.trace) == 15
 
 
 # ---------------------------------------------------------------------------

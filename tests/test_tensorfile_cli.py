@@ -379,6 +379,25 @@ def test_fuse_geometry_flag_mismatch_exit_1(tmp_path, capsys):
     assert "ratio" in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fuse_rejects_non_finite_input_exit_2(tmp_path, capsys, bad):
+    sri, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(12, 12, 8), ratio=2,
+                                 sigma=1.0, bands=2)
+    t = read_tensor(msi)
+    t[0, 1, 0] = bad
+    t[3, 2, 1] = -bad
+    write_tensor(msi, t)
+    est = tmp_path / "est.btf"
+    code, out, err = run_cli(
+        capsys, "fuse", "--hsi", str(hsi), "--msi", str(msi), "--out", str(est),
+        "-R", "2", "--kernel", "3", "--sigma", "1.0", "--ratio", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert str(msi) in err and "2 non-finite" in err
+    assert not est.exists()
+
+
 def test_fuse_numerical_failure_exit_3(tmp_path, capsys):
     # 2x2 coarse grid cannot pin down five spectral columns in stage 2
     sri, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(6, 6, 5), blocks=2,
