@@ -198,15 +198,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _read_finite(path, purpose: str):
+    """``read_tensor(path)``, rejecting NaN/Inf entries with FormatError."""
+    t = read_tensor(path)
+    bad = t.size - int(np.count_nonzero(np.isfinite(t)))
+    if bad:
+        raise FormatError(
+            f"{path}: {bad} non-finite entries (NaN or Inf); {purpose} needs finite data"
+        )
+    return t
+
+
 def cmd_fuse(args) -> int:
-    hsi = read_tensor(args.hsi)
-    msi = read_tensor(args.msi)
-    for path, t in ((args.hsi, hsi), (args.msi, msi)):
-        bad = t.size - int(np.count_nonzero(np.isfinite(t)))
-        if bad:
-            raise FormatError(
-                f"{path}: {bad} non-finite entries (NaN or Inf); fusion needs finite data"
-            )
+    hsi = _read_finite(args.hsi, "fusion")
+    msi = _read_finite(args.msi, "fusion")
     i_m, j_m, k_m = msi.shape
     i_h, j_h, k_h = hsi.shape
     srf = None
@@ -258,8 +263,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ref = read_tensor(args.ref)
-    est = read_tensor(args.est)
+    ref = _read_finite(args.ref, "scoring")
+    est = _read_finite(args.est, "scoring")
     report = compute_report(ref, est, args.ratio)
     _emit(report.as_dict())
     return 0

@@ -228,13 +228,14 @@ class _SylvesterFactor:
     form: with ``h3 = c3 I`` it solves ``a Y b + Y c = rhs`` for ``Y = X`` with
     ``(a, b, c) = (h1, h2, c3 h4)``; with ``h2 = c2 I`` it solves the
     transposed system, ``Y = X^T``, ``(a, b, c) = (h4, h3, c2 h1)``,
-    ``rhs = h5^T``.  It decomposes ``a = Q diag(lam) Q^T`` (or takes that
+    ``rhs = h5^T``.  When both forms apply it takes the first whose c is
+    positive definite.  It decomposes ``a = Q diag(lam) Q^T`` (or takes that
     decomposition from ``eigh``, keyed by the name "H1" or "H4" of the
     matrix it belongs to) and reduces the pencil ``b V = c V diag(w)`` with
     ``V^T c V = I``, so that each :meth:`solve` is
-    ``Y = Q ((Q^T rhs V) / (1 + lam w^T)) V^T``.  When c is not positive
-    definite the pencil has no such reduction and every solve falls back to
-    one small dense system per eigenvalue of a.
+    ``Y = Q ((Q^T rhs V) / (1 + lam w^T)) V^T``.  When no applicable c is
+    positive definite the pencil has no such reduction and every solve falls
+    back to one small dense system per eigenvalue of a (in the first form).
     """
 
     def __init__(self, h1, h2, h3, h4, eigh=None):
@@ -251,23 +252,30 @@ class _SylvesterFactor:
         self.shape = (m, n)
         eigh = eigh or {}
 
+        forms = []  # (transposed, a, b, c, name of a)
         c3 = _identity_scale(h3)
         if c3 is not None:
-            self.transposed = False
-            a, b, c, a_name = h1, h2, c3 * h4, "H1"
+            forms.append((False, h1, h2, c3 * h4, "H1"))
+        c2 = _identity_scale(h2)
+        if c2 is not None:
+            forms.append((True, h4, h3, c2 * h1, "H4"))
+        if not forms:
+            raise UsageError(
+                "neither h3 nor h2 is a scalar multiple of the identity; "
+                "use sylvester_solve_dense for general systems"
+            )
+        for transposed, a, b, c, a_name in forms:
+            try:
+                w, v = _eigh_pencil(b, c)
+                break
+            except np.linalg.LinAlgError:
+                continue
         else:
-            c2 = _identity_scale(h2)
-            if c2 is None:
-                raise UsageError(
-                    "neither h3 nor h2 is a scalar multiple of the identity; "
-                    "use sylvester_solve_dense for general systems"
-                )
-            self.transposed = True
-            a, b, c, a_name = h4, h3, c2 * h1, "H4"
+            w = v = None
+            transposed, a, b, c, a_name = forms[0]
+        self.transposed, self.v = transposed, v
         lam, self.q = eigh[a_name] if a_name in eigh else np.linalg.eigh(a)
-        try:
-            w, self.v = _eigh_pencil(b, c)
-        except np.linalg.LinAlgError:
+        if w is None:
             # c is singular: one (b-sized) system per eigenvalue of a
             self.den = None
             self.mats = lam[:, None, None] * b[None, :, :] + c[None, :, :]
@@ -494,7 +502,8 @@ def _validate_config(cfg: FusionConfig):
         raise UsageError(f"unknown init {cfg.init!r}; choose from {INIT_STRATEGIES}")
 
 
-def _initial_factors(cfg: FusionConfig, rank: RankSpec, dims, msi) -> BtdFactors:
+def _initial_factors(cfg: FusionConfig, rank: RankSpec, dims, msi, e: int) -> BtdFactors:
+    """Starting factors for data divided by ``2^e`` (see ``_normalize_pair``)."""
     if cfg.init == "provided":
         if cfg.init_factors is None:
             raise UsageError("init='provided' requires cfg.init_factors")
@@ -503,8 +512,28 @@ def _initial_factors(cfg: FusionConfig, rank: RankSpec, dims, msi) -> BtdFactors
             raise UsageError(f"provided factors give dims {f.dims}, data needs {tuple(dims)}")
         if f.rank != rank:
             raise UsageError(f"provided factors have rank {f.rank}, config wants {rank}")
+        f.C = np.ldexp(f.C, -e)
         return f
     return init_factors(dims, rank, cfg.seed, cfg.init, msi=msi)
+
+
+def _normalize_pair(hsi, msi):
+    """``(e, hsi / 2^e, msi / 2^e)`` with 2^e the power of two just above the largest entry.
+
+    A power-of-two scaling is exact, so fusing the normalized pair and then
+    multiplying C by ``2^e`` and the objective by ``4^e`` gives the result for
+    the pair as given, while every absolute threshold of the solver sees data
+    of unit scale.  The largest entry is used rather than the norm, whose
+    square overflows for entries above about 1e154.  A pair that is all zero
+    or not finite keeps ``e = 0``.
+    """
+    big = max(float(np.abs(hsi).max()), float(np.abs(msi).max()))
+    e = math.frexp(big)[1] if math.isfinite(big) else 0
+    return e, np.ldexp(hsi, -e), np.ldexp(msi, -e)
+
+
+def _unscaled_trace(trace, e: int) -> list:
+    return [math.ldexp(j, 2 * e) for j in trace]
 
 
 def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
@@ -523,7 +552,8 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     msi = _check_tensor3(msi, "msi")
     rank = cfg.rank if cfg.method != "cnn_cpd" else RankSpec(cfg.rank.R, 1)
     dims = (msi.shape[0], msi.shape[1], hsi.shape[2])
-    f = _initial_factors(cfg, rank, dims, msi)
+    e, hsi, msi = _normalize_pair(hsi, msi)
+    f = _initial_factors(cfg, rank, dims, msi, e)
     _require_coupled_dims(f, hsi, msi, ops)
 
     constrained = cfg.method in ("cnn_btd", "cnn_cpd")
@@ -555,7 +585,7 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
             if not math.isfinite(j):
                 raise NumericalError(
                     f"objective became non-finite at sweep {sweep + 1}, block {block}",
-                    trace=trace,
+                    trace=_unscaled_trace(trace, e),
                 )
             trace.append(j)
         iters_run = sweep + 1
@@ -564,10 +594,11 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
                 break
         prev_sweep = trace[-1]
 
+    f.C = np.ldexp(f.C, e)
     return FusionResult(
         factors=f,
         sri_estimate=btd_reconstruct(f),
-        objective_trace=tuple(trace),
+        objective_trace=tuple(_unscaled_trace(trace, e)),
         iters_run=iters_run,
         wall_time=time.perf_counter() - start,
         method=cfg.method,
@@ -619,7 +650,8 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     msi = _check_tensor3(msi, "msi")
     rank = cfg.rank
     dims = (msi.shape[0], msi.shape[1], hsi.shape[2])
-    f0 = _initial_factors(cfg, rank, dims, msi)
+    e, hsi, msi = _normalize_pair(hsi, msi)
+    f0 = _initial_factors(cfg, rank, dims, msi, e)
     _require_coupled_dims(f0, hsi, msi, ops)
 
     a, b = f0.A.copy(), f0.B.copy()
@@ -644,7 +676,8 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
         j = msi_fit(a, b, c_m)
         if not math.isfinite(j):
             raise NumericalError(
-                f"MSI fit became non-finite at sweep {sweep + 1}", trace=trace
+                f"MSI fit became non-finite at sweep {sweep + 1}",
+                trace=_unscaled_trace(trace, e),
             )
         trace.append(j)
         iters_run = sweep + 1
@@ -663,13 +696,14 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
         raise NumericalError(
             "spectral recovery from the HSI gave a non-finite spectral factor or "
             "coupled objective",
-            trace=trace,
+            trace=_unscaled_trace(trace, e),
         )
     trace.append(j)
+    f.C = np.ldexp(f.C, e)
     return FusionResult(
         factors=f,
         sri_estimate=btd_reconstruct(f),
-        objective_trace=tuple(trace),
+        objective_trace=tuple(_unscaled_trace(trace, e)),
         iters_run=iters_run,
         wall_time=time.perf_counter() - start,
         method="two_stage",
@@ -713,9 +747,10 @@ def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> Bt
         raise UsageError(f"unknown init strategy {strategy!r}")
     if msi is not None:
         msi = _check_tensor3(msi, "msi")
-        norm = frob_norm(btd_reconstruct(f))
-        if norm > 0:
-            f.C = f.C * (frob_norm(msi) / norm)
+        # ||X||^2 = sum(expand(C^T C) o A^T A o B^T B): no reconstruction needed
+        norm_sq = float(np.sum(_expand(f.C.T @ f.C, f.rank) * (f.A.T @ f.A) * (f.B.T @ f.B)))
+        if norm_sq > 0:
+            f.C = f.C * (frob_norm(msi) / math.sqrt(norm_sq))
     return f
 
 

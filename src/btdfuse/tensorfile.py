@@ -31,7 +31,9 @@ def write_tensor(path, t) -> None:
         raise UsageError(f"expected a 3-d tensor, got ndim={t.ndim}")
     path = os.fspath(path)
     header = _HEADER.pack(MAGIC, VERSION, *t.shape)
-    payload = t.ravel(order="F").astype("<f8", copy=False).tobytes()
+    # column-major little-endian doubles, copied only when t is not laid out
+    # that way already (the ravel of a Fortran-ordered array is a view)
+    payload = np.asfortranarray(t, dtype="<f8").ravel(order="F")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -68,8 +70,8 @@ def read_tensor(path) -> np.ndarray:
                 f"{path}: payload is {size - _HEADER.size} bytes, dims {(i, j, k)} "
                 f"require {8 * n}"
             )
-        data = fh.read(8 * n)
-    if len(data) != 8 * n:
+        out = np.empty(n, dtype="<f8")
+        got = fh.readinto(memoryview(out).cast("B"))
+    if got != 8 * n:
         raise FormatError(f"{path}: short read of payload")
-    flat = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    return flat.reshape((i, j, k), order="F")
+    return out.astype(np.float64, copy=False).reshape((i, j, k), order="F")

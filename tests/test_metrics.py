@@ -1,13 +1,19 @@
 """Fusion quality metrics and the block-matching error."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import btdfuse
+import btdfuse.metrics
 from btdfuse import (
     BtdFactors,
     MetricsReport,
@@ -188,6 +194,107 @@ def test_compute_report_fields():
     assert d["cc"] == pytest.approx(cc(ref, est))
     assert d["sam_rad"] == pytest.approx(sam(ref, est))
     assert d["ergas"] == pytest.approx(ergas(ref, est, 4))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernel against the dense per-metric formulas
+
+
+def dense_r_snr(ref, est):
+    num = np.linalg.norm(ref.ravel()) ** 2
+    den = np.linalg.norm((ref - est).ravel()) ** 2
+    return 300.0 if den == 0.0 else min(10.0 * math.log10(num / den), 300.0)
+
+
+def dense_sam(ref, est):
+    n_ref = np.sqrt(np.einsum("ijk,ijk->ij", ref, ref))
+    n_est = np.sqrt(np.einsum("ijk,ijk->ij", est, est))
+    keep = (n_ref > 0) & (n_est > 0)
+    u = ref[keep] / n_ref[keep][:, None]
+    v = est[keep] / n_est[keep][:, None]
+    half_chord = 0.5 * np.linalg.norm(u - v, axis=-1)
+    return float(np.mean(2.0 * np.arcsin(np.minimum(half_chord, 1.0))))
+
+
+def dense_cc(ref, est):
+    vals = []
+    for k in range(ref.shape[2]):
+        xc = ref[:, :, k].ravel() - ref[:, :, k].mean()
+        yc = est[:, :, k].ravel() - est[:, :, k].mean()
+        nx, ny = np.linalg.norm(xc), np.linalg.norm(yc)
+        vals.append(0.0 if ny == 0.0 else float(xc @ yc) / (nx * ny))
+    return float(np.mean(vals))
+
+
+def dense_ergas(ref, est, d):
+    mu = ref.mean(axis=(0, 1))
+    mse = np.mean((ref - est) ** 2, axis=(0, 1))
+    return float(100.0 / d * math.sqrt(np.mean(mse / mu**2)))
+
+
+def in_layout(t, layout):
+    if layout == "C":
+        return np.ascontiguousarray(t)
+    if layout == "F":
+        return np.asfortranarray(t)
+    # transposed view: fibers contiguous, columns slowest (btd_reconstruct's layout)
+    return np.ascontiguousarray(t.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+@st.composite
+def metric_pairs(draw):
+    i = draw(st.integers(1, 7))
+    j = draw(st.integers(2, 13))
+    k = draw(st.integers(1, 6))
+    slab_cols = draw(st.integers(1, j))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    ref = rng.uniform(0.1, 1.0, size=(i, j, k))
+    # zero fibers, but not at pixel 0: with J >= 2 every reference band varies
+    zero = rng.uniform(size=(i, j)) < 0.2
+    zero[0, 0] = False
+    ref[zero] = 0.0
+    noise = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    est = ref + noise * rng.standard_normal(ref.shape)
+    if noise > 0.0:
+        zero = rng.uniform(size=(i, j)) < 0.2
+        zero[0, 0] = False  # SAM needs one pixel with both fibers nonzero
+        est[zero] = 0.0
+        for kk in np.flatnonzero(rng.uniform(size=k) < 0.3):
+            est[:, :, kk] = rng.uniform(-1.0, 1.0)  # constant estimate band
+    layout = draw(st.sampled_from(["C", "F", "view"]))
+    return in_layout(ref, layout), in_layout(est, layout), slab_cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(metric_pairs())
+def test_blocked_metrics_match_dense_formulas(case):
+    ref, est, slab_cols = case
+    i, j, k = ref.shape
+    # the slab covers slab_cols columns, so J need not be a multiple of it
+    with mock.patch.object(btdfuse.metrics, "_SLAB_BYTES", slab_cols * 8 * i * k):
+        rep = compute_report(ref, est, 3)
+    if np.array_equal(ref, est):
+        assert rep.r_snr_db == 300.0
+        assert rep.sam_rad == 0.0
+    assert rep.r_snr_db == pytest.approx(dense_r_snr(ref, est), rel=1e-12)
+    assert rep.sam_rad == pytest.approx(dense_sam(ref, est), rel=1e-12, abs=1e-15)
+    assert rep.cc == pytest.approx(dense_cc(ref, est), rel=1e-12, abs=1e-12)
+    assert rep.ergas == pytest.approx(dense_ergas(ref, est, 3), rel=1e-12)
+
+
+def test_compute_report_allocates_less_than_one_input():
+    rng = np.random.default_rng(18)
+    ref = rng.uniform(0.5, 1.5, size=(64, 64, 100))
+    est = ref + 0.01 * rng.standard_normal(ref.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compute_report(ref, est, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < ref.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from btdfuse import (
     BtdFactors,
@@ -448,9 +450,10 @@ def test_admm_requires_positive_rho():
 def test_admm_factored_path_matches_per_step_solves(block, rank):
     # admm_nn_block factors H1..H4 once (with the run's operator-Gram
     # eigendecomposition, as bcd_fuse passes it); every iterate must match a
-    # loop that calls sylvester_solve afresh on each step.  R = 1 makes the
-    # 1x1 H3 of block C identity-scaled with a singular P3^T P3: the
-    # per-eigenvalue fallback inside the factored path.
+    # loop that calls sylvester_solve afresh on each step.  R = 1 makes both
+    # forms of block C apply (its 1x1 H3 is identity-scaled); the row form's
+    # pencil (I, c P3^T P3) is singular, so the column form must be chosen
+    # and the factored path taken.
     from btdfuse.solver import _operator_grams, _SylvesterFactor
 
     _, _, ops, hsi, msi = coupled_instance(16, rank=rank, snr=25.0)
@@ -458,8 +461,7 @@ def test_admm_factored_path_matches_per_step_solves(block, rank):
     grams = _operator_grams(ops)
     eigh = grams[block][1]
     w0 = build_subproblem(block, f, hsi, msi, ops, "auto", _grams=grams)
-    fallback = block == "C" and rank.R == 1
-    assert (_SylvesterFactor(w0.H1, w0.H2, w0.H3, w0.H4, eigh).den is None) == fallback
+    assert _SylvesterFactor(w0.H1, w0.H2, w0.H3, w0.H4, eigh).den is not None
 
     z, u = w0.Z.copy(), w0.U.copy()
     for steps in range(1, 7):
@@ -475,6 +477,23 @@ def test_admm_factored_path_matches_per_step_solves(block, rank):
         scale = np.linalg.norm(x)
         for mine, ref in ((w.X, x), (got, z), (w.U, u)):
             assert np.linalg.norm(mine - ref) <= 1e-10 * scale
+
+
+def test_sylvester_factor_singular_pencil_falls_back_to_dense_solves():
+    # only the row form applies (h2 is not identity-scaled) and its c = h4 is
+    # singular: every solve goes through one dense system per eigenvalue of h1
+    from btdfuse.solver import _SylvesterFactor
+
+    rng = np.random.default_rng(21)
+    h1, h2 = spd(rng, 4), spd(rng, 3)
+    g = rng.standard_normal((1, 3))
+    h4 = g.T @ g
+    h5 = rng.standard_normal((4, 3))
+    system = _SylvesterFactor(h1, h2, np.eye(4), h4)
+    assert system.den is None and not system.transposed
+    np.testing.assert_allclose(
+        system.solve(h5), oracle_sylvester(h1, h2, np.eye(4), h4, h5), rtol=1e-10, atol=1e-12
+    )
 
 
 def test_exact_solve_jitter_retry_keeps_shared_gram():
@@ -695,6 +714,40 @@ def test_two_stage_nan_hsi_raises():
     assert len(info.value.trace) == 15
 
 
+@pytest.mark.parametrize("method", ["cnn_btd", "stereo", "two_stage"])
+@settings(max_examples=12, deadline=None)
+@given(log_s=st.floats(min_value=-100.0, max_value=100.0))
+@example(log_s=-100.0)
+@example(log_s=100.0)
+def test_fuse_scale_equivariant(method, log_s):
+    # fusing (s HSI, s MSI) gives s times the estimate and s^2 times the
+    # trace; at s = 1e100 cnn_btd and stereo used to overflow their residual
+    # check, at s = 1e-100 two_stage stopped after one sweep
+    s = 10.0**log_s
+    _, _, ops, hsi, msi = coupled_instance(60, snr=30.0)
+    cfg = FusionConfig(method=method, rank=RankSpec(2, 2), outer_iters=5, seed=3)
+    base = bcd_fuse(hsi, msi, ops, cfg)
+    res = bcd_fuse(s * hsi, s * msi, ops, cfg)
+    assert res.iters_run == base.iters_run
+    want = s * base.sri_estimate
+    assert np.linalg.norm(res.sri_estimate - want) <= 1e-10 * np.linalg.norm(want)
+    np.testing.assert_allclose(
+        np.asarray(res.objective_trace) / s**2, base.objective_trace, rtol=1e-10
+    )
+
+
+def test_fuse_provided_init_is_scaled_with_the_data():
+    truth, _, ops, hsi, msi = coupled_instance(61)
+    s = 1e80
+    scaled_truth = truth.copy()
+    scaled_truth.C = s * truth.C
+    cfg = FusionConfig(method="stereo", rank=truth.rank, outer_iters=2,
+                       init="provided", init_factors=scaled_truth)
+    res = bcd_fuse(s * hsi, s * msi, ops, cfg)
+    np.testing.assert_array_equal(cfg.init_factors.C, scaled_truth.C)  # not modified
+    assert np.linalg.norm(res.factors.C - s * truth.C) <= 1e-6 * s * np.linalg.norm(truth.C)
+
+
 # ---------------------------------------------------------------------------
 # init_factors
 
@@ -710,10 +763,14 @@ def test_init_random_uniform_deterministic_and_nonneg():
 
 
 def test_init_scales_to_msi_norm():
+    # C is scaled from the factor Grams, without a reconstruction; the
+    # reconstruction's norm must still match the MSI's
     _, _, ops, hsi, msi = coupled_instance(70)
-    f = init_factors((12, 12, 8), RankSpec(2, 2), seed=2, strategy="random_uniform", msi=msi)
-    recon = frob_norm(btd_reconstruct(f))
-    assert abs(recon - frob_norm(msi)) <= 0.1 * frob_norm(msi)
+    for strategy in ("random_uniform", "svd_warm"):
+        for rank in (RankSpec(2, 2), RankSpec(3, (1, 2, 3))):
+            f = init_factors((12, 12, 8), rank, seed=2, strategy=strategy, msi=msi)
+            recon = frob_norm(btd_reconstruct(f))
+            assert abs(recon - frob_norm(msi)) <= 1e-12 * frob_norm(msi)
 
 
 def test_init_svd_warm_deterministic_nonneg():

@@ -87,6 +87,24 @@ def test_tensorfile_read_payload_size_mismatch(tmp_path):
         read_tensor(tmp_path / "long.btf")
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_tensorfile_bytes_independent_of_layout(tmp_path, layout):
+    # the file is the header plus the column-major payload, whatever the
+    # memory layout of the array written
+    base = np.random.default_rng(2).standard_normal((5, 6, 14))
+    t = {"C": np.ascontiguousarray(base[:, :, :7]),
+         "F": np.asfortranarray(base[:, :, :7]),
+         "strided": base[:, :, ::2]}[layout]
+    assert t.shape == (5, 6, 7)
+    path = tmp_path / "t.btf"
+    write_tensor(path, t)
+    want = struct.pack("<4sBQQQ", b"HSRT", 1, 5, 6, 7) + t.ravel(order="F").astype("<f8").tobytes()
+    assert path.read_bytes() == want
+    back = read_tensor(path)
+    np.testing.assert_array_equal(back, t)
+    assert back.flags.f_contiguous and back.flags.writeable
+
+
 def test_tensorfile_read_zero_dim(tmp_path):
     path = tmp_path / "bad.btf"
     path.write_bytes(struct.pack("<4sBQQQ", b"HSRT", 1, 0, 2, 2))
@@ -267,6 +285,27 @@ def test_evaluate_missing_file_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "nope.btf" in err
+
+
+@pytest.mark.parametrize("which", ["ref", "est"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_rejects_non_finite_input_exit_2(tmp_path, capsys, which, bad):
+    rng = np.random.default_rng(3)
+    paths = {"ref": tmp_path / "ref.btf", "est": tmp_path / "est.btf"}
+    for name, path in paths.items():
+        t = rng.uniform(0.5, 1.5, size=(4, 4, 3))
+        if name == which:
+            t[0, 1, 0] = bad
+            t[2, 3, 2] = -bad
+            t[3, 3, 1] = bad
+        write_tensor(path, t)
+    code, out, err = run_cli(
+        capsys, "evaluate", "--ref", str(paths["ref"]), "--est", str(paths["est"]),
+        "--ratio", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert str(paths[which]) in err and "3 non-finite" in err
 
 
 def test_evaluate_dim_mismatch_exit_1(tmp_path, capsys):
