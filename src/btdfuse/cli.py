@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -27,19 +28,21 @@ from .degradation import (
 from .errors import FormatError, NumericalError, UsageError
 from .metrics import compute_report
 from .model import RankSpec, btd_reconstruct, check_coupled_identifiability
-from .solver import METHODS, FusionConfig, bcd_fuse, init_factors
+from .solver import METHODS, FusionConfig, _validate_config, bcd_fuse, init_factors
 from .tensorfile import read_tensor, write_tensor
 
 __all__ = ["main", "entry", "build_parser"]
 
-
-def _rho_flag(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"rho must be a number or 'auto', got {text!r}")
+# defaults of a fusion run's settings: the flags of `fuse` and the keys of a
+# `bench` method entry; the sweep count depends on the method
+_RUN_DEFAULTS = {
+    "L": 1,
+    "outer_iters": {"cnn_btd": 20, "cnn_cpd": 20, "stereo": 100, "two_stage": 20},
+    "inner_iters": 5,
+    "rho": "auto",
+    "tol": 0.0,
+    "init": "random_uniform",
+}
 
 
 def _add_degradation_flags(p: argparse.ArgumentParser):
@@ -89,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output tensor file for the estimate")
     p.add_argument("--method", choices=METHODS, default="cnn_btd")
     p.add_argument("-R", "--blocks", type=int, required=True, help="number of blocks")
-    p.add_argument("-L", "--block-rank", type=int, default=1, help="rank per block (default 1)")
-    p.add_argument("--outer-iters", type=int, default=None,
+    p.add_argument("-L", "--block-rank", type=int, help="rank per block (default 1)")
+    p.add_argument("--outer-iters", type=int,
                    help="sweeps (default 100 for stereo, 20 otherwise)")
-    p.add_argument("--inner-iters", type=int, default=5)
-    p.add_argument("--rho", type=_rho_flag, default="auto")
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--inner-iters", type=int)
+    p.add_argument("--rho", help="a number or 'auto'")
+    p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", choices=("random_uniform", "svd_warm"), default="random_uniform")
+    p.add_argument("--init", choices=("random_uniform", "svd_warm"))
     _add_degradation_flags(p)
     p.set_defaults(func=cmd_fuse)
 
@@ -146,28 +149,29 @@ def cmd_make_sri(args) -> int:
     return 0
 
 
-def _build_ops(i_m, j_m, k_h, k_m, args, srf):
+def _degradation_ops(shape, flags, k_m=None):
+    """Operators that degrade an SRI of ``shape`` as the degradation flags say.
+
+    The MSI band count is ``k_m`` when given, else the row count of
+    ``--srf-csv``, else ``flags.bands``.
+    """
+    i, j, k = shape
+    srf = load_srf_csv(flags.srf_csv, K_H=k, K_M=k_m) if flags.srf_csv else None
     return make_degradation_ops(
-        i_m, j_m, k_h,
-        K_M=k_m,
-        kernel_size=args.kernel,
-        sigma=args.sigma,
-        d=args.ratio,
-        offset=args.offset,
+        i, j, k,
+        K_M=k_m or (flags.bands if srf is None else srf.shape[0]),
+        kernel_size=flags.kernel,
+        sigma=flags.sigma,
+        d=flags.ratio,
+        offset=flags.offset,
         srf=srf,
-        srf_source=args.srf_csv if args.srf_csv else "uniform",
+        srf_source=flags.srf_csv if flags.srf_csv else "uniform",
     )
 
 
 def cmd_simulate(args) -> int:
     sri = read_tensor(args.sri)
-    i, j, k = sri.shape
-    srf = None
-    bands = args.bands
-    if args.srf_csv:
-        srf = load_srf_csv(args.srf_csv, K_H=k)
-        bands = srf.shape[0]
-    ops = _build_ops(i, j, k, bands, args, srf)
+    ops = _degradation_ops(sri.shape, args)
     hsi, msi = apply_degradation(sri, ops)
     hsi_noisy = add_noise(hsi, NoiseSpec(args.snr_db, args.seed))
     msi_noisy = add_noise(msi, NoiseSpec(args.snr_db, args.seed + 1))
@@ -190,7 +194,7 @@ def cmd_simulate(args) -> int:
             "sigma": args.sigma if args.sigma is not None else args.ratio / 2.0,
             "ratio": args.ratio,
             "offset": args.offset,
-            "bands": bands,
+            "bands": ops.P3.shape[0],
             "snr_db": _finite_or_str(args.snr_db),
             "seed": args.seed,
         },
@@ -209,42 +213,63 @@ def _read_finite(path, purpose: str):
     return t
 
 
+def _fusion_config(entry: dict, seed: int) -> FusionConfig:
+    """The checked FusionConfig of a method entry.
+
+    ``entry`` holds "method", "R" and optionally "label" and the keys of
+    ``_RUN_DEFAULTS``; a key that is missing or None takes its default.
+    """
+    method = entry.get("method")
+    if method not in METHODS:
+        raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
+    if entry.get("R") is None:
+        raise UsageError(f"method entry {method} needs 'R'")
+    unknown = set(entry) - {"method", "R", "label", *_RUN_DEFAULTS}
+    if unknown:
+        raise UsageError(f"method entry {method} has unknown keys {sorted(unknown)}")
+    s = dict(_RUN_DEFAULTS, outer_iters=_RUN_DEFAULTS["outer_iters"][method])
+    s.update((k, v) for k, v in entry.items() if v is not None)
+    try:
+        cfg = FusionConfig(
+            method=method,
+            rank=RankSpec(int(s["R"]), int(s["L"])),
+            outer_iters=int(s["outer_iters"]),
+            inner_iters=int(s["inner_iters"]),
+            rho=s["rho"] if s["rho"] == "auto" else float(s["rho"]),
+            tol=float(s["tol"]),
+            seed=seed,
+            init=s["init"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {method} settings: {exc}") from exc
+    _validate_config(cfg)
+    return cfg
+
+
 def cmd_fuse(args) -> int:
+    cfg = _fusion_config({
+        "method": args.method, "R": args.blocks, "L": args.block_rank,
+        "outer_iters": args.outer_iters, "inner_iters": args.inner_iters,
+        "rho": args.rho, "tol": args.tol, "init": args.init,
+    }, args.seed)
     hsi = _read_finite(args.hsi, "fusion")
     msi = _read_finite(args.msi, "fusion")
     i_m, j_m, k_m = msi.shape
     i_h, j_h, k_h = hsi.shape
-    srf = None
-    if args.srf_csv:
-        srf = load_srf_csv(args.srf_csv, K_H=k_h, K_M=k_m)
-    ops = _build_ops(i_m, j_m, k_h, k_m, args, srf)
+    ops = _degradation_ops((i_m, j_m, k_h), args, k_m)
     if ops.P1.shape[0] != i_h or ops.P2.shape[0] != j_h:
         raise UsageError(
             f"HSI spatial dims {i_h}x{j_h} do not match the degradation flags "
             f"(ratio={args.ratio}, offset={args.offset} over {i_m}x{j_m} gives "
             f"{ops.P1.shape[0]}x{ops.P2.shape[0]})"
         )
-    rank = RankSpec(args.blocks, args.block_rank)
-    check = check_coupled_identifiability(i_m, j_m, k_m, i_h, j_h, rank)
+    check = check_coupled_identifiability(i_m, j_m, k_m, i_h, j_h, cfg.rank)
     if not check:
         print(
             "WARNING: recovery is not guaranteed unique for this geometry/rank; "
             "failed conditions: " + "; ".join(check.failed_clauses),
             file=sys.stderr,
         )
-    outer = args.outer_iters
-    if outer is None:
-        outer = 100 if args.method == "stereo" else 20
-    cfg = FusionConfig(
-        method=args.method,
-        rank=rank,
-        outer_iters=outer,
-        inner_iters=args.inner_iters,
-        rho=args.rho,
-        tol=args.tol,
-        seed=args.seed,
-        init=args.init,
-    )
     result = bcd_fuse(hsi, msi, ops, cfg)
     write_tensor(args.out, result.sri_estimate)
     _emit({
@@ -253,7 +278,7 @@ def cmd_fuse(args) -> int:
         "out": args.out,
         "dims": list(result.sri_estimate.shape),
         "blocks": args.blocks,
-        "block_rank": args.block_rank,
+        "block_rank": cfg.rank.L[0],
         "iters_run": result.iters_run,
         "objective_trace_len": len(result.objective_trace),
         "final_objective": result.objective_trace[-1],
@@ -270,43 +295,54 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _bench_config(raw: dict) -> dict:
+def _bench_config(raw) -> argparse.Namespace:
+    """Checked bench settings; ``runs`` maps each method entry's label to its FusionConfig."""
     if not isinstance(raw, dict):
         raise UsageError("bench config must be a JSON object")
-    cfg = {
-        "trials": int(raw.get("trials", 1)),
-        "snr_db": float(raw.get("snr_db", 30.0)),
-        "seed_base": int(raw.get("seed_base", 0)),
-        "output": raw.get("output"),
-        "sri_path": raw.get("sri_path"),
-        "sri_dims": raw.get("sri_dims"),
-        "sri_rank": raw.get("sri_rank"),
-        "kernel_size": int(raw.get("kernel_size", 9)),
-        "sigma": raw.get("sigma"),
-        "ratio": int(raw.get("ratio", 5)),
-        "offset": int(raw.get("offset", 0)),
-        "bands": int(raw.get("bands", 4)),
-        "srf_csv": raw.get("srf_csv"),
-        "methods": raw.get("methods"),
-    }
-    if cfg["trials"] < 1:
-        raise UsageError(f"trials must be >= 1, got {cfg['trials']}")
-    if not cfg["output"]:
-        raise UsageError("bench config needs an 'output' table path")
-    if not cfg["methods"]:
-        raise UsageError("bench config needs a nonempty 'methods' list")
-    if cfg["sri_path"] is None and not (cfg["sri_dims"] and cfg["sri_rank"]):
+    sri_rank = raw.get("sri_rank")
+    if not raw.get("sri_path") and not (
+        raw.get("sri_dims") and isinstance(sri_rank, dict) and "R" in sri_rank
+    ):
         raise UsageError("bench config needs 'sri_path' or 'sri_dims' + 'sri_rank'")
-    for m in cfg["methods"]:
-        if m.get("method") not in METHODS:
-            raise UsageError(f"unknown method in bench config: {m.get('method')!r}")
-        if "R" not in m:
-            raise UsageError(f"method entry {m.get('method')} needs 'R'")
+    try:
+        cfg = argparse.Namespace(
+            trials=int(raw.get("trials", 1)),
+            snr_db=float(raw.get("snr_db", 30.0)),
+            seed_base=int(raw.get("seed_base", 0)),
+            output=raw.get("output"),
+            sri_path=raw.get("sri_path"),
+            sri_dims=raw.get("sri_dims"),
+            sri_rank=raw.get("sri_rank"),
+            kernel=int(raw.get("kernel_size", 9)),
+            sigma=None if raw.get("sigma") is None else float(raw["sigma"]),
+            ratio=int(raw.get("ratio", 5)),
+            offset=int(raw.get("offset", 0)),
+            bands=int(raw.get("bands", 4)),
+            srf_csv=raw.get("srf_csv"),
+        )
+        if not cfg.sri_path:
+            i, j, k = (int(d) for d in cfg.sri_dims)
+            cfg.sri_dims = (i, j, k)
+            cfg.sri_rank = RankSpec(int(sri_rank["R"]), int(sri_rank.get("L", 1)))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bench config: {exc}") from exc
+    if cfg.trials < 1:
+        raise UsageError(f"trials must be >= 1, got {cfg.trials}")
+    if not cfg.output:
+        raise UsageError("bench config needs an 'output' table path")
+    methods = raw.get("methods")
+    if not methods or not isinstance(methods, list):
+        raise UsageError("bench config needs a nonempty 'methods' list")
+    cfg.runs = {}
+    for m in methods:
+        if not isinstance(m, dict):
+            raise UsageError(f"method entry {m!r} must be a JSON object")
+        run = _fusion_config(m, cfg.seed_base)
+        label = str(m.get("label", f"{run.method}(R={run.rank.R},L={run.rank.L[0]})"))
+        if label in cfg.runs:
+            raise UsageError(f"two method entries are labelled {label!r}; give each a 'label'")
+        cfg.runs[label] = run
     return cfg
-
-
-def _method_label(m: dict) -> str:
-    return m.get("label", f"{m['method']}(R={m['R']},L={m.get('L', 1)})")
 
 
 def _write_table(path: str, header: list, rows: list):
@@ -332,51 +368,27 @@ def cmd_bench(args) -> int:
         raise FormatError(f"malformed bench config {args.config}: {exc}") from exc
     cfg = _bench_config(raw)
 
-    if cfg["sri_path"]:
-        sri = read_tensor(cfg["sri_path"])
+    if cfg.sri_path:
+        sri = _read_finite(cfg.sri_path, "bench")
     else:
-        dims = tuple(int(d) for d in cfg["sri_dims"])
-        rank = RankSpec(int(cfg["sri_rank"]["R"]), int(cfg["sri_rank"].get("L", 1)))
-        sri = btd_reconstruct(init_factors(dims, rank, cfg["seed_base"], "random_uniform"))
-    i, j, k = sri.shape
-    srf = None
-    bands = cfg["bands"]
-    if cfg["srf_csv"]:
-        srf = load_srf_csv(cfg["srf_csv"], K_H=k)
-        bands = srf.shape[0]
-    ops = make_degradation_ops(
-        i, j, k, K_M=bands, kernel_size=cfg["kernel_size"], sigma=cfg["sigma"],
-        d=cfg["ratio"], offset=cfg["offset"], srf=srf,
-        srf_source=cfg["srf_csv"] or "uniform",
-    )
+        sri = btd_reconstruct(init_factors(cfg.sri_dims, cfg.sri_rank, cfg.seed_base,
+                                           "random_uniform"))
+    ops = _degradation_ops(sri.shape, cfg)
     hsi_clean, msi_clean = apply_degradation(sri, ops)
 
-    trials = cfg["trials"]
-    stats = {_method_label(m): {"r_snr": [], "cc": [], "sam": [], "ergas": [],
-                                "time": [], "failures": 0} for m in cfg["methods"]}
+    trials = cfg.trials
+    stats = {label: {"r_snr": [], "cc": [], "sam": [], "ergas": [], "time": []}
+             for label in cfg.runs}
     for trial in range(trials):
-        seed = cfg["seed_base"] + trial
-        hsi = add_noise(hsi_clean, NoiseSpec(cfg["snr_db"], seed))
-        msi = add_noise(msi_clean, NoiseSpec(cfg["snr_db"], seed + trials))
-        for m in cfg["methods"]:
-            label = _method_label(m)
-            method = m["method"]
-            run_cfg = FusionConfig(
-                method=method,
-                rank=RankSpec(int(m["R"]), int(m.get("L", 1))),
-                outer_iters=int(m.get("outer_iters", 100 if method == "stereo" else 20)),
-                inner_iters=int(m.get("inner_iters", 5)),
-                rho=m.get("rho", "auto"),
-                tol=float(m.get("tol", 0.0)),
-                seed=seed,
-                init=m.get("init", "random_uniform"),
-            )
+        seed = cfg.seed_base + trial
+        hsi = add_noise(hsi_clean, NoiseSpec(cfg.snr_db, seed))
+        msi = add_noise(msi_clean, NoiseSpec(cfg.snr_db, seed + trials))
+        for label, run_cfg in cfg.runs.items():
             start = time.perf_counter()
             try:
-                result = bcd_fuse(hsi, msi, ops, run_cfg)
-                report = compute_report(sri, result.sri_estimate, cfg["ratio"])
+                result = bcd_fuse(hsi, msi, ops, dataclasses.replace(run_cfg, seed=seed))
+                report = compute_report(sri, result.sri_estimate, cfg.ratio)
             except (UsageError, NumericalError) as exc:
-                stats[label]["failures"] += 1
                 print(f"trial {trial} {label}: failed: {exc}", file=sys.stderr)
                 continue
             stats[label]["time"].append(time.perf_counter() - start)
@@ -388,9 +400,7 @@ def cmd_bench(args) -> int:
     header = ["method", "trials_ok", "r_snr_db", "cc", "sam_rad", "ergas", "runtime_s"]
     rows = []
     total_ok = 0
-    for m in cfg["methods"]:
-        label = _method_label(m)
-        st = stats[label]
+    for label, st in stats.items():
         ok = len(st["r_snr"])
         total_ok += ok
         if ok:
@@ -402,14 +412,14 @@ def cmd_bench(args) -> int:
             ])
         else:
             rows.append([label, "0", "nan", "nan", "nan", "nan", "nan"])
-    _write_table(cfg["output"], header, rows)
+    _write_table(cfg.output, header, rows)
     _emit({
         "command": "bench",
-        "output": cfg["output"],
+        "output": cfg.output,
         "trials": trials,
-        "methods": [_method_label(m) for m in cfg["methods"]],
+        "methods": list(cfg.runs),
         "completed_runs": total_ok,
-        "failed_runs": trials * len(cfg["methods"]) - total_ok,
+        "failed_runs": trials * len(cfg.runs) - total_ok,
     })
     return 3 if total_ok == 0 else 0
 

@@ -154,10 +154,15 @@ def btd_reconstruct(f: BtdFactors) -> np.ndarray:
 
 def spatial_map_matrix(f: BtdFactors) -> np.ndarray:
     """Matrix whose column r is ``vec(A_r @ B_r.T)``, shape (I*J, R)."""
-    s = np.empty((f.A.shape[0] * f.B.shape[0], f.rank.R))
-    for r in range(f.rank.R):
-        a_r, b_r = f.block(r)
-        s[:, r] = vec(a_r @ b_r.T)
+    return _block_maps(f.A, f.B, f.rank)
+
+
+def _block_maps(a: np.ndarray, b: np.ndarray, rank: RankSpec) -> np.ndarray:
+    """``[vec(a_r @ b_r.T)]_r`` over the column blocks of ``rank``, shape (rows(a)*rows(b), R)."""
+    s = np.empty((a.shape[0] * b.shape[0], rank.R))
+    for r in range(rank.R):
+        cols = rank.block_slice(r)
+        s[:, r] = vec(a[:, cols] @ b[:, cols].T)
     return s
 
 

@@ -35,6 +35,7 @@ from .errors import NumericalError, UsageError
 from .model import (
     BtdFactors,
     RankSpec,
+    _block_maps,
     btd_reconstruct,
     degrade_factors,
     spatial_map_matrix,
@@ -169,19 +170,19 @@ def _as_square(m, name, size=None):
 
 
 def _identity_scale(m: np.ndarray) -> float | None:
-    """c such that m == c*I (within 1e-12), else None."""
+    """c such that m == c*I (within 1e-12 |c|), else None."""
     n = m.shape[0]
     c = float(np.trace(m)) / n
     if c == 0.0:
         return None
-    if np.abs(m - c * np.eye(n)).max() <= 1e-12 * max(1.0, abs(c)):
+    if np.abs(m - c * np.eye(n)).max() <= 1e-12 * abs(c):
         return c
     return None
 
 
 def _require_symmetric(m, name):
     scale = np.abs(m).max() if m.size else 0.0
-    if np.abs(m - m.T).max() > 1e-10 * max(1.0, scale):
+    if np.abs(m - m.T).max() > 1e-10 * scale:
         raise UsageError(f"{name} must be symmetric")
 
 
@@ -500,21 +501,8 @@ def _validate_config(cfg: FusionConfig):
         raise UsageError(f"tol must be >= 0, got {cfg.tol}")
     if cfg.init not in INIT_STRATEGIES:
         raise UsageError(f"unknown init {cfg.init!r}; choose from {INIT_STRATEGIES}")
-
-
-def _initial_factors(cfg: FusionConfig, rank: RankSpec, dims, msi, e: int) -> BtdFactors:
-    """Starting factors for data divided by ``2^e`` (see ``_normalize_pair``)."""
-    if cfg.init == "provided":
-        if cfg.init_factors is None:
-            raise UsageError("init='provided' requires cfg.init_factors")
-        f = cfg.init_factors.copy()
-        if f.dims != tuple(dims):
-            raise UsageError(f"provided factors give dims {f.dims}, data needs {tuple(dims)}")
-        if f.rank != rank:
-            raise UsageError(f"provided factors have rank {f.rank}, config wants {rank}")
-        f.C = np.ldexp(f.C, -e)
-        return f
-    return init_factors(dims, rank, cfg.seed, cfg.init, msi=msi)
+    if cfg.init == "provided" and cfg.init_factors is None:
+        raise UsageError("init='provided' requires cfg.init_factors")
 
 
 def _normalize_pair(hsi, msi):
@@ -536,6 +524,76 @@ def _unscaled_trace(trace, e: int) -> list:
     return [math.ldexp(j, 2 * e) for j in trace]
 
 
+def _start(hsi, msi, ops: DegradationOps, cfg: FusionConfig, rank: RankSpec):
+    """Checked and normalized ``(e, hsi, msi)`` and the initial factors for them."""
+    hsi = _check_tensor3(hsi, "hsi")
+    msi = _check_tensor3(msi, "msi")
+    dims = (msi.shape[0], msi.shape[1], hsi.shape[2])
+    e, hsi, msi = _normalize_pair(hsi, msi)
+    if cfg.init == "provided":
+        f = cfg.init_factors.copy()
+        if f.dims != dims:
+            raise UsageError(f"provided factors give dims {f.dims}, data needs {dims}")
+        if f.rank != rank:
+            raise UsageError(f"provided factors have rank {f.rank}, config wants {rank}")
+        f.C = np.ldexp(f.C, -e)
+    else:
+        f = init_factors(dims, rank, cfg.seed, cfg.init, msi=msi)
+    _require_coupled_dims(f, hsi, msi, ops)
+    return e, hsi, msi, f
+
+
+def _sweeps(cfg: FusionConfig, e: int, update):
+    """Run up to ``cfg.outer_iters`` sweeps of ``update(block)`` over A -> B -> C.
+
+    ``update`` returns ``(value, done)``: the objective after that block
+    update and whether the run cannot improve further.  Returns the trace and
+    the number of sweeps run.  Iteration stops early when the relative change
+    between sweeps drops below ``cfg.tol`` or a sweep ends with ``done``.  A
+    non-finite value or a ``LinAlgError`` from ``update`` raises
+    NumericalError carrying the trace so far, scaled back by ``4^e``.
+    """
+    trace = []
+    prev_sweep = None
+    iters_run = 0
+    for sweep in range(cfg.outer_iters):
+        for block in ("A", "B", "C"):
+            try:
+                j, done = update(block)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"block {block} update failed at sweep {sweep + 1}: {exc}",
+                    trace=_unscaled_trace(trace, e),
+                ) from exc
+            if not math.isfinite(j):
+                raise NumericalError(
+                    f"objective became non-finite at sweep {sweep + 1}, block {block}",
+                    trace=_unscaled_trace(trace, e),
+                )
+            trace.append(j)
+        iters_run = sweep + 1
+        if cfg.tol > 0 and prev_sweep is not None:
+            if abs(prev_sweep - j) / max(abs(prev_sweep), 1e-30) < cfg.tol:
+                break
+        prev_sweep = j
+        if done:
+            break
+    return trace, iters_run
+
+
+def _result(f: BtdFactors, trace, iters_run: int, e: int, start: float, method: str):
+    """The FusionResult of normalized factors and trace, scaled back by ``2^e``."""
+    f.C = np.ldexp(f.C, e)
+    return FusionResult(
+        factors=f,
+        sri_estimate=btd_reconstruct(f),
+        objective_trace=tuple(_unscaled_trace(trace, e)),
+        iters_run=iters_run,
+        wall_time=time.perf_counter() - start,
+        method=method,
+    )
+
+
 def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     """Fuse an HSI/MSI pair by cyclic block updates A -> B -> C.
 
@@ -548,61 +606,31 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     _validate_config(cfg)
     if cfg.method == "two_stage":
         return two_stage_recover(hsi, msi, ops, cfg)
-    hsi = _check_tensor3(hsi, "hsi")
-    msi = _check_tensor3(msi, "msi")
     rank = cfg.rank if cfg.method != "cnn_cpd" else RankSpec(cfg.rank.R, 1)
-    dims = (msi.shape[0], msi.shape[1], hsi.shape[2])
-    e, hsi, msi = _normalize_pair(hsi, msi)
-    f = _initial_factors(cfg, rank, dims, msi, e)
-    _require_coupled_dims(f, hsi, msi, ops)
-
+    e, hsi, msi, f = _start(hsi, msi, ops, cfg, rank)
     constrained = cfg.method in ("cnn_btd", "cnn_cpd")
     grams = _operator_grams(ops)
-    trace = []
     dual_state = {}
-    prev_sweep = None
-    iters_run = 0
-    for sweep in range(cfg.outer_iters):
-        for block in ("A", "B", "C"):
-            eigh = grams[block][1]
-            if constrained:
-                w = build_subproblem(block, f, hsi, msi, ops, cfg.rho, _grams=grams)
-                if block in dual_state:
-                    w.U = dual_state[block]
-                z, w = admm_nn_block(w, cfg.inner_iters, _eigh=eigh)
-                dual_state[block] = w.U
-                new_value = z
-            else:
-                w = build_subproblem(block, f, hsi, msi, ops, 0.0, _grams=grams)
-                new_value = _solve_block_exact(w, block, eigh)
-            if block == "A":
-                f.A = new_value
-            elif block == "B":
-                f.B = new_value
-            else:
-                f.C = new_value.T.copy()
-            j = objective(f, hsi, msi, ops)
-            if not math.isfinite(j):
-                raise NumericalError(
-                    f"objective became non-finite at sweep {sweep + 1}, block {block}",
-                    trace=_unscaled_trace(trace, e),
-                )
-            trace.append(j)
-        iters_run = sweep + 1
-        if cfg.tol > 0 and prev_sweep is not None:
-            if abs(prev_sweep - trace[-1]) / max(abs(prev_sweep), 1e-30) < cfg.tol:
-                break
-        prev_sweep = trace[-1]
 
-    f.C = np.ldexp(f.C, e)
-    return FusionResult(
-        factors=f,
-        sri_estimate=btd_reconstruct(f),
-        objective_trace=tuple(_unscaled_trace(trace, e)),
-        iters_run=iters_run,
-        wall_time=time.perf_counter() - start,
-        method=cfg.method,
-    )
+    def update(block):
+        eigh = grams[block][1]
+        if constrained:
+            w = build_subproblem(block, f, hsi, msi, ops, cfg.rho, _grams=grams)
+            if block in dual_state:
+                w.U = dual_state[block]
+            new_value, w = admm_nn_block(w, cfg.inner_iters, _eigh=eigh)
+            dual_state[block] = w.U
+        else:
+            w = build_subproblem(block, f, hsi, msi, ops, 0.0, _grams=grams)
+            new_value = _solve_block_exact(w, block, eigh)
+        if block == "C":
+            f.C = new_value.T.copy()
+        else:
+            setattr(f, block, new_value)
+        return objective(f, hsi, msi, ops), False
+
+    trace, iters_run = _sweeps(cfg, e, update)
+    return _result(f, trace, iters_run, e, start, cfg.method)
 
 
 def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> np.ndarray:
@@ -616,12 +644,7 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
     hsi = _check_tensor3(hsi, "hsi")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    pa = ops.P1 @ a
-    pb = ops.P2 @ b
-    k_mat = np.empty((pa.shape[0] * pb.shape[0], rank.R))
-    for r in range(rank.R):
-        cols = rank.block_slice(r)
-        k_mat[:, r] = vec(pa[:, cols] @ pb[:, cols].T)
+    k_mat = _block_maps(ops.P1 @ a, ops.P2 @ b, rank)
     sol, _, eff_rank, _ = np.linalg.lstsq(k_mat, unfold(hsi, 3), rcond=None)
     if eff_rank < rank.R:
         raise NumericalError(
@@ -646,49 +669,25 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     """
     start = time.perf_counter()
     _validate_config(cfg)
-    hsi = _check_tensor3(hsi, "hsi")
-    msi = _check_tensor3(msi, "msi")
     rank = cfg.rank
-    dims = (msi.shape[0], msi.shape[1], hsi.shape[2])
-    e, hsi, msi = _normalize_pair(hsi, msi)
-    f0 = _initial_factors(cfg, rank, dims, msi, e)
-    _require_coupled_dims(f0, hsi, msi, ops)
-
-    a, b = f0.A.copy(), f0.B.copy()
-    c_m = ops.P3 @ f0.C
-    widths = rank.L
+    e, hsi, msi, f0 = _start(hsi, msi, ops, cfg, rank)
+    a, b, c_m = f0.A, f0.B, ops.P3 @ f0.C
     y1, y2, y3 = unfold(msi, 1), unfold(msi, 2), unfold(msi, 3)
     msi_sq = frob_norm(msi) ** 2
 
-    def msi_fit(a_, b_, c_):
-        s = _maps(a_, b_, rank)
-        return frob_norm(y3 - s @ c_.T) ** 2
-
-    trace = []
-    prev_sweep = None
-    iters_run = 0
-    for sweep in range(cfg.outer_iters):
-        a = np.linalg.lstsq(pw_khatri_rao(c_m, b, widths), y1, rcond=None)[0].T
-        trace.append(msi_fit(a, b, c_m))
-        b = np.linalg.lstsq(pw_khatri_rao(c_m, a, widths), y2, rcond=None)[0].T
-        trace.append(msi_fit(a, b, c_m))
-        c_m = np.linalg.lstsq(_maps(a, b, rank), y3, rcond=None)[0].T
-        j = msi_fit(a, b, c_m)
-        if not math.isfinite(j):
-            raise NumericalError(
-                f"MSI fit became non-finite at sweep {sweep + 1}",
-                trace=_unscaled_trace(trace, e),
-            )
-        trace.append(j)
-        iters_run = sweep + 1
-        if cfg.tol > 0 and prev_sweep is not None:
-            if abs(prev_sweep - j) / max(abs(prev_sweep), 1e-30) < cfg.tol:
-                break
-        prev_sweep = j
+    def update(block):
+        nonlocal a, b, c_m
+        if block == "A":
+            a = np.linalg.lstsq(pw_khatri_rao(c_m, b, rank.L), y1, rcond=None)[0].T
+        elif block == "B":
+            b = np.linalg.lstsq(pw_khatri_rao(c_m, a, rank.L), y2, rcond=None)[0].T
+        else:
+            c_m = np.linalg.lstsq(_block_maps(a, b, rank), y3, rcond=None)[0].T
+        j = frob_norm(y3 - _block_maps(a, b, rank) @ c_m.T) ** 2
         # a perfect MSI fit cannot improve further; stop regardless of tol
-        if j <= 1e-28 * max(msi_sq, 1.0):
-            break
+        return j, block == "C" and j <= 1e-28 * max(msi_sq, 1.0)
 
+    trace, iters_run = _sweeps(cfg, e, update)
     c = recover_spectral_factor(hsi, ops, a, b, rank)
     f = BtdFactors(a, b, c, rank)
     j = objective(f, hsi, msi, ops)
@@ -699,23 +698,7 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
             trace=_unscaled_trace(trace, e),
         )
     trace.append(j)
-    f.C = np.ldexp(f.C, e)
-    return FusionResult(
-        factors=f,
-        sri_estimate=btd_reconstruct(f),
-        objective_trace=tuple(_unscaled_trace(trace, e)),
-        iters_run=iters_run,
-        wall_time=time.perf_counter() - start,
-        method="two_stage",
-    )
-
-
-def _maps(a, b, rank: RankSpec) -> np.ndarray:
-    s = np.empty((a.shape[0] * b.shape[0], rank.R))
-    for r in range(rank.R):
-        cols = rank.block_slice(r)
-        s[:, r] = vec(a[:, cols] @ b[:, cols].T)
-    return s
+    return _result(f, trace, iters_run, e, start, "two_stage")
 
 
 def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> BtdFactors:

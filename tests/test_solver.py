@@ -172,8 +172,28 @@ def test_sylvester_unsupported_structure():
 
 def test_sylvester_rejects_asymmetric():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(UsageError):
-        sylvester_solve(bad, np.eye(2), np.eye(2), np.eye(2), np.ones((2, 2)))
+    for scale in (1.0, 1e-13):
+        with pytest.raises(UsageError, match="symmetric"):
+            sylvester_solve(scale * bad, np.eye(2), np.eye(2), np.eye(2), np.ones((2, 2)))
+
+
+def test_sylvester_structure_tests_are_relative_to_scale():
+    # with absolute floors a 1e-13-scaled h3 counted as identity-scaled and
+    # the solve failed its residual check instead of naming the unsupported form
+    from btdfuse.solver import SYLVESTER_RESIDUAL_RTOL, _SylvesterFactor
+
+    rng = np.random.default_rng(302)
+    h1, h2, h3, h4 = spd(rng, 4), spd(rng, 3), spd(rng, 4), spd(rng, 3)
+    h5 = rng.standard_normal((4, 3))
+    for scale in (1.0, 1e-13):
+        with pytest.raises(UsageError, match="neither h3 nor h2"):
+            sylvester_solve(scale * h1, h2, scale * h3, h4, h5)
+    small_eye = 1e-13 * np.eye(4)
+    system = _SylvesterFactor(h1, h2, small_eye, h4)
+    assert system.den is not None and not system.transposed
+    x = system.solve(h5)
+    res = np.linalg.norm(h1 @ x @ h2 + small_eye @ x @ h4 - h5)
+    assert res <= SYLVESTER_RESIDUAL_RTOL * np.linalg.norm(h5)
 
 
 def test_sylvester_singular_pencil():
@@ -584,14 +604,17 @@ def test_fuse_result_contract():
     assert res.sri_estimate.shape == sri.shape
 
 
-def test_fuse_tol_stops_early():
+@pytest.mark.parametrize("method, tol, extra", [("stereo", 1e-4, 0), ("two_stage", 1e-3, 1)],
+                         ids=["stereo", "two_stage"])
+def test_fuse_tol_stops_early(method, tol, extra):
+    # two_stage appends the coupled objective after its stage-1 sweeps
     _, _, ops, hsi, msi = coupled_instance(51, snr=25.0)
     cfg = FusionConfig(
-        method="stereo", rank=RankSpec(2, 2), outer_iters=200, tol=1e-4, seed=2
+        method=method, rank=RankSpec(2, 2), outer_iters=200, tol=tol, seed=2
     )
     res = bcd_fuse(hsi, msi, ops, cfg)
     assert res.iters_run < 200
-    assert len(res.objective_trace) == 3 * res.iters_run
+    assert len(res.objective_trace) == 3 * res.iters_run + extra
 
 
 def test_fuse_cpd_equals_btd_with_unit_blocks():
@@ -703,15 +726,32 @@ def test_two_stage_recovers_from_warm_start():
     assert res.objective_trace[-1] <= res.objective_trace[0]
 
 
-def test_two_stage_nan_hsi_raises():
-    # stage 1 sees only the MSI; a NaN in the HSI must not come back as an image
+@pytest.mark.parametrize(
+    "where, index, match, trace_len",
+    [("hsi", (1, 2, 3), "non-finite", 15), ("msi", (1, 2, 0), "block A update failed", 0)],
+    ids=["hsi", "msi"],
+)
+def test_two_stage_nan_raises(where, index, match, trace_len):
+    # stage 1 sees only the MSI, so a NaN in the HSI shows only in stage 2;
+    # a NaN in the MSI used to escape stage 1's lstsq as LinAlgError
     truth, _, ops, hsi, msi = coupled_instance(63)
-    hsi = hsi.copy()
-    hsi[1, 2, 3] = np.nan
+    data = {"hsi": hsi.copy(), "msi": msi.copy()}
+    data[where][index] = np.nan
     cfg = FusionConfig(method="two_stage", rank=truth.rank, outer_iters=5)
-    with pytest.raises(NumericalError, match="non-finite") as info:
-        bcd_fuse(hsi, msi, ops, cfg)
-    assert len(info.value.trace) == 15
+    with pytest.raises(NumericalError, match=match) as info:
+        bcd_fuse(data["hsi"], data["msi"], ops, cfg)
+    assert len(info.value.trace) == trace_len
+
+
+def test_two_stage_stops_at_perfect_msi_fit():
+    # started from the true factors on a noiseless pair, the first sweep
+    # fits the MSI exactly and the run stops whatever outer_iters and tol say
+    truth, _, ops, hsi, msi = coupled_instance(64)
+    cfg = FusionConfig(method="two_stage", rank=truth.rank, outer_iters=10,
+                       init="provided", init_factors=truth)
+    res = bcd_fuse(hsi, msi, ops, cfg)
+    assert res.iters_run == 1
+    assert len(res.objective_trace) == 4
 
 
 @pytest.mark.parametrize("method", ["cnn_btd", "stereo", "two_stage"])

@@ -437,6 +437,17 @@ def test_fuse_rejects_non_finite_input_exit_2(tmp_path, capsys, bad):
     assert not est.exists()
 
 
+def test_fuse_bad_settings_exit_1_before_reading(tmp_path, capsys):
+    # the settings are checked first, so the missing input files never matter
+    for flags in (["--rho", "abc"], ["--rho", "-1"], ["--outer-iters", "0"], ["-L", "0"]):
+        code, out, err = run_cli(
+            capsys, "fuse", "--hsi", str(tmp_path / "no.btf"), "--msi", str(tmp_path / "no.btf"),
+            "--out", str(tmp_path / "est.btf"), "-R", "2", *flags,
+        )
+        assert code == 1, flags
+        assert out == "" and err.startswith("error: "), flags
+
+
 def test_fuse_numerical_failure_exit_3(tmp_path, capsys):
     # 2x2 coarse grid cannot pin down five spectral columns in stage 2
     sri, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(6, 6, 5), blocks=2,
@@ -535,6 +546,34 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
     assert run_cli(capsys, "bench", "--config", str(path))[0] == 1
     path, _ = bench_config(tmp_path, methods=[{"method": "stereo"}])
     assert run_cli(capsys, "bench", "--config", str(path))[0] == 1
+    # each of these used to fail every trial (exit 3) or escape as a traceback;
+    # now the config is rejected before any trial runs
+    for overrides in (
+        {"methods": [{"method": "stereo", "R": 2, "init": "svd"}]},
+        {"methods": [{"method": "cnn_btd", "R": 2, "rho": -1}]},
+        {"methods": [{"method": "stereo", "R": 2, "outer_iter": 3}]},
+        {"methods": ["stereo"]},
+        {"trials": "x"},
+        {"methods": [{"method": "stereo", "R": "two"}]},
+        # two entries in one table row used to merge their statistics
+        {"methods": [{"method": "stereo", "R": 2}, {"method": "stereo", "R": 2, "tol": 1e-3}]},
+    ):
+        path, _ = bench_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 1, overrides
+        assert out == "" and err.startswith("error: "), overrides
+        assert not (tmp_path / "table.csv").exists()
+
+
+def test_bench_non_finite_sri_exit_2(tmp_path, capsys):
+    sri = np.random.default_rng(4).uniform(size=(15, 15, 8))
+    sri[3, 4, 5] = np.nan
+    write_tensor(tmp_path / "sri.btf", sri)
+    path, _ = bench_config(tmp_path, sri_path=str(tmp_path / "sri.btf"))
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 2
+    assert out == "" and "1 non-finite" in err
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_bench_all_failures_exit_3(tmp_path, capsys):
