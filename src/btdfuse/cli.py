@@ -44,16 +44,32 @@ _RUN_DEFAULTS = {
     "init": "random_uniform",
 }
 
+# defaults of the degradation settings: the flags of `simulate` and `fuse`
+# and the top-level keys of a `bench` config
+_DEGRADATION_DEFAULTS = {
+    "kernel_size": 9,
+    "sigma": None,
+    "ratio": 5,
+    "offset": 0,
+    "bands": 4,
+    "srf_csv": None,
+    "snr_db": 30.0,
+}
+# the other top-level keys of a `bench` config
+_BENCH_KEYS = ("trials", "seed_base", "output", "sri_path", "sri_dims", "sri_rank", "methods")
+
 
 def _add_degradation_flags(p: argparse.ArgumentParser):
-    p.add_argument("--kernel", type=int, default=9, help="odd blur kernel size (default 9)")
-    p.add_argument("--sigma", type=float, default=None,
+    d = _DEGRADATION_DEFAULTS
+    p.add_argument("--kernel", type=int, default=d["kernel_size"],
+                   help=f"odd blur kernel size (default {d['kernel_size']})")
+    p.add_argument("--sigma", type=float, default=d["sigma"],
                    help="blur standard deviation (default ratio/2)")
-    p.add_argument("--ratio", type=int, default=5,
-                   help="spatial downsampling ratio d (default 5)")
-    p.add_argument("--offset", type=int, default=0,
-                   help="0-based first retained pixel per axis (default 0)")
-    p.add_argument("--srf-csv", default=None,
+    p.add_argument("--ratio", type=int, default=d["ratio"],
+                   help=f"spatial downsampling ratio d (default {d['ratio']})")
+    p.add_argument("--offset", type=int, default=d["offset"],
+                   help=f"0-based first retained pixel per axis (default {d['offset']})")
+    p.add_argument("--srf-csv", default=d["srf_csv"],
                    help="spectral response CSV (K_M rows x K_H columns); default uniform band averaging")
 
 
@@ -78,10 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-hsi", required=True)
     p.add_argument("--out-msi", required=True)
     _add_degradation_flags(p)
-    p.add_argument("--bands", type=int, default=4,
-                   help="MSI band count for the uniform response (default 4)")
-    p.add_argument("--snr-db", type=float, default=30.0,
-                   help="noise level in dB; 'inf' disables noise (default 30)")
+    p.add_argument("--bands", type=int, default=_DEGRADATION_DEFAULTS["bands"],
+                   help=f"MSI band count for the uniform response "
+                        f"(default {_DEGRADATION_DEFAULTS['bands']})")
+    p.add_argument("--snr-db", type=float, default=_DEGRADATION_DEFAULTS["snr_db"],
+                   help=f"noise level in dB; 'inf' disables noise "
+                        f"(default {_DEGRADATION_DEFAULTS['snr_db']:g})")
     p.add_argument("--seed", type=int, default=0,
                    help="noise seed (HSI uses seed, MSI uses seed+1)")
     p.set_defaults(func=cmd_simulate)
@@ -299,26 +317,30 @@ def _bench_config(raw) -> argparse.Namespace:
     """Checked bench settings; ``runs`` maps each method entry's label to its FusionConfig."""
     if not isinstance(raw, dict):
         raise UsageError("bench config must be a JSON object")
+    unknown = set(raw) - {*_BENCH_KEYS, *_DEGRADATION_DEFAULTS}
+    if unknown:
+        raise UsageError(f"bench config has unknown keys {sorted(unknown)}")
     sri_rank = raw.get("sri_rank")
     if not raw.get("sri_path") and not (
         raw.get("sri_dims") and isinstance(sri_rank, dict) and "R" in sri_rank
     ):
         raise UsageError("bench config needs 'sri_path' or 'sri_dims' + 'sri_rank'")
+    deg = dict(_DEGRADATION_DEFAULTS, **raw)
     try:
         cfg = argparse.Namespace(
             trials=int(raw.get("trials", 1)),
-            snr_db=float(raw.get("snr_db", 30.0)),
+            snr_db=float(deg["snr_db"]),
             seed_base=int(raw.get("seed_base", 0)),
             output=raw.get("output"),
             sri_path=raw.get("sri_path"),
             sri_dims=raw.get("sri_dims"),
             sri_rank=raw.get("sri_rank"),
-            kernel=int(raw.get("kernel_size", 9)),
-            sigma=None if raw.get("sigma") is None else float(raw["sigma"]),
-            ratio=int(raw.get("ratio", 5)),
-            offset=int(raw.get("offset", 0)),
-            bands=int(raw.get("bands", 4)),
-            srf_csv=raw.get("srf_csv"),
+            kernel=int(deg["kernel_size"]),
+            sigma=None if deg["sigma"] is None else float(deg["sigma"]),
+            ratio=int(deg["ratio"]),
+            offset=int(deg["offset"]),
+            bands=int(deg["bands"]),
+            srf_csv=deg["srf_csv"],
         )
         if not cfg.sri_path:
             i, j, k = (int(d) for d in cfg.sri_dims)

@@ -19,6 +19,17 @@ residual check.  The operator Grams ``P1^T P1``, ``P2^T P2``, ``P3^T P3``
 never change during a run, and ``bcd_fuse`` decomposes them once.
 ``build_subproblem`` assembles the block Grams from small R x R and L x L
 Grams, without forming the partition-wise Khatri-Rao matrices.
+
+The operators have fewer rows than columns: I/d of I for P1 and P2 (the
+blur is followed by downsampling), K_M of K for P3.  So each Gram
+``P^T P`` has rank at most m = rows(P), and ``bcd_fuse`` hands the block
+solves P together with the Gram's eigendecomposition.  Only the top-m
+eigenvectors Q1 then enter a solve: on the other n - m directions the
+eigenvalue is 0 and the divisor is 1, so ``Y = (G + Q1 ((Q1^T G) o
+(1 / den1 - 1))) V^T`` with ``G = rhs V``.  The residual is formed through P
+and the pencil's c, without a product by the identity:
+``P^T ((P X) H2) + c X H4 - H5`` for A and B, ``c H1 X + ((H3 X) P^T) P - H5``
+for C, against the same ``SYLVESTER_RESIDUAL_RTOL`` bound.
 """
 
 from __future__ import annotations
@@ -187,7 +198,11 @@ def _require_symmetric(m, name):
 
 
 def _check_residual(h1, h2, h3, h4, h5, x):
-    res = frob_norm(h1 @ x @ h2 + h3 @ x @ h4 - h5)
+    return _require_residual(frob_norm(h1 @ x @ h2 + h3 @ x @ h4 - h5), h5, x)
+
+
+def _require_residual(res: float, h5, x):
+    """x when ``res <= SYLVESTER_RESIDUAL_RTOL ||h5||``, else NumericalError."""
     bound = SYLVESTER_RESIDUAL_RTOL * frob_norm(h5)
     if not np.isfinite(res) or res > bound:
         raise NumericalError(
@@ -210,6 +225,24 @@ def sylvester_solve(h1, h2, h3, h4, h5) -> np.ndarray:
     return _SylvesterFactor(h1, h2, h3, h4).solve(h5)
 
 
+def _tril_inv(l: np.ndarray, block: int = 48) -> np.ndarray:
+    """Inverse of the lower-triangular matrix l, one block of rows at a time.
+
+    With ``l = [[L11, 0], [L21, L22]]`` the inverse is
+    ``[[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]``; each row block costs one
+    small dense inverse and two GEMMs, where ``np.linalg.inv(l)`` would run
+    a general LU inverse of the whole matrix.
+    """
+    n = l.shape[0]
+    x = np.zeros_like(l)
+    for j in range(0, n, block):
+        e = min(j + block, n)
+        d = np.tril(np.linalg.inv(l[j:e, j:e]))
+        x[j:e, j:e] = d
+        x[j:e, :j] = -d @ (l[j:e, :j] @ x[:j, :j])
+    return x
+
+
 def _eigh_pencil(b, c):
     """Eigenpairs of ``b v = w c v`` scaled so that ``V^T c V = I``.
 
@@ -217,7 +250,7 @@ def _eigh_pencil(b, c):
     ``L^-1 b L^-T``.  Raises ``np.linalg.LinAlgError`` when c is not
     positive definite.
     """
-    l_inv = np.linalg.inv(np.linalg.cholesky(c))
+    l_inv = _tril_inv(np.linalg.cholesky(c))
     w, u = np.linalg.eigh(l_inv @ b @ l_inv.T)
     return w, l_inv.T @ u
 
@@ -225,24 +258,31 @@ def _eigh_pencil(b, c):
 class _SylvesterFactor:
     """One factorization of ``h1 X h2 + h3 X h4 = h5`` for fixed h1..h4.
 
-    The constructor checks h1..h4 (square, symmetric, finite) and picks the
-    form: with ``h3 = c3 I`` it solves ``a Y b + Y c = rhs`` for ``Y = X`` with
-    ``(a, b, c) = (h1, h2, c3 h4)``; with ``h2 = c2 I`` it solves the
-    transposed system, ``Y = X^T``, ``(a, b, c) = (h4, h3, c2 h1)``,
+    The constructor checks h1..h4 (square, nonempty, symmetric, finite) and
+    picks the form: with ``h3 = c3 I`` it solves ``a Y b + Y c = rhs`` for
+    ``Y = X`` with ``(a, b, c) = (h1, h2, c3 h4)``; with ``h2 = c2 I`` it
+    solves the transposed system, ``Y = X^T``, ``(a, b, c) = (h4, h3, c2 h1)``,
     ``rhs = h5^T``.  When both forms apply it takes the first whose c is
-    positive definite.  It decomposes ``a = Q diag(lam) Q^T`` (or takes that
-    decomposition from ``eigh``, keyed by the name "H1" or "H4" of the
-    matrix it belongs to) and reduces the pencil ``b V = c V diag(w)`` with
-    ``V^T c V = I``, so that each :meth:`solve` is
-    ``Y = Q ((Q^T rhs V) / (1 + lam w^T)) V^T``.  When no applicable c is
-    positive definite the pencil has no such reduction and every solve falls
-    back to one small dense system per eigenvalue of a (in the first form).
+    positive definite.  It decomposes ``a = Q diag(lam) Q^T`` and reduces the
+    pencil ``b V = c V diag(w)`` with ``V^T c V = I``, so that each
+    :meth:`solve` is ``Y = Q ((Q^T rhs V) / (1 + lam w^T)) V^T``, checked
+    against ``_check_residual``.  When no applicable c is positive definite
+    the pencil has no such reduction and every solve falls back to one small
+    dense system per eigenvalue of a (in the first form).
+
+    ``eigh`` maps the name "H1" or "H4" of a matrix ``a = P^T P`` to
+    ``(lam, Q, P)``: its eigendecomposition and the operator.  When that a
+    is decomposed, the pencil reduces and P has fewer rows m than columns,
+    the solve uses only the top-m eigenvectors ``Q1`` (``gain = 1/den - 1``)
+    and the residual is formed through P (see the module docstring).
     """
 
     def __init__(self, h1, h2, h3, h4, eigh=None):
         h1 = _as_square(h1, "h1")
         h2 = _as_square(h2, "h2")
         m, n = h1.shape[0], h2.shape[0]
+        if m == 0 or n == 0:
+            raise UsageError(f"empty Sylvester system: h1 is {m}x{m} and h2 is {n}x{n}")
         h3 = _as_square(h3, "h3", m)
         h4 = _as_square(h4, "h4", n)
         for mat, name in ((h1, "h1"), (h2, "h2"), (h3, "h3"), (h4, "h4")):
@@ -274,19 +314,28 @@ class _SylvesterFactor:
         else:
             w = v = None
             transposed, a, b, c, a_name = forms[0]
-        self.transposed, self.v = transposed, v
-        lam, self.q = eigh[a_name] if a_name in eigh else np.linalg.eigh(a)
+        self.transposed, self.v, self.c = transposed, v, c
+        if a_name in eigh:
+            lam, self.q, p = eigh[a_name]
+        else:
+            (lam, self.q), p = np.linalg.eigh(a), None
         if w is None:
             # c is singular: one (b-sized) system per eigenvalue of a
-            self.den = None
+            self.p = self.den = None
             self.mats = lam[:, None, None] * b[None, :, :] + c[None, :, :]
-        else:
-            self.den = 1.0 + np.outer(lam, w)
-            if np.abs(self.den).min() < 1e-12:
-                raise NumericalError(
-                    "singular pencil: eigenvalue combination 1 + lam*w reaches "
-                    f"{np.abs(self.den).min():.3e}"
-                )
+            return
+        self.p = p if p is not None and p.shape[0] < p.shape[1] else None
+        if self.p is not None:
+            # P^T P has rank <= rows(P) and eigh sorts ascending
+            rows = p.shape[0]
+            lam, self.q = lam[-rows:], self.q[:, -rows:]
+        self.den = 1.0 + np.outer(lam, w)
+        if np.abs(self.den).min() < 1e-12:
+            raise NumericalError(
+                "singular pencil: eigenvalue combination 1 + lam*w reaches "
+                f"{np.abs(self.den).min():.3e}"
+            )
+        self.gain = 1.0 / self.den - 1.0
 
     def solve(self, h5) -> np.ndarray:
         """X for right-hand side h5, checked against the residual bound."""
@@ -297,14 +346,32 @@ class _SylvesterFactor:
             raise NumericalError("non-finite entries in the Sylvester system")
         rhs = h5.T if self.transposed else h5
         q = self.q
-        if self.den is not None:
+        if self.p is not None:
+            g = rhs @ self.v
+            y = (g + q @ ((q.T @ g) * self.gain)) @ self.v.T
+        elif self.den is not None:
             y = q @ ((q.T @ rhs @ self.v) / self.den) @ self.v.T
         else:
             try:
                 y = q @ np.linalg.solve(self.mats, (q.T @ rhs)[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"singular pencil in Sylvester solve: {exc}") from exc
-        return _check_residual(*self.h, h5, y.T if self.transposed else y)
+        x = y.T if self.transposed else y
+        if self.p is not None:
+            return _require_residual(self._structured_residual(x, h5), h5, x)
+        return _check_residual(*self.h, h5, x)
+
+    def _structured_residual(self, x, h5) -> float:
+        """``||h1 X h2 + h3 X h4 - h5||`` from P and the pencil's c.
+
+        Row form: ``P^T ((P X) h2) + X (c3 h4) - h5``; column form:
+        ``(c2 h1) X + ((h3 X) P^T) P - h5``.
+        """
+        _, h2, h3, _ = self.h
+        p = self.p
+        if self.transposed:
+            return frob_norm(self.c @ x + ((h3 @ x) @ p.T) @ p - h5)
+        return frob_norm(p.T @ ((p @ x) @ h2) + x @ self.c - h5)
 
 
 def sylvester_solve_dense(h1, h2, h3, h4, h5) -> np.ndarray:
@@ -343,17 +410,18 @@ def _resolve_rho(rho, gram: np.ndarray, ncols: int) -> float:
 
 
 def _operator_grams(ops: DegradationOps) -> dict:
-    """Per block, the Gram ``P^T P`` of its operator and that Gram's eigh.
+    """Per block, the Gram ``P^T P`` of its operator P and ``{role: (lam, Q, P)}``.
 
-    The eigendecomposition is keyed by the place ``build_subproblem`` gives
-    the Gram in the block's Sylvester system ("H1" for A and B, "H4" for C),
-    ready to pass to ``_SylvesterFactor``.  Constant for one fusion run;
-    built per run because ``DegradationOps`` is mutable.
+    ``lam, Q`` is the Gram's eigendecomposition.  The role is the place
+    ``build_subproblem`` gives the Gram in the block's Sylvester system
+    ("H1" for A and B, "H4" for C), so the dict is ready to pass to
+    ``_SylvesterFactor``.  Constant for one fusion run; built per run
+    because ``DegradationOps`` is mutable.
     """
     grams = {}
     for block, p, role in (("A", ops.P1, "H1"), ("B", ops.P2, "H1"), ("C", ops.P3, "H4")):
         g = p.T @ p
-        grams[block] = (g, {role: np.linalg.eigh(g)})
+        grams[block] = (g, {role: (*np.linalg.eigh(g), p)})
     return grams
 
 

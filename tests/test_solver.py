@@ -202,6 +202,27 @@ def test_sylvester_singular_pencil():
         sylvester_solve(h1, np.eye(1), np.eye(1), np.eye(1), np.array([[1.0]]))
 
 
+def test_sylvester_empty_system_is_usage_error():
+    # the symmetry check used to reduce over an empty array and escape as a
+    # bare ValueError ("zero-size array to reduction operation maximum")
+    for m, n in ((0, 0), (0, 2), (2, 0)):
+        with pytest.raises(UsageError, match="empty Sylvester system"):
+            sylvester_solve(np.zeros((m, m)), np.eye(n), np.eye(m), np.eye(n), np.zeros((m, n)))
+
+
+@pytest.mark.parametrize("n", [1, 47, 48, 49, 200])
+def test_tril_inv_matches_inv(n):
+    # the pencil reduction inverts the Cholesky factor by blocks of 48 rows
+    from btdfuse.solver import _tril_inv
+
+    rng = np.random.default_rng(n)
+    l = np.linalg.cholesky(spd(rng, n))
+    x = _tril_inv(l)
+    assert np.array_equal(x, np.tril(x))
+    ref = np.linalg.inv(l)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_sylvester_dense_general_symmetric():
     rng = np.random.default_rng(302)
     h1, h3 = spd(rng, 4), psd(rng, 4)
@@ -497,6 +518,59 @@ def test_admm_factored_path_matches_per_step_solves(block, rank):
         scale = np.linalg.norm(x)
         for mine, ref in ((w.X, x), (got, z), (w.U, u)):
             assert np.linalg.norm(mine - ref) <= 1e-10 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 7),
+    cols=st.integers(2, 6),
+    other=st.integers(2, 5),  # a 1x1 partner would also pass as identity-scaled
+    log_rho=st.floats(-2.0, 2.0),
+    column_form=st.booleans(),
+)
+def test_structured_sylvester_matches_dense(seed, rows, cols, other, log_rho, column_form):
+    # the operator Gram P^T P sits in H1 (row form, blocks A and B) or H4
+    # (column form, block C); with fewer rows than columns the factor solves
+    # and checks the residual through P and the top-rows eigenvectors only
+    from btdfuse.solver import _SylvesterFactor
+
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((rows, cols))
+    gram = p.T @ p
+    partner = spd(rng, other)
+    pencil = spd(rng, other, shift=0.0) + 10.0 ** log_rho * np.eye(other)
+    if column_form:
+        h, role, shape = (pencil, np.eye(cols), partner, gram), "H4", (other, cols)
+    else:
+        h, role, shape = (gram, partner, np.eye(cols), pencil), "H1", (cols, other)
+    h5 = rng.standard_normal(shape)
+    system = _SylvesterFactor(*h, {role: (*np.linalg.eigh(gram), p)})
+    assert (system.p is not None) == (rows < cols)
+    x = system.solve(h5)
+    ref = sylvester_solve_dense(*h, h5)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_structured_residual_rejects_corrupt_factor():
+    # without the Q1 correction the solve is wrong on the span of P's rows;
+    # the residual formed through P must refuse it
+    from btdfuse.solver import _operator_grams, _SylvesterFactor
+
+    _, _, ops, hsi, msi = coupled_instance(17, snr=25.0)
+    f = init_factors((12, 12, 8), RankSpec(2, 2), seed=9, strategy="random_uniform", msi=msi)
+    grams = _operator_grams(ops)
+    for block in ("A", "B", "C"):
+        w = build_subproblem(block, f, hsi, msi, ops, "auto", _grams=grams)
+        system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, grams[block][1])
+        assert system.p is not None
+        h5 = w.H5_base + w.rho * w.Z
+        x = system.solve(h5)
+        res = np.linalg.norm(w.H1 @ x @ w.H2 + w.H3 @ x @ w.H4 - h5)
+        assert res <= 1e-8 * np.linalg.norm(h5)
+        system.gain = np.zeros_like(system.gain)
+        with pytest.raises(NumericalError, match="residual"):
+            system.solve(h5)
 
 
 def test_sylvester_factor_singular_pencil_falls_back_to_dense_solves():

@@ -555,6 +555,8 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
         {"methods": ["stereo"]},
         {"trials": "x"},
         {"methods": [{"method": "stereo", "R": "two"}]},
+        # a misspelt top-level key used to run with the 9x9 default blur
+        {"kernal_size": 3},
         # two entries in one table row used to merge their statistics
         {"methods": [{"method": "stereo", "R": 2}, {"method": "stereo", "R": 2, "tol": 1e-3}]},
     ):
