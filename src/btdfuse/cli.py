@@ -208,10 +208,7 @@ def cmd_simulate(args) -> int:
             "realized_snr_db": _realized_snr(msi, msi_noisy),
         },
         "parameters": {
-            "kernel_size": args.kernel,
-            "sigma": args.sigma if args.sigma is not None else args.ratio / 2.0,
-            "ratio": args.ratio,
-            "offset": args.offset,
+            **{key: ops.params[key] for key in ("kernel_size", "sigma", "ratio", "offset")},
             "bands": ops.P3.shape[0],
             "snr_db": _finite_or_str(args.snr_db),
             "seed": args.seed,

@@ -11,25 +11,28 @@ A, B, C of the block-term model:
   spectral factor from the HSI by linear least squares.
 
 Every block subproblem reduces to a generalized Sylvester equation
-``H1 @ X @ H2 + H3 @ X @ H4 = H5`` in which either H3 or H2 is a scalar
-multiple of the identity.  Within one block update only H5 changes between
-ADMM steps, so each update factors H1..H4 once (``_SylvesterFactor``, as in
-AO-ADMM) and every step is then four GEMMs, a Hadamard divide and the
-residual check.  The operator Grams ``P1^T P1``, ``P2^T P2``, ``P3^T P3``
-never change during a run, and ``bcd_fuse`` decomposes them once.
-``build_subproblem`` assembles the block Grams from small R x R and L x L
-Grams, without forming the partition-wise Khatri-Rao matrices.
+``H1 @ X @ H2 + H3 @ X @ H4 = H5``, and its form is fixed by the model:
+blocks A and B are in the row form (H3 = I, H1 = P^T P for P1 or P2), block
+C in the column form (H2 = I, H4 = P3^T P3).  Both are ``P^T P Y b + Y c =
+rhs``, with ``Y = X`` and ``(b, c) = (H2, H4)`` in the row form and
+``Y = X^T``, ``(b, c) = (H3, H1)``, ``rhs = H5^T`` in the column form.
+``bcd_fuse`` states each block's form once per run, with the eigendecomposition
+of its P^T P (``_block_forms``); the public ``sylvester_solve``, and
+``admm_nn_block`` called without a form, detect it from H1..H4 instead.  Within one block
+update only H5 changes between ADMM steps, so each update factors H1..H4 once
+(``_SylvesterFactor``, as in AO-ADMM) and every step is then four GEMMs, a
+Hadamard divide and the residual check.  ``build_subproblem`` assembles the
+block Grams from small R x R and L x L Grams, without forming the
+partition-wise Khatri-Rao matrices.
 
 The operators have fewer rows than columns: I/d of I for P1 and P2 (the
 blur is followed by downsampling), K_M of K for P3.  So each Gram
-``P^T P`` has rank at most m = rows(P), and ``bcd_fuse`` hands the block
-solves P together with the Gram's eigendecomposition.  Only the top-m
-eigenvectors Q1 then enter a solve: on the other n - m directions the
-eigenvalue is 0 and the divisor is 1, so ``Y = (G + Q1 ((Q1^T G) o
-(1 / den1 - 1))) V^T`` with ``G = rhs V``.  The residual is formed through P
-and the pencil's c, without a product by the identity:
-``P^T ((P X) H2) + c X H4 - H5`` for A and B, ``c H1 X + ((H3 X) P^T) P - H5``
-for C, against the same ``SYLVESTER_RESIDUAL_RTOL`` bound.
+``P^T P`` has rank at most m = rows(P), and only its top-m eigenvectors Q1
+enter a solve: on the other n - m directions the eigenvalue is 0 and the
+divisor is 1, so ``Y = (G + Q1 ((Q1^T G) o (1 / den1 - 1))) V^T`` with
+``G = rhs V``.  The residual is formed in the same coordinates, through P and
+without a product by the identity: ``||P^T ((P Y) b) + Y c - rhs||``, against
+the same ``SYLVESTER_RESIDUAL_RTOL`` bound.
 """
 
 from __future__ import annotations
@@ -243,41 +246,64 @@ def _tril_inv(l: np.ndarray, block: int = 48) -> np.ndarray:
     return x
 
 
-def _eigh_pencil(b, c):
-    """Eigenpairs of ``b v = w c v`` scaled so that ``V^T c V = I``.
+def _cholesky(c):
+    """Lower Cholesky factor of c, or None when c is not positive definite."""
+    try:
+        return np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        return None
 
-    With ``c = L L^T`` this is the ordinary symmetric problem for
-    ``L^-1 b L^-T``.  Raises ``np.linalg.LinAlgError`` when c is not
-    positive definite.
+
+def _detect_form(h1, h2, h3, h4):
+    """``(transposed, c, chol(c))`` of the best applicable form of h1..h4.
+
+    The row form applies when ``h3 = c3 I`` (``c = c3 h4``), the column form
+    when ``h2 = c2 I`` (``c = c2 h1``).  Of the forms whose c is positive
+    definite it takes the one whose Cholesky diagonal has the largest ratio of
+    smallest to largest entry: Cholesky can succeed on a numerically singular
+    c.  When no c is positive definite it returns the first form with
+    ``chol(c) = None``.
     """
-    l_inv = _tril_inv(np.linalg.cholesky(c))
-    w, u = np.linalg.eigh(l_inv @ b @ l_inv.T)
-    return w, l_inv.T @ u
+    scales = ((False, _identity_scale(h3), h4), (True, _identity_scale(h2), h1))
+    forms = [(transposed, s * c) for transposed, s, c in scales if s is not None]
+    if not forms:
+        raise UsageError(
+            "neither h3 nor h2 is a scalar multiple of the identity; "
+            "use sylvester_solve_dense for general systems"
+        )
+    best, best_ratio = (*forms[0], None), 0.0
+    for transposed, c in forms:
+        l = _cholesky(c)
+        ratio = 0.0 if l is None else np.diag(l).min() / np.diag(l).max()
+        if ratio > best_ratio:
+            best, best_ratio = (transposed, c, l), ratio
+    return best
 
 
 class _SylvesterFactor:
     """One factorization of ``h1 X h2 + h3 X h4 = h5`` for fixed h1..h4.
 
     The constructor checks h1..h4 (square, nonempty, symmetric, finite) and
-    picks the form: with ``h3 = c3 I`` it solves ``a Y b + Y c = rhs`` for
-    ``Y = X`` with ``(a, b, c) = (h1, h2, c3 h4)``; with ``h2 = c2 I`` it
-    solves the transposed system, ``Y = X^T``, ``(a, b, c) = (h4, h3, c2 h1)``,
-    ``rhs = h5^T``.  When both forms apply it takes the first whose c is
-    positive definite.  It decomposes ``a = Q diag(lam) Q^T`` and reduces the
-    pencil ``b V = c V diag(w)`` with ``V^T c V = I``, so that each
-    :meth:`solve` is ``Y = Q ((Q^T rhs V) / (1 + lam w^T)) V^T``, checked
-    against ``_check_residual``.  When no applicable c is positive definite
-    the pencil has no such reduction and every solve falls back to one small
-    dense system per eigenvalue of a (in the first form).
+    solves ``a Y b + Y c = rhs`` in one of two forms: the row form, with
+    ``Y = X`` and ``(a, b, c) = (h1, h2, h4)``, or the column form, with
+    ``Y = X^T``, ``(a, b, c) = (h4, h3, h1)`` and ``rhs = h5^T``.
 
-    ``eigh`` maps the name "H1" or "H4" of a matrix ``a = P^T P`` to
-    ``(lam, Q, P)``: its eigendecomposition and the operator.  When that a
-    is decomposed, the pencil reduces and P has fewer rows m than columns,
-    the solve uses only the top-m eigenvectors ``Q1`` (``gain = 1/den - 1``)
-    and the residual is formed through P (see the module docstring).
+    ``form`` states the form as ``(transposed, lam, Q, P)``: the row form
+    (h3 = I) when ``transposed`` is false, the column form (h2 = I) when it
+    is true, and ``a = P^T P = Q diag(lam) Q^T``.  Without it the form is
+    detected by :func:`_detect_form` (c then carries the identity's scale)
+    and a is decomposed here.
+
+    The pencil ``b V = c V diag(w)`` is reduced with ``V^T c V = I``, so that
+    each :meth:`solve` is ``Y = Q ((Q^T rhs V) / (1 + lam w^T)) V^T``, checked
+    against the residual bound.  When P has fewer rows m than columns only
+    the top-m eigenvectors enter the solve (``gain = 1/den - 1``) and the
+    residual is formed through P (see the module docstring).  When c is not
+    positive definite the pencil has no such reduction and every solve falls
+    back to one small dense system per eigenvalue of a.
     """
 
-    def __init__(self, h1, h2, h3, h4, eigh=None):
+    def __init__(self, h1, h2, h3, h4, form=None):
         h1 = _as_square(h1, "h1")
         h2 = _as_square(h2, "h2")
         m, n = h1.shape[0], h2.shape[0]
@@ -291,39 +317,24 @@ class _SylvesterFactor:
             raise NumericalError("non-finite entries in the Sylvester system")
         self.h = (h1, h2, h3, h4)
         self.shape = (m, n)
-        eigh = eigh or {}
-
-        forms = []  # (transposed, a, b, c, name of a)
-        c3 = _identity_scale(h3)
-        if c3 is not None:
-            forms.append((False, h1, h2, c3 * h4, "H1"))
-        c2 = _identity_scale(h2)
-        if c2 is not None:
-            forms.append((True, h4, h3, c2 * h1, "H4"))
-        if not forms:
-            raise UsageError(
-                "neither h3 nor h2 is a scalar multiple of the identity; "
-                "use sylvester_solve_dense for general systems"
-            )
-        for transposed, a, b, c, a_name in forms:
-            try:
-                w, v = _eigh_pencil(b, c)
-                break
-            except np.linalg.LinAlgError:
-                continue
+        if form is None:
+            transposed, c, l = _detect_form(h1, h2, h3, h4)
+            (lam, self.q), p = np.linalg.eigh(h4 if transposed else h1), None
         else:
-            w = v = None
-            transposed, a, b, c, a_name = forms[0]
-        self.transposed, self.v, self.c = transposed, v, c
-        if a_name in eigh:
-            lam, self.q, p = eigh[a_name]
-        else:
-            (lam, self.q), p = np.linalg.eigh(a), None
-        if w is None:
+            transposed, lam, self.q, p = form
+            c = h1 if transposed else h4
+            l = _cholesky(c)
+        b = h3 if transposed else h2
+        self.transposed, self.b, self.c = transposed, b, c
+        if l is None:
             # c is singular: one (b-sized) system per eigenvalue of a
             self.p = self.den = None
             self.mats = lam[:, None, None] * b[None, :, :] + c[None, :, :]
             return
+        # b V = c V diag(w) with V^T c V = I: the symmetric problem for l^-1 b l^-T
+        l_inv = _tril_inv(l)
+        w, u = np.linalg.eigh(l_inv @ b @ l_inv.T)
+        self.v = l_inv.T @ u
         self.p = p if p is not None and p.shape[0] < p.shape[1] else None
         if self.p is not None:
             # P^T P has rank <= rows(P) and eigh sorts ascending
@@ -357,21 +368,11 @@ class _SylvesterFactor:
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"singular pencil in Sylvester solve: {exc}") from exc
         x = y.T if self.transposed else y
-        if self.p is not None:
-            return _require_residual(self._structured_residual(x, h5), h5, x)
-        return _check_residual(*self.h, h5, x)
-
-    def _structured_residual(self, x, h5) -> float:
-        """``||h1 X h2 + h3 X h4 - h5||`` from P and the pencil's c.
-
-        Row form: ``P^T ((P X) h2) + X (c3 h4) - h5``; column form:
-        ``(c2 h1) X + ((h3 X) P^T) P - h5``.
-        """
-        _, h2, h3, _ = self.h
+        if self.p is None:
+            return _check_residual(*self.h, h5, x)
+        # ||h1 X h2 + h3 X h4 - h5|| in the reduced coordinates, through P
         p = self.p
-        if self.transposed:
-            return frob_norm(self.c @ x + ((h3 @ x) @ p.T) @ p - h5)
-        return frob_norm(p.T @ ((p @ x) @ h2) + x @ self.c - h5)
+        return _require_residual(frob_norm(p.T @ ((p @ y) @ self.b) + y @ self.c - rhs), h5, x)
 
 
 def sylvester_solve_dense(h1, h2, h3, h4, h5) -> np.ndarray:
@@ -409,20 +410,19 @@ def _resolve_rho(rho, gram: np.ndarray, ncols: int) -> float:
     return val
 
 
-def _operator_grams(ops: DegradationOps) -> dict:
-    """Per block, the Gram ``P^T P`` of its operator P and ``{role: (lam, Q, P)}``.
+def _block_forms(ops: DegradationOps) -> dict:
+    """Per block, the Sylvester form of its system as ``(transposed, lam, Q, P)``.
 
-    ``lam, Q`` is the Gram's eigendecomposition.  The role is the place
-    ``build_subproblem`` gives the Gram in the block's Sylvester system
-    ("H1" for A and B, "H4" for C), so the dict is ready to pass to
-    ``_SylvesterFactor``.  Constant for one fusion run; built per run
-    because ``DegradationOps`` is mutable.
+    Blocks A and B are in the row form, with ``H1 = P^T P`` for P1 and P2;
+    block C is in the column form, with ``H4 = P3^T P3``.  ``lam, Q`` is the
+    eigendecomposition of that ``P^T P``; the record is what
+    ``_SylvesterFactor`` takes as its ``form``.  Constant for one fusion run;
+    built per run because ``DegradationOps`` is mutable.
     """
-    grams = {}
-    for block, p, role in (("A", ops.P1, "H1"), ("B", ops.P2, "H1"), ("C", ops.P3, "H4")):
-        g = p.T @ p
-        grams[block] = (g, {role: (*np.linalg.eigh(g), p)})
-    return grams
+    return {
+        block: (transposed, *np.linalg.eigh(p.T @ p), p)
+        for block, p, transposed in (("A", ops.P1, False), ("B", ops.P2, False), ("C", ops.P3, True))
+    }
 
 
 def _expand(gram_r: np.ndarray, rank: RankSpec) -> np.ndarray:
@@ -447,9 +447,7 @@ def _unfold_t_pw_khatri_rao(y, c, m, rank: RankSpec, mode: int) -> np.ndarray:
     return out
 
 
-def build_subproblem(
-    block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho, *, _grams=None
-) -> AdmmWorkspace:
+def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -> AdmmWorkspace:
     """Assemble one block's quadratic subproblem as an AdmmWorkspace.
 
     The unknown is A for block "A", B for block "B", and C^T for block "C";
@@ -463,10 +461,6 @@ def build_subproblem(
     rank = f.rank
     total = rank.total
     p1, p2, p3 = ops.P1, ops.P2, ops.P3
-
-    def operator_gram(p):
-        return _grams[block][0] if _grams is not None else p.T @ p
-
     if block in ("A", "B"):
         # the HSI term pairs C with the degraded partner factor, the MSI term
         # P3 C with the partner itself; (c kr m)^T (c kr m) = expand(c^T c) o m^T m
@@ -479,7 +473,7 @@ def build_subproblem(
         c_m = p3 @ f.C
         gram_m = _expand(c_m.T @ c_m, rank) * (partner.T @ partner)
         rho_val = _resolve_rho(rho, gram_m, total)
-        h1 = operator_gram(p)
+        h1 = p.T @ p
         h2 = _expand(f.C.T @ f.C, rank) * (partner_h.T @ partner_h)
         h3 = np.eye(z.shape[0])
         h4 = gram_m + rho_val * np.eye(total)
@@ -487,15 +481,14 @@ def build_subproblem(
               + _unfold_t_pw_khatri_rao(msi, c_m, partner, rank, mode))
         z = z.copy()
     elif block == "C":
-        f_h, _ = degrade_factors(f, ops)
-        wh = spatial_map_matrix(f_h)
+        wh = _block_maps(p1 @ f.A, p2 @ f.B, rank)
         wm = spatial_map_matrix(f)
         gram_h = wh.T @ wh
         rho_val = _resolve_rho(rho, gram_h, rank.R)
         h1 = gram_h + rho_val * np.eye(rank.R)
         h2 = np.eye(f.C.shape[0])
         h3 = wm.T @ wm
-        h4 = operator_gram(p3)
+        h4 = p3.T @ p3
         # (Wm^T Y3) P3, not Wm^T (Y3 P3): no (I*J, K) temporary
         h5 = wh.T @ unfold(hsi, 3) + (wm.T @ unfold(msi, 3)) @ p3
         z = f.C.T.copy()
@@ -508,20 +501,21 @@ def build_subproblem(
     )
 
 
-def admm_nn_block(w: AdmmWorkspace, inner_iters: int, *, _eigh=None):
+def admm_nn_block(w: AdmmWorkspace, inner_iters: int, *, _form=None):
     """Run the fixed-count ADMM loop for one nonnegative block.
 
     Each iteration solves the Sylvester system with right-hand side
     ``H5_base + rho (Z + U)``, projects ``X - U`` onto the nonnegative
     orthant, and takes a dual step.  H1..H4 are factored once before the
-    loop.  Returns the feasible iterate Z (this is what gets stored as the
+    loop, in the form ``_form`` states when given (see ``_SylvesterFactor``).
+    Returns the feasible iterate Z (this is what gets stored as the
     factor) together with the updated workspace.
     """
     if inner_iters < 1:
         raise UsageError(f"inner_iters must be >= 1, got {inner_iters}")
     if not w.rho > 0:
         raise UsageError(f"constrained block updates need rho > 0, got {w.rho}")
-    system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, _eigh)
+    system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, _form)
     for _ in range(inner_iters):
         w.X = system.solve(w.H5_base + w.rho * (w.Z + w.U))
         w.Z = np.maximum(w.X - w.U, 0.0)
@@ -529,15 +523,16 @@ def admm_nn_block(w: AdmmWorkspace, inner_iters: int, *, _eigh=None):
     return w.Z, w
 
 
-def _solve_block_exact(w: AdmmWorkspace, block: str, eigh=None) -> np.ndarray:
+def _solve_block_exact(w: AdmmWorkspace, block: str, form=None) -> np.ndarray:
     """Unconstrained exact block solve; one jitter retry on a singular system."""
     try:
-        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, eigh).solve(w.H5_base)
+        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, form).solve(w.H5_base)
     except NumericalError:
-        # the jitter goes on the matrix paired with the identity (the pencil's
-        # c, never the one ``eigh`` decomposes), into a new array because it
-        # may be the run's shared operator Gram
-        name = "H4" if _identity_scale(w.H3) is not None else "H1"
+        # the jitter goes on the pencil's c (H4 in the row form, H1 in the
+        # column form), never on the P^T P that ``form`` decomposes, and into
+        # a new array because the caller may share the old one
+        transposed = (form or _detect_form(w.H1, w.H2, w.H3, w.H4))[0]
+        name = "H1" if transposed else "H4"
         target = getattr(w, name)
         n = target.shape[0]
         jitter = 1e-12 * float(np.trace(target)) / n
@@ -548,7 +543,7 @@ def _solve_block_exact(w: AdmmWorkspace, block: str, eigh=None) -> np.ndarray:
             stacklevel=2,
         )
         setattr(w, name, target + jitter * np.eye(n))
-        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, eigh).solve(w.H5_base)
+        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, form).solve(w.H5_base)
 
 
 def _validate_config(cfg: FusionConfig):
@@ -677,20 +672,19 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     rank = cfg.rank if cfg.method != "cnn_cpd" else RankSpec(cfg.rank.R, 1)
     e, hsi, msi, f = _start(hsi, msi, ops, cfg, rank)
     constrained = cfg.method in ("cnn_btd", "cnn_cpd")
-    grams = _operator_grams(ops)
+    forms = _block_forms(ops)
     dual_state = {}
 
     def update(block):
-        eigh = grams[block][1]
         if constrained:
-            w = build_subproblem(block, f, hsi, msi, ops, cfg.rho, _grams=grams)
+            w = build_subproblem(block, f, hsi, msi, ops, cfg.rho)
             if block in dual_state:
                 w.U = dual_state[block]
-            new_value, w = admm_nn_block(w, cfg.inner_iters, _eigh=eigh)
+            new_value, w = admm_nn_block(w, cfg.inner_iters, _form=forms[block])
             dual_state[block] = w.U
         else:
-            w = build_subproblem(block, f, hsi, msi, ops, 0.0, _grams=grams)
-            new_value = _solve_block_exact(w, block, eigh)
+            w = build_subproblem(block, f, hsi, msi, ops, 0.0)
+            new_value = _solve_block_exact(w, block, forms[block])
         if block == "C":
             f.C = new_value.T.copy()
         else:

@@ -210,6 +210,26 @@ def test_sylvester_empty_system_is_usage_error():
             sylvester_solve(np.zeros((m, m)), np.eye(n), np.eye(m), np.eye(n), np.zeros((m, n)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 1999))
+@example(seed=474)
+def test_sylvester_takes_best_conditioned_form(seed):
+    # both forms apply: the 1x1 h3 is identity-scaled (row form, c = h3 P^T P,
+    # rank 1) and so is h2 (column form, c = c2 h1).  Cholesky can pass on the
+    # rank-1 c; taking the row form then left the solve up to 7e-11 off.
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 5)
+    h1 = np.array([[rng.uniform(0.1, 3)]])
+    h3 = np.array([[rng.uniform(0.1, 3)]])
+    p = rng.standard_normal((1, n))
+    h4 = p.T @ p
+    h2 = rng.uniform(0.5, 2) * np.eye(n)
+    h5 = rng.standard_normal((1, n))
+    x = sylvester_solve(h1, h2, h3, h4, h5)
+    ref = sylvester_solve_dense(h1, h2, h3, h4, h5)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("n", [1, 47, 48, 49, 200])
 def test_tril_inv_matches_inv(n):
     # the pencil reduction inverts the Cholesky factor by blocks of 48 rows
@@ -489,20 +509,19 @@ def test_admm_requires_positive_rho():
     ids=["A", "B", "C", "C-R1"],
 )
 def test_admm_factored_path_matches_per_step_solves(block, rank):
-    # admm_nn_block factors H1..H4 once (with the run's operator-Gram
-    # eigendecomposition, as bcd_fuse passes it); every iterate must match a
-    # loop that calls sylvester_solve afresh on each step.  R = 1 makes both
-    # forms of block C apply (its 1x1 H3 is identity-scaled); the row form's
-    # pencil (I, c P3^T P3) is singular, so the column form must be chosen
-    # and the factored path taken.
-    from btdfuse.solver import _operator_grams, _SylvesterFactor
+    # admm_nn_block factors H1..H4 once (in the block's stated form, as
+    # bcd_fuse passes it); every iterate must match a loop that calls
+    # sylvester_solve afresh on each step.  R = 1 makes both forms of block C
+    # apply (its 1x1 H3 is identity-scaled); the row form's pencil
+    # (I, c P3^T P3) is singular, so the column form must be chosen and the
+    # factored path taken.
+    from btdfuse.solver import _block_forms, _SylvesterFactor
 
     _, _, ops, hsi, msi = coupled_instance(16, rank=rank, snr=25.0)
     f = init_factors((12, 12, 8), rank, seed=8, strategy="random_uniform", msi=msi)
-    grams = _operator_grams(ops)
-    eigh = grams[block][1]
-    w0 = build_subproblem(block, f, hsi, msi, ops, "auto", _grams=grams)
-    assert _SylvesterFactor(w0.H1, w0.H2, w0.H3, w0.H4, eigh).den is not None
+    form = _block_forms(ops)[block]
+    w0 = build_subproblem(block, f, hsi, msi, ops, "auto")
+    assert _SylvesterFactor(w0.H1, w0.H2, w0.H3, w0.H4, form).den is not None
 
     z, u = w0.Z.copy(), w0.U.copy()
     for steps in range(1, 7):
@@ -513,7 +532,7 @@ def test_admm_factored_path_matches_per_step_solves(block, rank):
             H1=w0.H1, H2=w0.H2, H3=w0.H3, H4=w0.H4, H5_base=w0.H5_base,
             Z=w0.Z.copy(), U=w0.U.copy(), rho=w0.rho,
         )
-        got, w = admm_nn_block(w, steps, _eigh=eigh)
+        got, w = admm_nn_block(w, steps, _form=form)
         # relative to the iterate's scale: U and the clamped part of Z may be 0
         scale = np.linalg.norm(x)
         for mine, ref in ((w.X, x), (got, z), (w.U, u)):
@@ -541,11 +560,11 @@ def test_structured_sylvester_matches_dense(seed, rows, cols, other, log_rho, co
     partner = spd(rng, other)
     pencil = spd(rng, other, shift=0.0) + 10.0 ** log_rho * np.eye(other)
     if column_form:
-        h, role, shape = (pencil, np.eye(cols), partner, gram), "H4", (other, cols)
+        h, shape = (pencil, np.eye(cols), partner, gram), (other, cols)
     else:
-        h, role, shape = (gram, partner, np.eye(cols), pencil), "H1", (cols, other)
+        h, shape = (gram, partner, np.eye(cols), pencil), (cols, other)
     h5 = rng.standard_normal(shape)
-    system = _SylvesterFactor(*h, {role: (*np.linalg.eigh(gram), p)})
+    system = _SylvesterFactor(*h, (column_form, *np.linalg.eigh(gram), p))
     assert (system.p is not None) == (rows < cols)
     x = system.solve(h5)
     ref = sylvester_solve_dense(*h, h5)
@@ -555,14 +574,14 @@ def test_structured_sylvester_matches_dense(seed, rows, cols, other, log_rho, co
 def test_structured_residual_rejects_corrupt_factor():
     # without the Q1 correction the solve is wrong on the span of P's rows;
     # the residual formed through P must refuse it
-    from btdfuse.solver import _operator_grams, _SylvesterFactor
+    from btdfuse.solver import _block_forms, _SylvesterFactor
 
     _, _, ops, hsi, msi = coupled_instance(17, snr=25.0)
     f = init_factors((12, 12, 8), RankSpec(2, 2), seed=9, strategy="random_uniform", msi=msi)
-    grams = _operator_grams(ops)
+    forms = _block_forms(ops)
     for block in ("A", "B", "C"):
-        w = build_subproblem(block, f, hsi, msi, ops, "auto", _grams=grams)
-        system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, grams[block][1])
+        w = build_subproblem(block, f, hsi, msi, ops, "auto")
+        system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, forms[block])
         assert system.p is not None
         h5 = w.H5_base + w.rho * w.Z
         x = system.solve(h5)
@@ -652,6 +671,28 @@ def test_fuse_ground_truth_is_fixed_point():
     assert max(res.objective_trace) <= 1e-10 * scale
     assert np.linalg.norm(res.factors.A - truth.A) / np.linalg.norm(truth.A) <= 1e-6
     assert np.linalg.norm(res.factors.C - truth.C) / np.linalg.norm(truth.C) <= 1e-6
+
+
+def test_fuse_states_block_forms_without_detecting_them(monkeypatch):
+    # bcd_fuse states each block's Sylvester form when it builds the system,
+    # so the identity-scale test of the public path must never run
+    import btdfuse.solver as solver
+
+    def detect(matrix):
+        raise AssertionError("bcd_fuse ran an identity-scale test")
+
+    _, _, ops, hsi, msi = coupled_instance(33, snr=30.0)
+    for method in ("cnn_btd", "cnn_cpd", "stereo"):
+        for rank in (RankSpec(2, 2), RankSpec(1, 1), RankSpec(3, (1, 2, 3))):
+            cfg = FusionConfig(method=method, rank=rank, outer_iters=3, seed=4)
+            ref = bcd_fuse(hsi, msi, ops, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_identity_scale", detect)
+                got = bcd_fuse(hsi, msi, ops, cfg)
+            assert got.objective_trace == ref.objective_trace
+            for mine, theirs in ((got.sri_estimate, ref.sri_estimate),
+                                 (got.factors.A, ref.factors.A), (got.factors.C, ref.factors.C)):
+                np.testing.assert_array_equal(mine, theirs)
 
 
 def test_fuse_stereo_trace_monotone():

@@ -228,6 +228,21 @@ def test_simulate_same_seed_is_byte_identical(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_simulate_reports_default_sigma(tmp_path, capsys):
+    # without --sigma the blur width is ratio / 2, as the operators use it
+    sri = tmp_path / "sri.btf"
+    run_cli(capsys, "make-sri", "--out", str(sri), "--dims", "10", "10", "6")
+    code, out, _ = run_cli(
+        capsys, "simulate", "--sri", str(sri), "--out-hsi", str(tmp_path / "hsi.btf"),
+        "--out-msi", str(tmp_path / "msi.btf"), "--kernel", "3", "--ratio", "3",
+        "--bands", "2", "--offset", "1",
+    )
+    assert code == 0
+    params = last_json(out)["parameters"]
+    assert params["sigma"] == 1.5
+    assert (params["kernel_size"], params["ratio"], params["offset"]) == (3, 3, 1)
+
+
 def test_simulate_hsi_msi_noise_streams_differ(tmp_path, capsys):
     sri, hsi, msi, manifest = make_pair(tmp_path, capsys, dims=(12, 12, 4), ratio=2,
                                         sigma=1.0, bands=4, snr="20")
