@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,49 +29,64 @@ from .degradation import (
 from .errors import FormatError, NumericalError, UsageError
 from .metrics import compute_report
 from .model import RankSpec, btd_reconstruct, check_coupled_identifiability
-from .solver import METHODS, FusionConfig, _validate_config, bcd_fuse, init_factors
+from .solver import INIT_STRATEGIES, METHODS, FusionConfig, _validate_config, bcd_fuse, init_factors
 from .tensorfile import read_tensor, write_tensor
 
 __all__ = ["main", "entry", "build_parser"]
 
-# defaults of a fusion run's settings: the flags of `fuse` and the keys of a
-# `bench` method entry; the sweep count depends on the method
-_RUN_DEFAULTS = {
-    "L": 1,
-    "outer_iters": {"cnn_btd": 20, "cnn_cpd": 20, "stereo": 100, "two_stage": 20},
-    "inner_iters": 5,
-    "rho": "auto",
-    "tol": 0.0,
-    "init": "random_uniform",
-}
 
-# defaults of the degradation settings: the flags of `simulate` and `fuse`
-# and the top-level keys of a `bench` config
-_DEGRADATION_DEFAULTS = {
-    "kernel_size": 9,
-    "sigma": None,
-    "ratio": 5,
-    "offset": 0,
-    "bands": 4,
-    "srf_csv": None,
-    "snr_db": 30.0,
+_Setting = namedtuple("_Setting", "flags type default help choices", defaults=(None,))
+_FUSION = FusionConfig()
+# the settings of a run, keyed by their `bench` key, which is also their
+# argparse dest.  The first seven, the degradation, are flags of `simulate`
+# and top-level keys of a bench config; the rest are flags of `fuse` and keys
+# of a bench method entry, with FusionConfig's defaults.  None as outer_iters
+# means 100 sweeps for stereo and FusionConfig's count otherwise.
+_SETTINGS = {
+    "kernel_size": _Setting(("--kernel",), int, 9, "odd blur kernel size (default %(default)s)"),
+    "sigma": _Setting(("--sigma",), float, None, "blur standard deviation (default ratio/2)"),
+    "ratio": _Setting(("--ratio",), int, 5, "spatial downsampling ratio d (default %(default)s)"),
+    "offset": _Setting(("--offset",), int, 0,
+                       "0-based first retained pixel per axis (default %(default)s)"),
+    "srf_csv": _Setting(("--srf-csv",), str, None, "spectral response CSV (K_M rows x K_H "
+                        "columns); default uniform band averaging"),
+    "bands": _Setting(("--bands",), int, 4,
+                      "MSI band count for the uniform response (default %(default)s)"),
+    "snr_db": _Setting(("--snr-db",), float, 30.0,
+                       "noise level in dB; 'inf' disables noise (default %(default)g)"),
+    "L": _Setting(("-L", "--block-rank"), int, _FUSION.rank.L[0],
+                  "rank per block (default %(default)s)"),
+    "outer_iters": _Setting(("--outer-iters",), int, None,
+                            f"sweeps (default 100 for stereo, {_FUSION.outer_iters} otherwise)"),
+    "inner_iters": _Setting(("--inner-iters",), int, _FUSION.inner_iters,
+                            "ADMM steps per block update (default %(default)s)"),
+    # a string, so that _fusion_config rejects a bad number with an error line
+    "rho": _Setting(("--rho",), str, _FUSION.rho,
+                    "ADMM penalty: a number or 'auto' (default %(default)s)"),
+    "tol": _Setting(("--tol",), float, _FUSION.tol, "relative objective change between "
+                    "sweeps that stops early; 0 never stops (default %(default)g)"),
+    "init": _Setting(("--init",), str, _FUSION.init, "starting factors (default %(default)s)",
+                     tuple(s for s in INIT_STRATEGIES if s != "provided")),
 }
+_DEGRADATION_KEYS = tuple(_SETTINGS)[:7]
+_FUSION_KEYS = tuple(_SETTINGS)[7:]
 # the other top-level keys of a `bench` config
 _BENCH_KEYS = ("trials", "seed_base", "output", "sri_path", "sri_dims", "sri_rank", "methods")
 
 
-def _add_degradation_flags(p: argparse.ArgumentParser):
-    d = _DEGRADATION_DEFAULTS
-    p.add_argument("--kernel", type=int, default=d["kernel_size"],
-                   help=f"odd blur kernel size (default {d['kernel_size']})")
-    p.add_argument("--sigma", type=float, default=d["sigma"],
-                   help="blur standard deviation (default ratio/2)")
-    p.add_argument("--ratio", type=int, default=d["ratio"],
-                   help=f"spatial downsampling ratio d (default {d['ratio']})")
-    p.add_argument("--offset", type=int, default=d["offset"],
-                   help=f"0-based first retained pixel per axis (default {d['offset']})")
-    p.add_argument("--srf-csv", default=d["srf_csv"],
-                   help="spectral response CSV (K_M rows x K_H columns); default uniform band averaging")
+def _add_settings(p: argparse.ArgumentParser, keys):
+    for key in keys:
+        s = _SETTINGS[key]
+        # the metavar argparse would derive from the long flag, not from the dest
+        metavar = None if s.choices else s.flags[-1].lstrip("-").replace("-", "_").upper()
+        p.add_argument(*s.flags, dest=key, type=s.type, default=s.default,
+                       choices=s.choices, metavar=metavar, help=s.help)
+
+
+def _settings(keys, values: dict) -> dict:
+    """``values[k]`` for each of ``keys`` by its row's type; missing or None takes the default."""
+    return {k: _SETTINGS[k].default if values.get(k) is None else _SETTINGS[k].type(values[k])
+            for k in keys}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,13 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sri", required=True, help="reference tensor file")
     p.add_argument("--out-hsi", required=True)
     p.add_argument("--out-msi", required=True)
-    _add_degradation_flags(p)
-    p.add_argument("--bands", type=int, default=_DEGRADATION_DEFAULTS["bands"],
-                   help=f"MSI band count for the uniform response "
-                        f"(default {_DEGRADATION_DEFAULTS['bands']})")
-    p.add_argument("--snr-db", type=float, default=_DEGRADATION_DEFAULTS["snr_db"],
-                   help=f"noise level in dB; 'inf' disables noise "
-                        f"(default {_DEGRADATION_DEFAULTS['snr_db']:g})")
+    _add_settings(p, _DEGRADATION_KEYS)
     p.add_argument("--seed", type=int, default=0,
                    help="noise seed (HSI uses seed, MSI uses seed+1)")
     p.set_defaults(func=cmd_simulate)
@@ -110,15 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output tensor file for the estimate")
     p.add_argument("--method", choices=METHODS, default="cnn_btd")
     p.add_argument("-R", "--blocks", type=int, required=True, help="number of blocks")
-    p.add_argument("-L", "--block-rank", type=int, help="rank per block (default 1)")
-    p.add_argument("--outer-iters", type=int,
-                   help="sweeps (default 100 for stereo, 20 otherwise)")
-    p.add_argument("--inner-iters", type=int)
-    p.add_argument("--rho", help="a number or 'auto'")
-    p.add_argument("--tol", type=float)
+    _add_settings(p, _FUSION_KEYS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", choices=("random_uniform", "svd_warm"))
-    _add_degradation_flags(p)
+    _add_settings(p, _DEGRADATION_KEYS[:5])  # not bands or snr_db: the MSI gives K_M
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("evaluate", help="compare an estimate against a reference")
@@ -167,23 +171,18 @@ def cmd_make_sri(args) -> int:
     return 0
 
 
-def _degradation_ops(shape, flags, k_m=None):
-    """Operators that degrade an SRI of ``shape`` as the degradation flags say.
+def _degradation_ops(shape, s, k_m=None):
+    """Operators that degrade an SRI of ``shape`` as the degradation settings ``s`` say.
 
     The MSI band count is ``k_m`` when given, else the row count of
-    ``--srf-csv``, else ``flags.bands``.
+    ``s.srf_csv``, else ``s.bands``.
     """
     i, j, k = shape
-    srf = load_srf_csv(flags.srf_csv, K_H=k, K_M=k_m) if flags.srf_csv else None
+    srf = load_srf_csv(s.srf_csv, K_H=k, K_M=k_m) if s.srf_csv else None
     return make_degradation_ops(
-        i, j, k,
-        K_M=k_m or (flags.bands if srf is None else srf.shape[0]),
-        kernel_size=flags.kernel,
-        sigma=flags.sigma,
-        d=flags.ratio,
-        offset=flags.offset,
-        srf=srf,
-        srf_source=flags.srf_csv if flags.srf_csv else "uniform",
+        i, j, k, K_M=k_m or (s.bands if srf is None else srf.shape[0]),
+        kernel_size=s.kernel_size, sigma=s.sigma, d=s.ratio, offset=s.offset,
+        srf=srf, srf_source=s.srf_csv if s.srf_csv else "uniform",
     )
 
 
@@ -231,30 +230,25 @@ def _read_finite(path, purpose: str):
 def _fusion_config(entry: dict, seed: int) -> FusionConfig:
     """The checked FusionConfig of a method entry.
 
-    ``entry`` holds "method", "R" and optionally "label" and the keys of
-    ``_RUN_DEFAULTS``; a key that is missing or None takes its default.
+    ``entry`` holds "method", "R" and optionally "label" and the fusion
+    settings; a setting that is missing or None takes its default.
     """
     method = entry.get("method")
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
     if entry.get("R") is None:
         raise UsageError(f"method entry {method} needs 'R'")
-    unknown = set(entry) - {"method", "R", "label", *_RUN_DEFAULTS}
+    unknown = set(entry) - {"method", "R", "label", *_FUSION_KEYS}
     if unknown:
         raise UsageError(f"method entry {method} has unknown keys {sorted(unknown)}")
-    s = dict(_RUN_DEFAULTS, outer_iters=_RUN_DEFAULTS["outer_iters"][method])
-    s.update((k, v) for k, v in entry.items() if v is not None)
     try:
-        cfg = FusionConfig(
-            method=method,
-            rank=RankSpec(int(s["R"]), int(s["L"])),
-            outer_iters=int(s["outer_iters"]),
-            inner_iters=int(s["inner_iters"]),
-            rho=s["rho"] if s["rho"] == "auto" else float(s["rho"]),
-            tol=float(s["tol"]),
-            seed=seed,
-            init=s["init"],
-        )
+        s = _settings(_FUSION_KEYS, entry)
+        if s["outer_iters"] is None:
+            s["outer_iters"] = 100 if method == "stereo" else _FUSION.outer_iters
+        if s["rho"] != "auto":
+            s["rho"] = float(s["rho"])
+        cfg = FusionConfig(method=method, rank=RankSpec(int(entry["R"]), s.pop("L")),
+                           seed=seed, **s)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad {method} settings: {exc}") from exc
     _validate_config(cfg)
@@ -262,11 +256,8 @@ def _fusion_config(entry: dict, seed: int) -> FusionConfig:
 
 
 def cmd_fuse(args) -> int:
-    cfg = _fusion_config({
-        "method": args.method, "R": args.blocks, "L": args.block_rank,
-        "outer_iters": args.outer_iters, "inner_iters": args.inner_iters,
-        "rho": args.rho, "tol": args.tol, "init": args.init,
-    }, args.seed)
+    fusion = {key: getattr(args, key) for key in _FUSION_KEYS}
+    cfg = _fusion_config(dict(fusion, method=args.method, R=args.blocks), args.seed)
     hsi = _read_finite(args.hsi, "fusion")
     msi = _read_finite(args.msi, "fusion")
     i_m, j_m, k_m = msi.shape
@@ -314,7 +305,7 @@ def _bench_config(raw) -> argparse.Namespace:
     """Checked bench settings; ``runs`` maps each method entry's label to its FusionConfig."""
     if not isinstance(raw, dict):
         raise UsageError("bench config must be a JSON object")
-    unknown = set(raw) - {*_BENCH_KEYS, *_DEGRADATION_DEFAULTS}
+    unknown = set(raw) - {*_BENCH_KEYS, *_DEGRADATION_KEYS}
     if unknown:
         raise UsageError(f"bench config has unknown keys {sorted(unknown)}")
     sri_rank = raw.get("sri_rank")
@@ -322,23 +313,11 @@ def _bench_config(raw) -> argparse.Namespace:
         raw.get("sri_dims") and isinstance(sri_rank, dict) and "R" in sri_rank
     ):
         raise UsageError("bench config needs 'sri_path' or 'sri_dims' + 'sri_rank'")
-    deg = dict(_DEGRADATION_DEFAULTS, **raw)
     try:
-        cfg = argparse.Namespace(
-            trials=int(raw.get("trials", 1)),
-            snr_db=float(deg["snr_db"]),
-            seed_base=int(raw.get("seed_base", 0)),
-            output=raw.get("output"),
-            sri_path=raw.get("sri_path"),
-            sri_dims=raw.get("sri_dims"),
-            sri_rank=raw.get("sri_rank"),
-            kernel=int(deg["kernel_size"]),
-            sigma=None if deg["sigma"] is None else float(deg["sigma"]),
-            ratio=int(deg["ratio"]),
-            offset=int(deg["offset"]),
-            bands=int(deg["bands"]),
-            srf_csv=deg["srf_csv"],
-        )
+        cfg = argparse.Namespace(**{key: raw.get(key) for key in _BENCH_KEYS},
+                                 **_settings(_DEGRADATION_KEYS, raw))
+        cfg.trials = int(raw.get("trials", 1))
+        cfg.seed_base = int(raw.get("seed_base", 0))
         if not cfg.sri_path:
             i, j, k = (int(d) for d in cfg.sri_dims)
             cfg.sri_dims = (i, j, k)

@@ -524,10 +524,12 @@ def admm_nn_block(w: AdmmWorkspace, inner_iters: int, *, _form=None):
 
 
 def _solve_block_exact(w: AdmmWorkspace, block: str, form=None) -> np.ndarray:
-    """Unconstrained exact block solve; one jitter retry on a singular system."""
+    """Unconstrained exact block solve; one jitter retry on a finite, singular system."""
     try:
         return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, form).solve(w.H5_base)
     except NumericalError:
+        if not all(np.isfinite(h).all() for h in (w.H1, w.H2, w.H3, w.H4, w.H5_base)):
+            raise
         # the jitter goes on the pencil's c (H4 in the row form, H1 in the
         # column form), never on the P^T P that ``form`` decomposes, and into
         # a new array because the caller may share the old one
@@ -613,8 +615,9 @@ def _sweeps(cfg: FusionConfig, e: int, update):
     update and whether the run cannot improve further.  Returns the trace and
     the number of sweeps run.  Iteration stops early when the relative change
     between sweeps drops below ``cfg.tol`` or a sweep ends with ``done``.  A
-    non-finite value or a ``LinAlgError`` from ``update`` raises
-    NumericalError carrying the trace so far, scaled back by ``4^e``.
+    non-finite value, or a ``LinAlgError`` or NumericalError from ``update``,
+    raises NumericalError naming the block and sweep and carrying the trace so
+    far, scaled back by ``4^e``.
     """
     trace = []
     prev_sweep = None
@@ -623,7 +626,7 @@ def _sweeps(cfg: FusionConfig, e: int, update):
         for block in ("A", "B", "C"):
             try:
                 j, done = update(block)
-            except np.linalg.LinAlgError as exc:
+            except (np.linalg.LinAlgError, NumericalError) as exc:
                 raise NumericalError(
                     f"block {block} update failed at sweep {sweep + 1}: {exc}",
                     trace=_unscaled_trace(trace, e),

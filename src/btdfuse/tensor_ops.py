@@ -167,16 +167,8 @@ def pw_khatri_rao(c: np.ndarray, a: np.ndarray, block_widths: Sequence[int]) -> 
         raise UsageError(
             f"a has {a.shape[1]} columns but the partition sums to {sum(widths)}"
         )
-    out = np.empty((c.shape[0] * a.shape[0], a.shape[1]))
-    col = 0
-    for r, w in enumerate(widths):
-        block = a[:, col : col + w]
-        # kron(c_r, A_r): rows indexed (k, i) with i fastest
-        out[:, col : col + w] = (c[:, r, None, None] * block[None, :, :]).reshape(
-            -1, w
-        )
-        col += w
-    return out
+    # block r of c repeated once per column of A_r: every entry is one product
+    return khatri_rao(c[:, np.repeat(np.arange(len(widths)), widths)], a)
 
 
 def frob_norm(t: np.ndarray) -> float:

@@ -1,5 +1,8 @@
 """Sylvester solves, ADMM blocks, and the coupled fusion drivers."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -856,6 +859,48 @@ def test_two_stage_nan_raises(where, index, match, trace_len):
     with pytest.raises(NumericalError, match=match) as info:
         bcd_fuse(data["hsi"], data["msi"], ops, cfg)
     assert len(info.value.trace) == trace_len
+
+
+@pytest.mark.parametrize("method", ["cnn_btd", "stereo", "cnn_cpd"])
+@pytest.mark.parametrize("where, index", [("hsi", (1, 2, 3)), ("msi", (1, 2, 0))],
+                         ids=["hsi", "msi"])
+def test_block_update_nan_names_block_and_sweep(method, where, index):
+    # the Sylvester solve's NumericalError used to escape the sweep bare,
+    # without its block, sweep or trace; stereo also warned of a jitter retry
+    # (with jitter nan for a NaN in the MSI), which cannot mend a NaN
+    truth, _, ops, hsi, msi = coupled_instance(63)
+    data = {"hsi": hsi.copy(), "msi": msi.copy()}
+    data[where][index] = np.nan
+    cfg = FusionConfig(method=method, rank=truth.rank, outer_iters=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError) as info:
+            bcd_fuse(data["hsi"], data["msi"], ops, cfg)
+    message = str(info.value)
+    assert message.startswith("block A update failed at sweep 1"), message
+    assert "non-finite" in message
+    assert info.value.trace == []
+    assert not [w for w in caught if "jitter" in str(w.message)]
+
+
+def test_stereo_failed_retry_names_block_and_sweep():
+    # R = 40 rank-1 blocks on a 30x30x20 pair: a block system stays singular
+    # after its jitter retry, and the error says which update failed
+    rank = RankSpec(3, 2)
+    sri = btd_reconstruct(init_factors((30, 30, 20), rank, 0, "random_uniform"))
+    ops = make_degradation_ops(30, 30, 20, K_M=4, kernel_size=5, sigma=2.5, d=5)
+    hsi, msi = apply_degradation(sri, ops)
+    hsi = add_noise(hsi, NoiseSpec(30.0, 1))
+    msi = add_noise(msi, NoiseSpec(30.0, 2))
+    cfg = FusionConfig(method="stereo", rank=RankSpec(40, 1), seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericalError) as info:
+            bcd_fuse(hsi, msi, ops, cfg)
+    head = re.match(r"block ([ABC]) update failed at sweep (\d+): ", str(info.value))
+    assert head, str(info.value)
+    block, sweep = "ABC".index(head.group(1)), int(head.group(2))
+    assert len(info.value.trace) == 3 * (sweep - 1) + block
 
 
 def test_two_stage_stops_at_perfect_msi_fit():

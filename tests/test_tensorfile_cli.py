@@ -574,12 +574,52 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
         {"kernal_size": 3},
         # two entries in one table row used to merge their statistics
         {"methods": [{"method": "stereo", "R": 2}, {"method": "stereo", "R": 2, "tol": 1e-3}]},
+        {"methods": [{"method": "stereo", "R": 2, "outer_iters": 0}]},
+        {"methods": [{"method": "cnn_btd", "R": 2, "inner_iters": 0}]},
+        {"methods": [{"method": "cnn_btd", "R": 2, "L": 0}]},
+        {"sigma": "wide"},
     ):
         path, _ = bench_config(tmp_path, **overrides)
         code, out, err = run_cli(capsys, "bench", "--config", str(path))
         assert code == 1, overrides
         assert out == "" and err.startswith("error: "), overrides
         assert not (tmp_path / "table.csv").exists()
+
+
+def test_bench_reads_settings_as_the_commands_do(tmp_path, capsys):
+    # every degradation and fusion setting away from its default: one bench
+    # trial and simulate + fuse + evaluate with the same seed see the same
+    # data, so they must score alike
+    seed = 11
+    sri = tmp_path / "sri.btf"
+    assert run_cli(capsys, "make-sri", "--out", str(sri), "--dims", "18", "18", "8",
+                   "-R", "2", "-L", "2")[0] == 0
+    degradation = {"kernel_size": 3, "sigma": 1.2, "ratio": 3, "offset": 1}
+    fusion = {"L": 2, "outer_iters": 3, "inner_iters": 2, "rho": 1.5, "tol": 0,
+              "init": "svd_warm"}
+    path, _ = bench_config(
+        tmp_path, seed_base=seed, sri_path=str(sri), bands=3, snr_db=25, **degradation,
+        methods=[{"method": "cnn_btd", "R": 2, **fusion}],
+    )
+    assert run_cli(capsys, "bench", "--config", str(path))[0] == 0
+    with open(tmp_path / "table.csv", newline="") as fh:
+        row = list(csv.reader(fh))[1]
+
+    deg_flags = ["--kernel", "3", "--sigma", "1.2", "--ratio", "3", "--offset", "1"]
+    hsi, msi, est = (tmp_path / f"{name}.btf" for name in ("hsi", "msi", "est"))
+    assert run_cli(capsys, "simulate", "--sri", str(sri), "--out-hsi", str(hsi),
+                   "--out-msi", str(msi), *deg_flags, "--bands", "3", "--snr-db", "25",
+                   "--seed", str(seed))[0] == 0
+    assert run_cli(capsys, "fuse", "--hsi", str(hsi), "--msi", str(msi), "--out", str(est),
+                   "--method", "cnn_btd", "-R", "2", "-L", "2", "--outer-iters", "3",
+                   "--inner-iters", "2", "--rho", "1.5", "--tol", "0", "--init", "svd_warm",
+                   "--seed", str(seed), *deg_flags)[0] == 0
+    code, out, _ = run_cli(capsys, "evaluate", "--ref", str(sri), "--est", str(est),
+                           "--ratio", "3")
+    assert code == 0
+    report = last_json(out)
+    assert row[1] == "1"
+    assert row[2:6] == [f"{report[k]:.6g}" for k in ("r_snr_db", "cc", "sam_rad", "ergas")]
 
 
 def test_bench_non_finite_sri_exit_2(tmp_path, capsys):

@@ -7,19 +7,30 @@ svd_warm} x tol {0, 1e-3, 1e-2}, 40 sweeps each, on a noisy 30x30x24 pair
 each of the 24 cases it saves the objective trace, ``iters_run``, the
 estimate and the factors A, B, C: 144 arrays.
 
+``dump`` also runs the command line on a fixed script (``CLI_SCRIPT``):
+``make-sri``; ``simulate`` with default and with explicit flags; ``fuse`` for
+cnn_btd, stereo and two_stage and once with explicit ``--rho``, ``--tol`` and
+``--inner-iters``; ``evaluate``; a two-method ``bench``.  It saves every
+manifest without ``wall_time_s``, the bytes of every tensor file and the
+bench table without its runtime column, under names starting ``cli/``.
+
 Usage::
 
     python tools/parity_matrix.py dump SRC_DIR OUT.npz
     python tools/parity_matrix.py compare BASE.npz NEW.npz
 
 ``dump`` imports ``btdfuse`` from ``SRC_DIR`` (for example the ``src`` of a
-checkout of the parent commit).  ``compare`` lists every array that is not
-equal under ``np.array_equal`` with its largest relative difference, and
-exits 1 when any differs.
+checkout of the parent commit) and runs the command line with it on
+``PYTHONPATH``.  ``compare`` lists every array that is not equal under
+``np.array_equal`` with its largest relative difference, counts the solver
+arrays and the command-line outputs apart, and exits 1 when any differs.
 """
 
+import json
 import os
+import subprocess
 import sys
+import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -30,6 +41,59 @@ METHODS = ("cnn_btd", "cnn_cpd", "stereo", "two_stage")
 INITS = ("random_uniform", "svd_warm")
 TOLS = (0.0, 1e-3, 1e-2)
 FIELDS = ("trace", "iters_run", "estimate", "A", "B", "C")
+
+DEG = ["--kernel", "5", "--sigma", "1.5", "--ratio", "3", "--offset", "1"]
+BENCH = {
+    "trials": 2, "seed_base": 4, "snr_db": 25, "output": "table.csv", "sri_path": "sri.btf",
+    "kernel_size": 5, "sigma": 1.5, "ratio": 3, "offset": 1, "bands": 4,
+    "methods": [{"method": "stereo", "R": 3, "outer_iters": 15},
+                {"method": "cnn_btd", "R": 3, "L": 2, "outer_iters": 5, "init": "svd_warm"}],
+}
+# (name, argv) of each command, run in one scratch directory in this order
+CLI_SCRIPT = (
+    ("make_sri", ["make-sri", "--out", "sri.btf", "--dims", "30", "30", "24", "-R", "3",
+                  "-L", "2"]),
+    ("simulate_default", ["simulate", "--sri", "sri.btf", "--out-hsi", "hsi0.btf",
+                          "--out-msi", "msi0.btf"]),
+    ("simulate", ["simulate", "--sri", "sri.btf", "--out-hsi", "hsi.btf", "--out-msi",
+                  "msi.btf", *DEG, "--bands", "4", "--snr-db", "30", "--seed", "7"]),
+    ("fuse_default", ["fuse", "--hsi", "hsi0.btf", "--msi", "msi0.btf", "--out", "est0.btf",
+                      "-R", "3"]),
+    *((f"fuse_{m}", ["fuse", "--hsi", "hsi.btf", "--msi", "msi.btf", "--out", f"est_{m}.btf",
+                     "--method", m, "-R", "3", "-L", "2", "--seed", "5", *DEG])
+      for m in ("cnn_btd", "stereo", "two_stage")),
+    ("fuse_explicit", ["fuse", "--hsi", "hsi.btf", "--msi", "msi.btf", "--out", "est_x.btf",
+                       "-R", "3", "-L", "2", "--rho", "2.5", "--tol", "1e-3",
+                       "--inner-iters", "3", "--outer-iters", "30", *DEG]),
+    *((f"evaluate_{e}", ["evaluate", "--ref", "sri.btf", "--est", f"{e}.btf", "--ratio", "3"])
+      for e in ("est_cnn_btd", "est_stereo", "est_two_stage", "est_x")),
+    ("bench", ["bench", "--config", "bench.json"]),
+)
+
+
+def dump_cli(src: str) -> dict:
+    """The command-line outputs of ``CLI_SCRIPT`` run with ``src`` on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    arrays = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "bench.json"), "w", encoding="utf-8") as fh:
+            json.dump(BENCH, fh)
+        for name, argv in CLI_SCRIPT:
+            run = subprocess.run([sys.executable, "-m", "btdfuse.cli", *argv], cwd=tmp, env=env,
+                                 capture_output=True, text=True)
+            if run.returncode != 0:
+                raise SystemExit(f"{name} exited {run.returncode}: {run.stderr}")
+            manifest = json.loads(run.stdout)
+            manifest.pop("wall_time_s", None)
+            arrays[f"cli/{name}/manifest"] = np.array(json.dumps(manifest, sort_keys=True))
+        for fname in sorted(os.listdir(tmp)):
+            if fname.endswith(".btf"):
+                with open(os.path.join(tmp, fname), "rb") as fh:
+                    arrays[f"cli/{fname}"] = np.frombuffer(fh.read(), dtype=np.uint8)
+        with open(os.path.join(tmp, "table.csv"), encoding="utf-8") as fh:
+            table = [line.rsplit(",", 1)[0] for line in fh.read().splitlines()]
+        arrays["cli/table.csv"] = np.array(table)
+    return arrays
 
 
 def dump(src: str, out: str) -> None:
@@ -53,12 +117,13 @@ def dump(src: str, out: str) -> None:
                           res.sri_estimate, res.factors.A, res.factors.B, res.factors.C)
                 for name, value in zip(FIELDS, values):
                     arrays[f"{method}/{init}/{tol:g}/{name}"] = value
+    arrays.update(dump_cli(src))
     np.savez(out, **arrays)
     print(f"{out}: {len(arrays)} arrays from {src}")
 
 
 def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
+    if a.shape != b.shape or a.dtype.kind not in "fi":
         return float("inf")
     scale = max(float(np.abs(a).max(initial=0.0)), 1e-300)
     return float(np.abs(a.astype(np.float64) - b).max(initial=0.0)) / scale
@@ -76,8 +141,12 @@ def compare(base: str, new: str) -> int:
     for name, rel in differ:
         print(f"differs: {name}  max |diff| / max |base| = {rel:.3e}")
     worst = max((rel for _, rel in differ), default=0.0)
-    print(f"{len(names) - len(differ)} of {len(names)} arrays equal; "
-          f"largest relative difference {worst:.3e}")
+    for kind, test in (("solver arrays", lambda n: not n.startswith("cli/")),
+                       ("command-line outputs", lambda n: n.startswith("cli/"))):
+        total = sum(map(test, names))
+        equal = total - sum(test(n) for n, _ in differ)
+        print(f"{equal} of {total} {kind} equal")
+    print(f"largest relative difference {worst:.3e}")
     return 1 if differ else 0
 
 
