@@ -249,7 +249,7 @@ def _fusion_config(entry: dict, seed: int) -> FusionConfig:
             s["rho"] = float(s["rho"])
         cfg = FusionConfig(method=method, rank=RankSpec(int(entry["R"]), s.pop("L")),
                            seed=seed, **s)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {method} settings: {exc}") from exc
     _validate_config(cfg)
     return cfg
@@ -322,7 +322,7 @@ def _bench_config(raw) -> argparse.Namespace:
             i, j, k = (int(d) for d in cfg.sri_dims)
             cfg.sri_dims = (i, j, k)
             cfg.sri_rank = RankSpec(int(sri_rank["R"]), int(sri_rank.get("L", 1)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bench config: {exc}") from exc
     if cfg.trials < 1:
         raise UsageError(f"trials must be >= 1, got {cfg.trials}")

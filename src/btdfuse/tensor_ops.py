@@ -117,9 +117,9 @@ def mode_product(t: np.ndarray, p: np.ndarray, mode: int) -> np.ndarray:
         raise UsageError(
             f"operator has {p.shape[1]} columns but tensor mode-{mode} has size {t.shape[mode - 1]}"
         )
-    out = np.tensordot(p, t, axes=(1, mode - 1))
-    # tensordot puts the new axis first; move it back to its mode position
-    return np.moveaxis(out, 0, mode - 1)
+    # one GEMM per slice on views of t: tensordot would first copy t into the
+    # contracted axis order
+    return np.moveaxis(p @ np.moveaxis(t, mode - 1, -2), -2, mode - 1)
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -676,6 +676,92 @@ def test_fuse_ground_truth_is_fixed_point():
     assert np.linalg.norm(res.factors.C - truth.C) / np.linalg.norm(truth.C) <= 1e-6
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    method=st.sampled_from(("cnn_btd", "cnn_cpd", "stereo")),
+    rank=st.sampled_from((RankSpec(2, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1))),
+    snr=st.floats(min_value=10.0, max_value=40.0),
+    outer_iters=st.integers(1, 3),
+)
+def test_fuse_trace_is_the_objective(seed, method, rank, snr, outer_iters):
+    # each block update is scored from the quadratic it solved; the score must
+    # be the coupled objective, and scoring must not touch the iterates
+    import btdfuse.solver as solver
+
+    _, _, ops, hsi, msi = coupled_instance(seed, snr=snr)
+    cfg = FusionConfig(method=method, rank=rank, outer_iters=outer_iters, seed=seed)
+    res = bcd_fuse(hsi, msi, ops, cfg)
+    dense = objective(res.factors, hsi, msi, ops)
+    assert abs(res.objective_trace[-1] - dense) <= 1e-10 * dense
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "DENSE_SCORE_SHARE", np.inf)
+        ref = bcd_fuse(hsi, msi, ops, cfg)
+    np.testing.assert_allclose(res.objective_trace, ref.objective_trace, rtol=1e-10, atol=0)
+    for mine, theirs in ((res.sri_estimate, ref.sri_estimate), (res.factors.A, ref.factors.A),
+                         (res.factors.B, ref.factors.B), (res.factors.C, ref.factors.C)):
+        np.testing.assert_array_equal(mine, theirs)
+
+
+def test_fuse_dense_objective_calls(monkeypatch):
+    import btdfuse.solver as solver
+
+    calls = []
+    dense = solver.objective
+
+    def counted(*args):
+        calls.append(1)
+        return dense(*args)
+
+    monkeypatch.setattr(solver, "objective", counted)
+    _, _, ops, hsi, msi = coupled_instance(34, snr=30.0)
+    res = bcd_fuse(hsi, msi, ops, FusionConfig(rank=RankSpec(2, 2), outer_iters=3, seed=2))
+    assert len(res.objective_trace) == 9 and calls == []
+    # a noiseless ground-truth start drives the objective toward 0, where the
+    # Gram form cancels: every update takes the dense path
+    truth, _, ops, hsi, msi = coupled_instance(32)
+    cfg = FusionConfig(method="cnn_btd", rank=truth.rank, outer_iters=3, inner_iters=5,
+                       init="provided", init_factors=truth)
+    res = bcd_fuse(hsi, msi, ops, cfg)
+    assert len(calls) == len(res.objective_trace) == 9
+    assert min(res.objective_trace) >= 0.0
+    # a jitter retry puts a new H1 or H4 in the workspace; that system is no
+    # longer the objective's quadratic, so the update is scored densely
+    solve = solver._solve_block_exact
+
+    def jittered(w, block, form=None):
+        w.H4 = w.H4.copy()
+        return solve(w, block, form)
+
+    monkeypatch.setattr(solver, "_solve_block_exact", jittered)
+    calls.clear()
+    _, _, ops, hsi, msi = coupled_instance(34, snr=30.0)
+    res = bcd_fuse(hsi, msi, ops, FusionConfig(method="stereo", rank=RankSpec(2, 2),
+                                               outer_iters=2, seed=2))
+    assert len(calls) == len(res.objective_trace) == 6
+
+
+def test_fuse_independent_of_memory_layout():
+    # the pair is copied into one layout on entry, so strides cannot change a bit
+    from btdfuse import fold
+
+    _, _, ops, hsi, msi = coupled_instance(35, snr=30.0)
+    layouts = (
+        np.ascontiguousarray,
+        np.asfortranarray,
+        lambda t: fold(unfold(t, 3).copy(), 3, t.shape),  # btd_reconstruct's layout
+    )
+    for method in ("cnn_btd", "cnn_cpd", "stereo", "two_stage"):
+        cfg = FusionConfig(method=method, rank=RankSpec(2, 2), outer_iters=3, seed=6)
+        ref, *others = (bcd_fuse(lay(hsi), lay(msi), ops, cfg) for lay in layouts)
+        for got in others:
+            assert got.objective_trace == ref.objective_trace, method
+            for mine, theirs in ((got.sri_estimate, ref.sri_estimate),
+                                 (got.factors.A, ref.factors.A), (got.factors.B, ref.factors.B),
+                                 (got.factors.C, ref.factors.C)):
+                np.testing.assert_array_equal(mine, theirs, err_msg=method)
+
+
 def test_fuse_states_block_forms_without_detecting_them(monkeypatch):
     # bcd_fuse states each block's Sylvester form when it builds the system,
     # so the identity-scale test of the public path must never run

@@ -154,6 +154,30 @@ def test_mode_product_against_loop_oracle():
             )
 
 
+def test_mode_product_any_memory_layout():
+    # the product works on views of its operand, so strides must not matter
+    from btdfuse import BtdFactors, RankSpec, btd_reconstruct
+
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((4, 5, 6))
+    f = BtdFactors(rng.standard_normal((4, 4)), rng.standard_normal((5, 4)),
+                   rng.standard_normal((6, 2)), RankSpec(2, 2))
+    inputs = {
+        "C-ordered": base,
+        "F-ordered": np.asfortranarray(base),
+        "btd_reconstruct": btd_reconstruct(f),
+        "strided view": rng.standard_normal((8, 5, 12))[::2, :, 1::2],
+        "1-wide axis": rng.standard_normal((4, 1, 6)),
+    }
+    for name, t in inputs.items():
+        for mode in (1, 2, 3):
+            m = rng.standard_normal((3, t.shape[mode - 1]))
+            np.testing.assert_allclose(
+                mode_product(t, m, mode), oracle_mode_product(t, m, mode), rtol=0,
+                atol=1e-14, err_msg=f"{name}, mode {mode}",
+            )
+
+
 def test_mode_product_unfolding_identity():
     # unfold(T x_n M, n) has M applied on the mode-n axis of the unfolding
     rng = np.random.default_rng(3)

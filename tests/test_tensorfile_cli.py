@@ -578,6 +578,9 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
         {"methods": [{"method": "cnn_btd", "R": 2, "inner_iters": 0}]},
         {"methods": [{"method": "cnn_btd", "R": 2, "L": 0}]},
         {"sigma": "wide"},
+        # an integer too large for a float used to escape as an OverflowError
+        {"methods": [{"method": "stereo", "R": 2, "tol": 10**400}]},
+        {"sigma": 10**400},
     ):
         path, _ = bench_config(tmp_path, **overrides)
         code, out, err = run_cli(capsys, "bench", "--config", str(path))

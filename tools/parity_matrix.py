@@ -10,9 +10,12 @@ estimate and the factors A, B, C: 144 arrays.
 ``dump`` also runs the command line on a fixed script (``CLI_SCRIPT``):
 ``make-sri``; ``simulate`` with default and with explicit flags; ``fuse`` for
 cnn_btd, stereo and two_stage and once with explicit ``--rho``, ``--tol`` and
-``--inner-iters``; ``evaluate``; a two-method ``bench``.  It saves every
-manifest without ``wall_time_s``, the bytes of every tensor file and the
-bench table without its runtime column, under names starting ``cli/``.
+``--inner-iters``; ``evaluate``; a two-method ``bench``.  Under names
+starting ``cli/`` it saves each manifest's numeric fields as arrays and the
+rest as one JSON string (without ``wall_time_s``), the float64 payload of
+every tensor file in its dims, and each column of the bench table but its
+runtime, as floats where every cell is a number.  So ``compare`` sizes a
+numeric change on the command line as it does on the solver.
 
 Usage::
 
@@ -26,8 +29,10 @@ checkout of the parent commit) and runs the command line with it on
 arrays and the command-line outputs apart, and exits 1 when any differs.
 """
 
+import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -71,6 +76,50 @@ CLI_SCRIPT = (
 )
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _manifest_arrays(prefix: str, manifest: dict) -> dict:
+    """Each numeric field (or list of numbers) of ``manifest`` as an array, the rest as JSON."""
+    arrays, rest = {}, {}
+
+    def walk(path, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{path}/{key}" if path else key, item)
+        elif _is_number(value) or (
+                isinstance(value, list) and value and all(map(_is_number, value))):
+            arrays[f"{prefix}/{path}"] = np.asarray(value)
+        else:
+            rest[path] = value
+
+    walk("", manifest)
+    arrays[f"{prefix}/manifest"] = np.array(json.dumps(rest, sort_keys=True))
+    return arrays
+
+
+def _tensor_payload(path: str) -> np.ndarray:
+    """The doubles of a tensor file, shaped by the dims in its header."""
+    header = struct.Struct("<4sBQQQ")
+    with open(path, "rb") as fh:
+        _, _, *dims = header.unpack(fh.read(header.size))
+        return np.frombuffer(fh.read(), dtype="<f8").reshape(dims, order="F")
+
+
+def _table_columns(prefix: str, table: list) -> dict:
+    """Each column of a table's rows as floats when every cell is a number, else as strings."""
+    header, *rows = table
+    arrays = {}
+    for col, name in enumerate(header):
+        cells = [row[col] for row in rows]
+        try:
+            arrays[f"{prefix}/{name}"] = np.array([float(c) for c in cells])
+        except ValueError:
+            arrays[f"{prefix}/{name}"] = np.array(cells)
+    return arrays
+
+
 def dump_cli(src: str) -> dict:
     """The command-line outputs of ``CLI_SCRIPT`` run with ``src`` on PYTHONPATH."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -85,14 +134,13 @@ def dump_cli(src: str) -> dict:
                 raise SystemExit(f"{name} exited {run.returncode}: {run.stderr}")
             manifest = json.loads(run.stdout)
             manifest.pop("wall_time_s", None)
-            arrays[f"cli/{name}/manifest"] = np.array(json.dumps(manifest, sort_keys=True))
+            arrays.update(_manifest_arrays(f"cli/{name}", manifest))
         for fname in sorted(os.listdir(tmp)):
             if fname.endswith(".btf"):
-                with open(os.path.join(tmp, fname), "rb") as fh:
-                    arrays[f"cli/{fname}"] = np.frombuffer(fh.read(), dtype=np.uint8)
+                arrays[f"cli/{fname}"] = _tensor_payload(os.path.join(tmp, fname))
         with open(os.path.join(tmp, "table.csv"), encoding="utf-8") as fh:
-            table = [line.rsplit(",", 1)[0] for line in fh.read().splitlines()]
-        arrays["cli/table.csv"] = np.array(table)
+            table = [row[:-1] for row in csv.reader(fh)]
+        arrays.update(_table_columns("cli/table.csv", table))
     return arrays
 
 
