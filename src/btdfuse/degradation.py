@@ -60,6 +60,8 @@ class NoiseSpec:
     def __post_init__(self):
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise UsageError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 def gaussian_blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:

@@ -21,8 +21,9 @@ of its P^T P (``_block_forms``); the public ``sylvester_solve``, and
 ``admm_nn_block`` called without a form, detect it from H1..H4 instead.  Within one block
 update only H5 changes between ADMM steps, so each update factors H1..H4 once
 (``_SylvesterFactor``, as in AO-ADMM) and every step is then four GEMMs, a
-Hadamard divide and the residual check.  ``build_subproblem`` assembles the
-block Grams from small R x R and L x L Grams, without forming the
+Hadamard divide and the residual check.  Every least-squares term, of a
+block subproblem or of a ``two_stage`` update, is assembled by one kernel
+(``_normal_equations``) from small R x R and L x L Grams, without forming the
 partition-wise Khatri-Rao matrices.
 
 The operators have fewer rows than columns: I/d of I for P1 and P2 (the
@@ -59,9 +60,8 @@ from .model import (
     _block_maps,
     btd_reconstruct,
     degrade_factors,
-    spatial_map_matrix,
 )
-from .tensor_ops import _check_tensor3, frob_norm, kronecker, pw_khatri_rao, unfold, unvec, vec
+from .tensor_ops import _check_tensor3, frob_norm, kronecker, unfold, unvec, vec
 
 __all__ = [
     "FusionConfig",
@@ -444,20 +444,26 @@ def _expand(gram_r: np.ndarray, rank: RankSpec) -> np.ndarray:
     return gram_r[np.ix_(idx, idx)]
 
 
-def _unfold_t_pw_khatri_rao(y, c, m, rank: RankSpec, mode: int) -> np.ndarray:
-    """``unfold(y, mode).T @ pw_khatri_rao(c, m, rank.L)`` for mode 1 or 2.
+def _normal_equations(y, u, v, rank: RankSpec, mode: int):
+    """``(W^T W, unfold(y, mode)^T W)``, the normal equations of ``unfold(y, mode) ~ W X^T``.
 
-    Contracts y with c along mode 3 once, then does one GEMM per block,
-    instead of forming the (K*J, sum L) partition-wise Khatri-Rao matrix.
+    For mode 1 or 2, W is ``pw_khatri_rao(u, v, rank.L)`` and is never formed:
+    ``W^T W = expand(u^T u) o v^T v``, and y is contracted with u along mode 3
+    once, then with v by one GEMM per block.  For mode 3, W is the block-map
+    matrix of (u, v).
     """
+    if mode == 3:
+        w = _block_maps(u, v, rank)
+        # formed as W^T Y3, the product the callers take
+        return w.T @ w, (w.T @ unfold(y, 3)).T
     i, j, _ = y.shape
-    # t[r, j, i] = sum_k y[i, j, k] c[k, r]
-    t = (c.T @ unfold(y, 3).T).reshape(rank.R, j, i)
-    out = np.empty((i if mode == 1 else j, rank.total))
+    # t[r, j, i] = sum_k y[i, j, k] u[k, r]
+    t = (u.T @ unfold(y, 3).T).reshape(rank.R, j, i)
+    r_mat = np.empty((i if mode == 1 else j, rank.total))
     for r in range(rank.R):
         cols = rank.block_slice(r)
-        out[:, cols] = (t[r].T if mode == 1 else t[r]) @ m[:, cols]
-    return out
+        r_mat[:, cols] = (t[r].T if mode == 1 else t[r]) @ v[:, cols]
+    return _expand(u.T @ u, rank) * (v.T @ v), r_mat
 
 
 def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -> AdmmWorkspace:
@@ -475,35 +481,26 @@ def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -
     total = rank.total
     p1, p2, p3 = ops.P1, ops.P2, ops.P3
     if block in ("A", "B"):
-        # the HSI term pairs C with the degraded partner factor, the MSI term
-        # P3 C with the partner itself; (c kr m)^T (c kr m) = expand(c^T c) o m^T m
-        if block == "A":
-            p, partner, mode, z = p1, f.B, 1, f.A
-            partner_h = p2 @ f.B
-        else:
-            p, partner, mode, z = p2, f.A, 2, f.B
-            partner_h = p1 @ f.A
-        c_m = p3 @ f.C
-        gram_m = _expand(c_m.T @ c_m, rank) * (partner.T @ partner)
+        # the HSI term pairs C with the degraded partner factor q @ partner,
+        # the MSI term P3 C with the partner itself
+        p, q, partner, mode = (p1, p2, f.B, 1) if block == "A" else (p2, p1, f.A, 2)
+        h2, r_h = _normal_equations(hsi, f.C, q @ partner, rank, mode)
+        gram_m, r_m = _normal_equations(msi, p3 @ f.C, partner, rank, mode)
         rho_val = _resolve_rho(rho, gram_m, total)
         h1 = p.T @ p
-        h2 = _expand(f.C.T @ f.C, rank) * (partner_h.T @ partner_h)
-        h3 = np.eye(z.shape[0])
+        h3 = np.eye(p.shape[1])
         h4 = gram_m + rho_val * np.eye(total)
-        h5 = (p.T @ _unfold_t_pw_khatri_rao(hsi, f.C, partner_h, rank, mode)
-              + _unfold_t_pw_khatri_rao(msi, c_m, partner, rank, mode))
-        z = z.copy()
+        h5 = p.T @ r_h + r_m
+        z = getattr(f, block).copy()
     elif block == "C":
-        wh = _block_maps(p1 @ f.A, p2 @ f.B, rank)
-        wm = spatial_map_matrix(f)
-        gram_h = wh.T @ wh
+        gram_h, r_h = _normal_equations(hsi, p1 @ f.A, p2 @ f.B, rank, 3)
+        h3, r_m = _normal_equations(msi, f.A, f.B, rank, 3)
         rho_val = _resolve_rho(rho, gram_h, rank.R)
         h1 = gram_h + rho_val * np.eye(rank.R)
         h2 = np.eye(f.C.shape[0])
-        h3 = wm.T @ wm
         h4 = p3.T @ p3
-        # (Wm^T Y3) P3, not Wm^T (Y3 P3): no (I*J, K) temporary
-        h5 = wh.T @ unfold(hsi, 3) + (wm.T @ unfold(msi, 3)) @ p3
+        # (Wm^T Y3) P3 with r_m^T = Wm^T Y3, not Wm^T (Y3 P3): no (I*J, K) temporary
+        h5 = r_h.T + r_m.T @ p3
         z = f.C.T.copy()
     else:
         raise UsageError(f"block must be 'A', 'B' or 'C', got {block!r}")
@@ -575,8 +572,10 @@ def _validate_config(cfg: FusionConfig):
             raise UsageError(f"rho must be positive or 'auto', got {cfg.rho!r}")
     elif cfg.rho != "auto":
         raise UsageError(f"rho must be a number or 'auto', got {cfg.rho!r}")
-    if cfg.tol < 0:
+    if not cfg.tol >= 0:
         raise UsageError(f"tol must be >= 0, got {cfg.tol}")
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.init not in INIT_STRATEGIES:
         raise UsageError(f"unknown init {cfg.init!r}; choose from {INIT_STRATEGIES}")
     if cfg.init == "provided" and cfg.init_factors is None:
@@ -659,16 +658,13 @@ def _sweeps(cfg: FusionConfig, e: int, update):
         for block in ("A", "B", "C"):
             try:
                 j, done = update(block)
+                if not math.isfinite(j):
+                    raise NumericalError("the objective became non-finite")
             except (np.linalg.LinAlgError, NumericalError) as exc:
                 raise NumericalError(
                     f"block {block} update failed at sweep {sweep + 1}: {exc}",
                     trace=_unscaled_trace(trace, e),
                 ) from exc
-            if not math.isfinite(j):
-                raise NumericalError(
-                    f"objective became non-finite at sweep {sweep + 1}, block {block}",
-                    trace=_unscaled_trace(trace, e),
-                )
             trace.append(j)
         iters_run = sweep + 1
         if cfg.tol > 0 and prev_sweep is not None:
@@ -771,7 +767,9 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
 
     Stage 1 runs unconstrained alternating least squares on the MSI-only
     objective ``||Y_M - sum_r A_r B_r^T o (P3 C)_r||_F^2`` with the reduced
-    spectral factor as an auxiliary variable (discarded afterwards).  Stage 2
+    spectral factor as an auxiliary variable (discarded afterwards); each
+    update solves its normal equations by ``lstsq``, which gives the
+    minimum-norm solution where the Gram is singular.  Stage 2
     recovers the full spectral factor from the HSI by one linear solve.  The
     objective trace holds the stage-1 MSI residual after each block update,
     then the final coupled objective of the assembled factors.
@@ -780,25 +778,23 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     _validate_config(cfg)
     rank = cfg.rank
     e, hsi, msi, f0 = _start(hsi, msi, ops, cfg, rank)
-    a, b, c_m = f0.A, f0.B, ops.P3 @ f0.C
-    y1, y2, y3 = unfold(msi, 1), unfold(msi, 2), unfold(msi, 3)
+    # the third block of stage 1 is the reduced spectral factor P3 C
+    x = {"A": f0.A, "B": f0.B, "C": ops.P3 @ f0.C}
+    y3 = unfold(msi, 3)
     msi_sq = frob_norm(msi) ** 2
 
     def update(block):
-        nonlocal a, b, c_m
-        if block == "A":
-            a = np.linalg.lstsq(pw_khatri_rao(c_m, b, rank.L), y1, rcond=None)[0].T
-        elif block == "B":
-            b = np.linalg.lstsq(pw_khatri_rao(c_m, a, rank.L), y2, rcond=None)[0].T
-        else:
-            c_m = np.linalg.lstsq(_block_maps(a, b, rank), y3, rcond=None)[0].T
-        j = frob_norm(y3 - _block_maps(a, b, rank) @ c_m.T) ** 2
+        u, v, mode = {"A": ("C", "B", 1), "B": ("C", "A", 2), "C": ("A", "B", 3)}[block]
+        g, r = _normal_equations(msi, x[u], x[v], rank, mode)
+        # lstsq, not solve: g is singular when W has more columns than rows
+        x[block] = np.linalg.lstsq(g, r.T, rcond=None)[0].T
+        j = frob_norm(y3 - _block_maps(x["A"], x["B"], rank) @ x["C"].T) ** 2
         # a perfect MSI fit cannot improve further; stop regardless of tol
         return j, block == "C" and j <= 1e-28 * max(msi_sq, 1.0)
 
     trace, iters_run = _sweeps(cfg, e, update)
-    c = recover_spectral_factor(hsi, ops, a, b, rank)
-    f = BtdFactors(a, b, c, rank)
+    c = recover_spectral_factor(hsi, ops, x["A"], x["B"], rank)
+    f = BtdFactors(x["A"], x["B"], c, rank)
     j = objective(f, hsi, msi, ops)
     if not (math.isfinite(j) and np.isfinite(c).all()):
         raise NumericalError(
@@ -823,6 +819,8 @@ def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> Bt
     i, j, k = (int(d) for d in dims)
     if min(i, j, k) < 1:
         raise UsageError(f"dims must be positive, got {dims}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     if strategy == "random_uniform":
         rng = np.random.default_rng(seed)
         a = rng.uniform(size=(i, rank.total))

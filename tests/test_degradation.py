@@ -227,6 +227,8 @@ def test_noise_spec_rejects_nan_and_neg_inf():
     with pytest.raises(UsageError):
         NoiseSpec(float("-inf"), 0)
     NoiseSpec(float("inf"), 0)  # noiseless sentinel is fine
+    with pytest.raises(UsageError):
+        NoiseSpec(20.0, -1)
 
 
 def test_add_noise_infinite_snr_returns_copy():

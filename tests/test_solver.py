@@ -24,6 +24,7 @@ from btdfuse import (
     init_factors,
     make_degradation_ops,
     objective,
+    pw_khatri_rao,
     r_snr,
     recover_spectral_factor,
     spatial_map_matrix,
@@ -646,6 +647,9 @@ def test_fuse_config_validation():
         FusionConfig(rank=rank, rho=-1.0),
         FusionConfig(rank=rank, rho="fast"),
         FusionConfig(rank=rank, tol=-1e-3),
+        # NaN >= 0 is false: a NaN tol used to pass and never stop a run early
+        FusionConfig(rank=rank, tol=float("nan")),
+        FusionConfig(rank=rank, seed=-1),
         FusionConfig(rank=rank, init="lucky"),
         FusionConfig(rank=rank, init="provided"),
     ):
@@ -931,20 +935,47 @@ def test_two_stage_recovers_from_warm_start():
 
 
 @pytest.mark.parametrize(
-    "where, index, match, trace_len",
-    [("hsi", (1, 2, 3), "non-finite", 15), ("msi", (1, 2, 0), "block A update failed", 0)],
-    ids=["hsi", "msi"],
+    "where, index, match, trace_len, provided",
+    [("hsi", (1, 2, 3), "non-finite", 15, False),
+     ("msi", (1, 2, 0), "block A update failed", 0, False),
+     ("msi", (1, 2, 0), "block A update failed", 0, True)],
+    ids=["hsi", "msi", "msi-provided"],
 )
-def test_two_stage_nan_raises(where, index, match, trace_len):
+def test_two_stage_nan_raises(where, index, match, trace_len, provided):
     # stage 1 sees only the MSI, so a NaN in the HSI shows only in stage 2;
-    # a NaN in the MSI used to escape stage 1's lstsq as LinAlgError
+    # a NaN in the MSI used to escape stage 1's lstsq as LinAlgError, and from
+    # the true factors the solve returns NaN without raising
     truth, _, ops, hsi, msi = coupled_instance(63)
     data = {"hsi": hsi.copy(), "msi": msi.copy()}
     data[where][index] = np.nan
-    cfg = FusionConfig(method="two_stage", rank=truth.rank, outer_iters=5)
+    start = {"init": "provided", "init_factors": truth} if provided else {}
+    cfg = FusionConfig(method="two_stage", rank=truth.rank, outer_iters=5, **start)
     with pytest.raises(NumericalError, match=match) as info:
         bcd_fuse(data["hsi"], data["msi"], ops, cfg)
     assert len(info.value.trace) == trace_len
+
+
+@pytest.mark.parametrize(
+    "rank, rtol",
+    [(RankSpec(2, 2), 1e-12), (RankSpec(3, (1, 2, 3)), 1e-12), (RankSpec(3, 14), 1e-6)],
+    ids=["R2L2", "R3L123", "R3L14"],
+)
+def test_two_stage_updates_match_pinv(rank, rtol):
+    # stage 1 solves the normal equations of the explicit Khatri-Rao design;
+    # with sum(L) = 42 > J*K_M = 36 that Gram is singular, where the
+    # minimum-norm lstsq solution still matches pinv and a plain solve does not.
+    # The Gram squares W's condition number, so how close B comes depends on
+    # the instance: over 40 data seeds it is up to 4e-6 off, here 1e-8
+    truth, _, ops, hsi, msi = coupled_instance(40, rank=rank)
+    start = init_factors(truth.dims, rank, 3, "random_uniform")
+    cfg = FusionConfig(method="two_stage", rank=rank, outer_iters=1, init="provided",
+                       init_factors=start)
+    res = bcd_fuse(hsi, msi, ops, cfg)
+    c_m = ops.P3 @ start.C
+    a = (np.linalg.pinv(pw_khatri_rao(c_m, start.B, rank.L)) @ unfold(msi, 1)).T
+    b = (np.linalg.pinv(pw_khatri_rao(c_m, res.factors.A, rank.L)) @ unfold(msi, 2)).T
+    assert np.linalg.norm(res.factors.A - a) <= rtol * np.linalg.norm(a)
+    assert np.linalg.norm(res.factors.B - b) <= rtol * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("method", ["cnn_btd", "stereo", "cnn_cpd"])

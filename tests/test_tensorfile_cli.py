@@ -454,13 +454,27 @@ def test_fuse_rejects_non_finite_input_exit_2(tmp_path, capsys, bad):
 
 def test_fuse_bad_settings_exit_1_before_reading(tmp_path, capsys):
     # the settings are checked first, so the missing input files never matter
-    for flags in (["--rho", "abc"], ["--rho", "-1"], ["--outer-iters", "0"], ["-L", "0"]):
+    for flags in (["--rho", "abc"], ["--rho", "-1"], ["--outer-iters", "0"], ["-L", "0"],
+                  ["--tol", "nan"], ["--seed", "-1"]):
         code, out, err = run_cli(
             capsys, "fuse", "--hsi", str(tmp_path / "no.btf"), "--msi", str(tmp_path / "no.btf"),
             "--out", str(tmp_path / "est.btf"), "-R", "2", *flags,
         )
         assert code == 1, flags
         assert out == "" and err.startswith("error: "), flags
+
+
+def test_negative_seed_exit_1(tmp_path, capsys):
+    # a negative seed used to escape from numpy's default_rng as a traceback
+    sri, _, _, _ = make_pair(tmp_path, capsys, dims=(12, 12, 8), blocks=2, block_rank=1)
+    for argv in (
+        ["make-sri", "--out", str(tmp_path / "s.btf"), "--dims", "6", "6", "4", "-R", "2"],
+        ["simulate", "--sri", str(sri), "--out-hsi", str(tmp_path / "h.btf"),
+         "--out-msi", str(tmp_path / "m.btf")],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 1, argv
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_fuse_numerical_failure_exit_3(tmp_path, capsys):
@@ -581,6 +595,10 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
         # an integer too large for a float used to escape as an OverflowError
         {"methods": [{"method": "stereo", "R": 2, "tol": 10**400}]},
         {"sigma": 10**400},
+        # a negative seed used to escape from numpy's default_rng as a traceback
+        {"seed_base": -1},
+        # json.load reads NaN, and a NaN tol used to pass the tol >= 0 check
+        {"methods": [{"method": "stereo", "R": 2, "tol": float("nan")}]},
     ):
         path, _ = bench_config(tmp_path, **overrides)
         code, out, err = run_cli(capsys, "bench", "--config", str(path))
