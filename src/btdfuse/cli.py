@@ -147,12 +147,12 @@ def _finite_or_str(x: float):
     return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
-def _realized_snr(clean, noisy) -> float | None:
+def _noisy_entry(path, clean, noisy) -> dict:
+    """Manifest entry of a written noisy tensor; its realized SNR is None without noise."""
     err = float(np.linalg.norm((clean - noisy).ravel()))
-    if err == 0.0:
-        return None
     sig = float(np.linalg.norm(clean.ravel()))
-    return 10.0 * math.log10((sig / err) ** 2)
+    snr = None if err == 0.0 else 10.0 * math.log10((sig / err) ** 2)
+    return {"path": path, "dims": list(noisy.shape), "realized_snr_db": snr}
 
 
 def cmd_make_sri(args) -> int:
@@ -196,16 +196,8 @@ def cmd_simulate(args) -> int:
     write_tensor(args.out_msi, msi_noisy)
     _emit({
         "command": "simulate",
-        "hsi": {
-            "path": args.out_hsi,
-            "dims": list(hsi_noisy.shape),
-            "realized_snr_db": _realized_snr(hsi, hsi_noisy),
-        },
-        "msi": {
-            "path": args.out_msi,
-            "dims": list(msi_noisy.shape),
-            "realized_snr_db": _realized_snr(msi, msi_noisy),
-        },
+        "hsi": _noisy_entry(args.out_hsi, hsi, hsi_noisy),
+        "msi": _noisy_entry(args.out_msi, msi, msi_noisy),
         "parameters": {
             **{key: ops.params[key] for key in ("kernel_size", "sigma", "ratio", "offset")},
             "bands": ops.P3.shape[0],
@@ -375,8 +367,8 @@ def cmd_bench(args) -> int:
     hsi_clean, msi_clean = apply_degradation(sri, ops)
 
     trials = cfg.trials
-    stats = {label: {"r_snr": [], "cc": [], "sam": [], "ergas": [], "time": []}
-             for label in cfg.runs}
+    # per label, one (r_snr_db, cc, sam_rad, ergas, runtime_s) row per completed trial
+    done = {label: [] for label in cfg.runs}
     for trial in range(trials):
         seed = cfg.seed_base + trial
         hsi = add_noise(hsi_clean, NoiseSpec(cfg.snr_db, seed))
@@ -389,27 +381,15 @@ def cmd_bench(args) -> int:
             except (UsageError, NumericalError) as exc:
                 print(f"trial {trial} {label}: failed: {exc}", file=sys.stderr)
                 continue
-            stats[label]["time"].append(time.perf_counter() - start)
-            stats[label]["r_snr"].append(report.r_snr_db)
-            stats[label]["cc"].append(report.cc)
-            stats[label]["sam"].append(report.sam_rad)
-            stats[label]["ergas"].append(report.ergas)
+            done[label].append((report.r_snr_db, report.cc, report.sam_rad, report.ergas,
+                                time.perf_counter() - start))
 
     header = ["method", "trials_ok", "r_snr_db", "cc", "sam_rad", "ergas", "runtime_s"]
     rows = []
-    total_ok = 0
-    for label, st in stats.items():
-        ok = len(st["r_snr"])
-        total_ok += ok
-        if ok:
-            rows.append([
-                label, str(ok),
-                f"{np.mean(st['r_snr']):.6g}", f"{np.mean(st['cc']):.6g}",
-                f"{np.mean(st['sam']):.6g}", f"{np.mean(st['ergas']):.6g}",
-                f"{np.mean(st['time']):.3g}",
-            ])
-        else:
-            rows.append([label, "0", "nan", "nan", "nan", "nan", "nan"])
+    for label, runs in done.items():
+        means = [np.mean(column) for column in zip(*runs)] or [math.nan] * 5
+        rows.append([label, str(len(runs)), *(f"{m:.6g}" for m in means[:4]), f"{means[4]:.3g}"])
+    total_ok = sum(len(runs) for runs in done.values())
     _write_table(cfg.output, header, rows)
     _emit({
         "command": "bench",
@@ -432,16 +412,10 @@ def entry(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, NumericalError, OSError) as exc:
+        # OSError covers missing/unreadable files and FormatError
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        # covers missing/unreadable files and FormatError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, NumericalError) else 2
 
 
 def main():

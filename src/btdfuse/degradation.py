@@ -141,13 +141,8 @@ def uniform_srf(K_H: int, K_M: int) -> np.ndarray:
     if K_M > K_H:
         raise UsageError(f"need K_M <= K_H, got K_M={K_M} > K_H={K_H}")
     base, extra = divmod(K_H, K_M)
-    out = np.zeros((K_M, K_H))
-    start = 0
-    for m in range(K_M):
-        size = base + (1 if m < extra else 0)
-        out[m, start : start + size] = 1.0 / size
-        start += size
-    return out
+    sizes = base + (np.arange(K_M) < extra)
+    return np.repeat(np.eye(K_M) / sizes[:, None], sizes, axis=1)
 
 
 def load_srf_csv(path, K_H: int | None = None, K_M: int | None = None) -> np.ndarray:

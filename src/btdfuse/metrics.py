@@ -12,7 +12,7 @@ factor sets before comparing them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,13 +45,7 @@ class MetricsReport:
     down_ratio: float
 
     def as_dict(self) -> dict:
-        return {
-            "r_snr_db": self.r_snr_db,
-            "cc": self.cc,
-            "sam_rad": self.sam_rad,
-            "ergas": self.ergas,
-            "down_ratio": self.down_ratio,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -271,16 +265,12 @@ def match_blocks(truth: BtdFactors, est: BtdFactors) -> MatchResult:
     r = truth.rank.R
     sq_true = np.sum(s_true**2, axis=0)
     sq_est = np.sum(s_est**2, axis=0)
-    inner = s_true.T @ s_est  # inner[t, e] = <S_t, S_hat_e>
-    cost = np.empty((r, r))
-    scale = np.ones((r, r))
-    for e in range(r):
-        for t in range(r):
-            if sq_true[t] == 0.0:
-                cost[e, t] = sq_est[e]
-            else:
-                scale[e, t] = inner[t, e] / sq_true[t]
-                cost[e, t] = sq_est[e] - inner[t, e] ** 2 / sq_true[t]
+    inner = (s_true.T @ s_est).T  # inner[e, t] = <S_t, S_hat_e>
+    # a zero truth map takes scale 1 and leaves the whole of ||S_hat_e||^2
+    zero = sq_true == 0.0
+    safe = np.where(zero, 1.0, sq_true)
+    scale = np.where(zero, 1.0, inner / safe)
+    cost = sq_est[:, None] - np.where(zero, 0.0, inner**2 / safe)
     rows, cols = linear_sum_assignment(cost)  # rows come back as 0..R-1 in order
     perm = tuple(int(c) for c in cols)
     scales = tuple(float(scale[e, perm[e]]) for e in range(r))

@@ -189,12 +189,9 @@ def degrade_factors(f: BtdFactors, ops) -> tuple[BtdFactors, BtdFactors]:
     Consistent with applying the degradation operators to the reconstruction.
     """
     p1, p2, p3 = ops.P1, ops.P2, ops.P3
-    if p1.shape[1] != f.A.shape[0]:
-        raise UsageError(f"P1 has {p1.shape[1]} columns, A has {f.A.shape[0]} rows")
-    if p2.shape[1] != f.B.shape[0]:
-        raise UsageError(f"P2 has {p2.shape[1]} columns, B has {f.B.shape[0]} rows")
-    if p3.shape[1] != f.C.shape[0]:
-        raise UsageError(f"P3 has {p3.shape[1]} columns, C has {f.C.shape[0]} rows")
+    for p_name, p, name, m in (("P1", p1, "A", f.A), ("P2", p2, "B", f.B), ("P3", p3, "C", f.C)):
+        if p.shape[1] != m.shape[0]:
+            raise UsageError(f"{p_name} has {p.shape[1]} columns, {name} has {m.shape[0]} rows")
     hsi_f = BtdFactors(p1 @ f.A, p2 @ f.B, f.C.copy(), f.rank)
     msi_f = BtdFactors(f.A.copy(), f.B.copy(), p3 @ f.C, f.rank)
     return hsi_f, msi_f

@@ -21,10 +21,11 @@ of its P^T P (``_block_forms``); the public ``sylvester_solve``, and
 ``admm_nn_block`` called without a form, detect it from H1..H4 instead.  Within one block
 update only H5 changes between ADMM steps, so each update factors H1..H4 once
 (``_SylvesterFactor``, as in AO-ADMM) and every step is then four GEMMs, a
-Hadamard divide and the residual check.  Every least-squares term, of a
-block subproblem or of a ``two_stage`` update, is assembled by one kernel
-(``_normal_equations``) from small R x R and L x L Grams, without forming the
-partition-wise Khatri-Rao matrices.
+Hadamard divide and the residual check.  Every term of a block subproblem
+is assembled by one kernel (``_normal_equations``), for A and B from small
+R x R and L x L Grams, without forming the partition-wise Khatri-Rao matrices.
+``two_stage`` solves its least-squares updates on the explicit designs
+instead, since a Gram squares the design's condition number.
 
 The operators have fewer rows than columns: I/d of I for P1 and P2 (the
 blur is followed by downsampling), K_M of K for P3.  So each Gram
@@ -61,7 +62,7 @@ from .model import (
     btd_reconstruct,
     degrade_factors,
 )
-from .tensor_ops import _check_tensor3, frob_norm, kronecker, unfold, unvec, vec
+from .tensor_ops import _check_tensor3, frob_norm, kronecker, pw_khatri_rao, unfold, unvec, vec
 
 __all__ = [
     "FusionConfig",
@@ -445,17 +446,19 @@ def _expand(gram_r: np.ndarray, rank: RankSpec) -> np.ndarray:
 
 
 def _normal_equations(y, u, v, rank: RankSpec, mode: int):
-    """``(W^T W, unfold(y, mode)^T W)``, the normal equations of ``unfold(y, mode) ~ W X^T``.
+    """``(G, R)``, the normal equations of ``unfold(y, mode) ~ W X^T`` with ``G = W^T W``.
 
-    For mode 1 or 2, W is ``pw_khatri_rao(u, v, rank.L)`` and is never formed:
+    The right-hand side R is in the orientation of the block's unknown:
+    ``unfold(y, mode)^T W`` for mode 1 or 2 (the unknown is A or B), and
+    ``W^T unfold(y, 3)`` for mode 3 (the unknown is C^T).  For mode 1 or 2, W
+    is ``pw_khatri_rao(u, v, rank.L)`` and is never formed:
     ``W^T W = expand(u^T u) o v^T v``, and y is contracted with u along mode 3
     once, then with v by one GEMM per block.  For mode 3, W is the block-map
     matrix of (u, v).
     """
     if mode == 3:
         w = _block_maps(u, v, rank)
-        # formed as W^T Y3, the product the callers take
-        return w.T @ w, (w.T @ unfold(y, 3)).T
+        return w.T @ w, w.T @ unfold(y, 3)
     i, j, _ = y.shape
     # t[r, j, i] = sum_k y[i, j, k] u[k, r]
     t = (u.T @ unfold(y, 3).T).reshape(rank.R, j, i)
@@ -499,8 +502,8 @@ def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -
         h1 = gram_h + rho_val * np.eye(rank.R)
         h2 = np.eye(f.C.shape[0])
         h4 = p3.T @ p3
-        # (Wm^T Y3) P3 with r_m^T = Wm^T Y3, not Wm^T (Y3 P3): no (I*J, K) temporary
-        h5 = r_h.T + r_m.T @ p3
+        # (Wm^T Y3) P3, not Wm^T (Y3 P3): no (I*J, K) temporary
+        h5 = r_h + r_m @ p3
         z = f.C.T.copy()
     else:
         raise UsageError(f"block must be 'A', 'B' or 'C', got {block!r}")
@@ -768,8 +771,8 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     Stage 1 runs unconstrained alternating least squares on the MSI-only
     objective ``||Y_M - sum_r A_r B_r^T o (P3 C)_r||_F^2`` with the reduced
     spectral factor as an auxiliary variable (discarded afterwards); each
-    update solves its normal equations by ``lstsq``, which gives the
-    minimum-norm solution where the Gram is singular.  Stage 2
+    update runs ``lstsq`` on its explicit design, not on the normal equations,
+    whose Gram squares the design's condition number.  Stage 2
     recovers the full spectral factor from the HSI by one linear solve.  The
     objective trace holds the stage-1 MSI residual after each block update,
     then the final coupled objective of the assembled factors.
@@ -778,23 +781,25 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     _validate_config(cfg)
     rank = cfg.rank
     e, hsi, msi, f0 = _start(hsi, msi, ops, cfg, rank)
-    # the third block of stage 1 is the reduced spectral factor P3 C
-    x = {"A": f0.A, "B": f0.B, "C": ops.P3 @ f0.C}
-    y3 = unfold(msi, 3)
+    a, b, c_m = f0.A, f0.B, ops.P3 @ f0.C
+    y1, y2, y3 = unfold(msi, 1), unfold(msi, 2), unfold(msi, 3)
     msi_sq = frob_norm(msi) ** 2
 
     def update(block):
-        u, v, mode = {"A": ("C", "B", 1), "B": ("C", "A", 2), "C": ("A", "B", 3)}[block]
-        g, r = _normal_equations(msi, x[u], x[v], rank, mode)
-        # lstsq, not solve: g is singular when W has more columns than rows
-        x[block] = np.linalg.lstsq(g, r.T, rcond=None)[0].T
-        j = frob_norm(y3 - _block_maps(x["A"], x["B"], rank) @ x["C"].T) ** 2
+        nonlocal a, b, c_m
+        if block == "A":
+            a = np.linalg.lstsq(pw_khatri_rao(c_m, b, rank.L), y1, rcond=None)[0].T
+        elif block == "B":
+            b = np.linalg.lstsq(pw_khatri_rao(c_m, a, rank.L), y2, rcond=None)[0].T
+        else:
+            c_m = np.linalg.lstsq(_block_maps(a, b, rank), y3, rcond=None)[0].T
+        j = frob_norm(y3 - _block_maps(a, b, rank) @ c_m.T) ** 2
         # a perfect MSI fit cannot improve further; stop regardless of tol
         return j, block == "C" and j <= 1e-28 * max(msi_sq, 1.0)
 
     trace, iters_run = _sweeps(cfg, e, update)
-    c = recover_spectral_factor(hsi, ops, x["A"], x["B"], rank)
-    f = BtdFactors(x["A"], x["B"], c, rank)
+    c = recover_spectral_factor(hsi, ops, a, b, rank)
+    f = BtdFactors(a, b, c, rank)
     j = objective(f, hsi, msi, ops)
     if not (math.isfinite(j) and np.isfinite(c).all()):
         raise NumericalError(
@@ -855,16 +860,8 @@ def _svd_warm_factors(dims, rank: RankSpec, msi) -> BtdFactors:
     if max(rank.L) > min(i, j):
         raise UsageError(f"svd_warm needs L <= min(I, J) = {min(i, j)}")
     # linear band interpolation as a (K, K_M) matrix applied along mode 3
-    if k_m == 1:
-        t = np.ones((k, 1))
-    else:
-        src = np.linspace(0.0, 1.0, k_m)
-        dst = np.linspace(0.0, 1.0, k)
-        t = np.empty((k, k_m))
-        for m_ in range(k_m):
-            basis = np.zeros(k_m)
-            basis[m_] = 1.0
-            t[:, m_] = np.interp(dst, src, basis)
+    src, dst = np.linspace(0.0, 1.0, k_m), np.linspace(0.0, 1.0, k)
+    t = np.stack([np.interp(dst, src, basis) for basis in np.eye(k_m)], axis=1)
     interp3 = unfold(msi, 3) @ t.T
     u, s, vt = np.linalg.svd(interp3, full_matrices=False)
     a = np.empty((i, rank.total))

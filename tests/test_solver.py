@@ -957,16 +957,16 @@ def test_two_stage_nan_raises(where, index, match, trace_len, provided):
 
 @pytest.mark.parametrize(
     "rank, rtol",
-    [(RankSpec(2, 2), 1e-12), (RankSpec(3, (1, 2, 3)), 1e-12), (RankSpec(3, 14), 1e-6)],
+    [(RankSpec(2, 2), 1e-12), (RankSpec(3, (1, 2, 3)), 1e-12), (RankSpec(3, 14), 1e-10)],
     ids=["R2L2", "R3L123", "R3L14"],
 )
 def test_two_stage_updates_match_pinv(rank, rtol):
-    # stage 1 solves the normal equations of the explicit Khatri-Rao design;
-    # with sum(L) = 42 > J*K_M = 36 that Gram is singular, where the
-    # minimum-norm lstsq solution still matches pinv and a plain solve does not.
-    # The Gram squares W's condition number, so how close B comes depends on
-    # the instance: over 40 data seeds it is up to 4e-6 off, here 1e-8
-    truth, _, ops, hsi, msi = coupled_instance(40, rank=rank)
+    # stage 1 runs lstsq on the explicit Khatri-Rao design.  With sum(L) = 42
+    # > J*K_M = 36 the design is rank-deficient and its Gram singular: a solve
+    # on the Gram is far off, and lstsq on the Gram, which squares the design's
+    # condition number, leaves B 4e-6 off on this instance (the worst of data
+    # seeds 0-39); lstsq on the design is within 4e-12
+    truth, _, ops, hsi, msi = coupled_instance(32, rank=rank)
     start = init_factors(truth.dims, rank, 3, "random_uniform")
     cfg = FusionConfig(method="two_stage", rank=rank, outer_iters=1, init="provided",
                        init_factors=start)
