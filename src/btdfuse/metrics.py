@@ -187,8 +187,8 @@ def _cc(s: _Sums) -> float:
 
 def _ratio(d) -> float:
     d = float(d)
-    if not d > 0:
-        raise UsageError(f"d must be > 0, got {d}")
+    if not 0 < d < math.inf:
+        raise UsageError(f"d must be finite and > 0, got {d}")
     return d
 
 

@@ -33,6 +33,14 @@ __all__ = [
 ]
 
 
+def _integral(value, name: str) -> int:
+    """``int(value)``, refusing a value that the conversion would round."""
+    n = int(value)
+    if n != value:
+        raise UsageError(f"{name} must be integral, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class RankSpec:
     """Number of blocks ``R`` and per-block ranks ``L`` (length R).
@@ -45,11 +53,11 @@ class RankSpec:
     L: tuple[int, ...] = field(default=(1,))
 
     def __init__(self, R: int, L=1):
-        object.__setattr__(self, "R", int(R))
+        object.__setattr__(self, "R", _integral(R, "R"))
         if np.isscalar(L):
-            widths = (int(L),) * self.R
+            widths = (_integral(L, "L"),) * self.R
         else:
-            widths = tuple(int(w) for w in L)
+            widths = tuple(_integral(w, "L") for w in L)
         object.__setattr__(self, "L", widths)
         if self.R < 1:
             raise UsageError(f"R must be >= 1, got {self.R}")
@@ -233,20 +241,11 @@ def check_coupled_identifiability(
     The MSI must satisfy the single-tensor condition (with its own dims and
     band count) and the HSI needs ``I_H*J_H >= R`` so the spectral factor is
     determined by least squares.  Advisory, as for
-    :func:`check_btd_identifiability`.
+    :func:`check_btd_identifiability`, whose clauses it reports for the MSI.
     """
-    l = _require_uniform(rank)
-    r = rank.R
-    failed = []
-    if I_M * J_M < l * l * r:
-        failed.append(f"I_M*J_M = {I_M * J_M} < L^2*R = {l * l * r}")
-    if I_H * J_H < r:
-        failed.append(f"I_H*J_H = {I_H * J_H} < R = {r}")
-    lhs = min(I_M // l, r) + min(J_M // l, r) + min(K_M, r)
-    if lhs < 2 * r + 2:
-        failed.append(
-            f"min(I_M/L,R)+min(J_M/L,R)+min(K_M,R) = {lhs} < 2R+2 = {2 * r + 2}"
-        )
+    failed = check_btd_identifiability(I_M, J_M, K_M, rank).failed_clauses
+    if I_H * J_H < rank.R:
+        failed.append(f"I_H*J_H = {I_H * J_H} < R = {rank.R}")
     return CheckResult(not failed, failed)
 
 

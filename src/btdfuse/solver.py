@@ -16,25 +16,25 @@ blocks A and B are in the row form (H3 = I, H1 = P^T P for P1 or P2), block
 C in the column form (H2 = I, H4 = P3^T P3).  Both are ``P^T P Y b + Y c =
 rhs``, with ``Y = X`` and ``(b, c) = (H2, H4)`` in the row form and
 ``Y = X^T``, ``(b, c) = (H3, H1)``, ``rhs = H5^T`` in the column form.
-``bcd_fuse`` states each block's form once per run, with the eigendecomposition
-of its P^T P (``_block_forms``); the public ``sylvester_solve``, and
-``admm_nn_block`` called without a form, detect it from H1..H4 instead.  Within one block
-update only H5 changes between ADMM steps, so each update factors H1..H4 once
-(``_SylvesterFactor``, as in AO-ADMM) and every step is then four GEMMs, a
-Hadamard divide and the residual check.  Every term of a block subproblem
-is assembled by one kernel (``_normal_equations``), for A and B from small
-R x R and L x L Grams, without forming the partition-wise Khatri-Rao matrices.
-``two_stage`` solves its least-squares updates on the explicit designs
-instead, since a Gram squares the design's condition number.
+``build_subproblem`` records each block's form in the workspace it returns
+(``AdmmWorkspace.form = (transposed, P)``); only the public
+``sylvester_solve`` and a workspace built by hand detect it from H1..H4.
+Within one block update only H5 changes between ADMM steps, so each update
+factors H1..H4 once (``_SylvesterFactor``, as in AO-ADMM) and every step is
+then four GEMMs, a Hadamard divide and the residual check.  Every term of a
+block subproblem is assembled by one kernel (``_normal_equations``), for A
+and B from small R x R and L x L Grams, without forming the partition-wise
+Khatri-Rao matrices.  ``two_stage`` solves its least-squares updates on the
+explicit designs instead, since a Gram squares the design's condition number.
 
-The operators have fewer rows than columns: I/d of I for P1 and P2 (the
-blur is followed by downsampling), K_M of K for P3.  So each Gram
-``P^T P`` has rank at most m = rows(P), and only its top-m eigenvectors Q1
-enter a solve: on the other n - m directions the eigenvalue is 0 and the
-divisor is 1, so ``Y = (G + Q1 ((Q1^T G) o (1 / den1 - 1))) V^T`` with
-``G = rhs V``.  The residual is formed in the same coordinates, through P and
-without a product by the identity: ``||P^T ((P Y) b) + Y c - rhs||``, against
-the same ``SYLVESTER_RESIDUAL_RTOL`` bound.
+With a stated form the factor takes the thin SVD ``P = U S Q1^T``, so that
+``P^T P = Q1 S^2 Q1^T`` with min(rows, cols) columns in Q1.  The operators
+have fewer rows than columns (I/d of I for P1 and P2, K_M of K for P3), and
+on the directions Q1 leaves out the eigenvalue is 0 and the divisor is 1, so
+``Y = (G + Q1 ((Q1^T G) o (1 / den1 - 1))) V^T`` with ``G = rhs V``.  The
+residual is formed in the same coordinates, through P and without a product
+by the identity: ``||P^T ((P Y) b) + Y c - rhs||``, against the same
+``SYLVESTER_RESIDUAL_RTOL`` bound.
 
 ``bcd_fuse`` records the coupled objective after every block update from the
 quadratic the update solved (the Gram form, ``_block_score``): for the new
@@ -47,6 +47,8 @@ retry, it computes the dense ``objective()`` instead.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -137,7 +139,10 @@ class AdmmWorkspace:
     H5_base the data part of its right-hand side; Z is the feasible split
     variable (what gets stored back into the factors), U the scaled dual, and
     X the most recent unconstrained solve.  Z and U persist across sweeps as
-    warm starts.
+    warm starts.  ``form = (transposed, P)`` states the Sylvester form, as
+    ``build_subproblem`` records it: ``(False, P1)`` for A, ``(False, P2)``
+    for B (H1 = P^T P, H3 = I) and ``(True, P3)`` for C (H4 = P^T P,
+    H2 = I).  A workspace without it has its form detected from H1..H4.
     """
 
     H1: np.ndarray
@@ -149,6 +154,7 @@ class AdmmWorkspace:
     U: np.ndarray
     rho: float
     X: np.ndarray | None = None
+    form: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -302,19 +308,21 @@ class _SylvesterFactor:
     ``Y = X`` and ``(a, b, c) = (h1, h2, h4)``, or the column form, with
     ``Y = X^T``, ``(a, b, c) = (h4, h3, h1)`` and ``rhs = h5^T``.
 
-    ``form`` states the form as ``(transposed, lam, Q, P)``: the row form
-    (h3 = I) when ``transposed`` is false, the column form (h2 = I) when it
-    is true, and ``a = P^T P = Q diag(lam) Q^T``.  Without it the form is
-    detected by :func:`_detect_form` (c then carries the identity's scale)
-    and a is decomposed here.
+    ``form`` states the form as ``(transposed, P)``: the row form (h3 = I)
+    when ``transposed`` is false, the column form (h2 = I) when it is true,
+    and ``a = P^T P``, decomposed as ``Q diag(lam) Q^T`` by the thin SVD of
+    P.  Without it the form is detected by :func:`_detect_form` (c then
+    carries the identity's scale) and a is decomposed by ``eigh``.
 
     The pencil ``b V = c V diag(w)`` is reduced with ``V^T c V = I``, so that
     each :meth:`solve` is ``Y = Q ((Q^T rhs V) / (1 + lam w^T)) V^T``, checked
-    against the residual bound.  When P has fewer rows m than columns only
-    the top-m eigenvectors enter the solve (``gain = 1/den - 1``) and the
-    residual is formed through P (see the module docstring).  When c is not
-    positive definite the pencil has no such reduction and every solve falls
-    back to one small dense system per eigenvalue of a.
+    against the residual bound.  With a stated form Q has min(rows, cols)
+    columns, the solve adds back the directions Q leaves out (``gain = 1/den -
+    1``) and the residual is formed through P (see the module docstring).
+    When c is not positive definite the pencil has no such reduction and
+    every solve falls back to one small dense system per column of Q; with
+    fewer columns than a has rows it sets Y to 0 on the rest, and the
+    residual check refuses the solve unless rhs is 0 there too.
     """
 
     def __init__(self, h1, h2, h3, h4, form=None):
@@ -333,27 +341,24 @@ class _SylvesterFactor:
         self.shape = (m, n)
         if form is None:
             transposed, c, l = _detect_form(h1, h2, h3, h4)
-            (lam, self.q), p = np.linalg.eigh(h4 if transposed else h1), None
+            (lam, self.q), self.p = np.linalg.eigh(h4 if transposed else h1), None
         else:
-            transposed, lam, self.q, p = form
+            transposed, self.p = form
+            _, s, vt = np.linalg.svd(self.p, full_matrices=False)
+            lam, self.q = s * s, vt.T
             c = h1 if transposed else h4
             l = _cholesky(c)
         b = h3 if transposed else h2
         self.transposed, self.b, self.c = transposed, b, c
         if l is None:
             # c is singular: one (b-sized) system per eigenvalue of a
-            self.p = self.den = None
+            self.den = None
             self.mats = lam[:, None, None] * b[None, :, :] + c[None, :, :]
             return
         # b V = c V diag(w) with V^T c V = I: the symmetric problem for l^-1 b l^-T
         l_inv = _tril_inv(l)
         w, u = np.linalg.eigh(l_inv @ b @ l_inv.T)
         self.v = l_inv.T @ u
-        self.p = p if p is not None and p.shape[0] < p.shape[1] else None
-        if self.p is not None:
-            # P^T P has rank <= rows(P) and eigh sorts ascending
-            rows = p.shape[0]
-            lam, self.q = lam[-rows:], self.q[:, -rows:]
         self.den = 1.0 + np.outer(lam, w)
         if np.abs(self.den).min() < 1e-12:
             raise NumericalError(
@@ -371,16 +376,16 @@ class _SylvesterFactor:
             raise NumericalError("non-finite entries in the Sylvester system")
         rhs = h5.T if self.transposed else h5
         q = self.q
-        if self.p is not None:
-            g = rhs @ self.v
-            y = (g + q @ ((q.T @ g) * self.gain)) @ self.v.T
-        elif self.den is not None:
-            y = q @ ((q.T @ rhs @ self.v) / self.den) @ self.v.T
-        else:
+        if self.den is None:
             try:
                 y = q @ np.linalg.solve(self.mats, (q.T @ rhs)[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"singular pencil in Sylvester solve: {exc}") from exc
+        elif self.p is None:
+            y = q @ ((q.T @ rhs @ self.v) / self.den) @ self.v.T
+        else:
+            g = rhs @ self.v
+            y = (g + q @ ((q.T @ g) * self.gain)) @ self.v.T
         x = y.T if self.transposed else y
         if self.p is None:
             return _check_residual(*self.h, h5, x)
@@ -424,21 +429,6 @@ def _resolve_rho(rho, gram: np.ndarray, ncols: int) -> float:
     return val
 
 
-def _block_forms(ops: DegradationOps) -> dict:
-    """Per block, the Sylvester form of its system as ``(transposed, lam, Q, P)``.
-
-    Blocks A and B are in the row form, with ``H1 = P^T P`` for P1 and P2;
-    block C is in the column form, with ``H4 = P3^T P3``.  ``lam, Q`` is the
-    eigendecomposition of that ``P^T P``; the record is what
-    ``_SylvesterFactor`` takes as its ``form``.  Constant for one fusion run;
-    built per run because ``DegradationOps`` is mutable.
-    """
-    return {
-        block: (transposed, *np.linalg.eigh(p.T @ p), p)
-        for block, p, transposed in (("A", ops.P1, False), ("B", ops.P2, False), ("C", ops.P3, True))
-    }
-
-
 def _expand(gram_r: np.ndarray, rank: RankSpec) -> np.ndarray:
     """Spread an R x R matrix over the column blocks: entry (r, s) fills block (r, s)."""
     idx = np.repeat(np.arange(rank.R), rank.L)
@@ -474,8 +464,10 @@ def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -
 
     The unknown is A for block "A", B for block "B", and C^T for block "C";
     the penalty ``rho`` lands on the identity-adjacent Gram so the system
-    stays a supported Sylvester form.  Z starts at the current factor value
-    and U at zero; callers that warm-start replace them afterwards.
+    stays a supported Sylvester form, which the workspace records as
+    ``form``: ``(False, P1)`` for A, ``(False, P2)`` for B and ``(True, P3)``
+    for C.  Z starts at the current factor value and U at zero; callers that
+    warm-start replace them afterwards.
     """
     hsi = _check_tensor3(hsi, "hsi")
     msi = _check_tensor3(msi, "msi")
@@ -495,6 +487,7 @@ def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -
         h4 = gram_m + rho_val * np.eye(total)
         h5 = p.T @ r_h + r_m
         z = getattr(f, block).copy()
+        form = (False, p)
     elif block == "C":
         gram_h, r_h = _normal_equations(hsi, p1 @ f.A, p2 @ f.B, rank, 3)
         h3, r_m = _normal_equations(msi, f.A, f.B, rank, 3)
@@ -505,22 +498,24 @@ def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -
         # (Wm^T Y3) P3, not Wm^T (Y3 P3): no (I*J, K) temporary
         h5 = r_h + r_m @ p3
         z = f.C.T.copy()
+        form = (True, p3)
     else:
         raise UsageError(f"block must be 'A', 'B' or 'C', got {block!r}")
 
     return AdmmWorkspace(
         H1=h1, H2=h2, H3=h3, H4=h4, H5_base=h5,
-        Z=z, U=np.zeros_like(z), rho=rho_val,
+        Z=z, U=np.zeros_like(z), rho=rho_val, form=form,
     )
 
 
-def admm_nn_block(w: AdmmWorkspace, inner_iters: int, *, _form=None):
+def admm_nn_block(w: AdmmWorkspace, inner_iters: int):
     """Run the fixed-count ADMM loop for one nonnegative block.
 
     Each iteration solves the Sylvester system with right-hand side
     ``H5_base + rho (Z + U)``, projects ``X - U`` onto the nonnegative
     orthant, and takes a dual step.  H1..H4 are factored once before the
-    loop, in the form ``_form`` states when given (see ``_SylvesterFactor``).
+    loop, in the form ``w.form`` states (``build_subproblem`` always records
+    it; without it the form is detected, see ``_SylvesterFactor``).
     Returns the feasible iterate Z (this is what gets stored as the
     factor) together with the updated workspace.
     """
@@ -528,7 +523,7 @@ def admm_nn_block(w: AdmmWorkspace, inner_iters: int, *, _form=None):
         raise UsageError(f"inner_iters must be >= 1, got {inner_iters}")
     if not w.rho > 0:
         raise UsageError(f"constrained block updates need rho > 0, got {w.rho}")
-    system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, _form)
+    system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, w.form)
     for _ in range(inner_iters):
         w.X = system.solve(w.H5_base + w.rho * (w.Z + w.U))
         w.Z = np.maximum(w.X - w.U, 0.0)
@@ -536,17 +531,17 @@ def admm_nn_block(w: AdmmWorkspace, inner_iters: int, *, _form=None):
     return w.Z, w
 
 
-def _solve_block_exact(w: AdmmWorkspace, block: str, form=None) -> np.ndarray:
+def _solve_block_exact(w: AdmmWorkspace, block: str) -> np.ndarray:
     """Unconstrained exact block solve; one jitter retry on a finite, singular system."""
     try:
-        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, form).solve(w.H5_base)
+        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, w.form).solve(w.H5_base)
     except NumericalError:
         if not all(np.isfinite(h).all() for h in (w.H1, w.H2, w.H3, w.H4, w.H5_base)):
             raise
         # the jitter goes on the pencil's c (H4 in the row form, H1 in the
-        # column form), never on the P^T P that ``form`` decomposes, and into
-        # a new array because the caller may share the old one
-        transposed = (form or _detect_form(w.H1, w.H2, w.H3, w.H4))[0]
+        # column form), never on the P^T P of the form, and into a new array
+        # because the caller may share the old one
+        transposed = (w.form or _detect_form(w.H1, w.H2, w.H3, w.H4))[0]
         name = "H1" if transposed else "H4"
         target = getattr(w, name)
         n = target.shape[0]
@@ -558,7 +553,7 @@ def _solve_block_exact(w: AdmmWorkspace, block: str, form=None) -> np.ndarray:
             stacklevel=2,
         )
         setattr(w, name, target + jitter * np.eye(n))
-        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, form).solve(w.H5_base)
+        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, w.form).solve(w.H5_base)
 
 
 def _validate_config(cfg: FusionConfig):
@@ -566,6 +561,11 @@ def _validate_config(cfg: FusionConfig):
         raise UsageError(f"unknown method {cfg.method!r}; choose from {METHODS}")
     if not isinstance(cfg.rank, RankSpec):
         raise UsageError("cfg.rank must be a RankSpec")
+    for name in ("outer_iters", "inner_iters", "seed"):
+        try:
+            operator.index(getattr(cfg, name))
+        except TypeError:
+            raise UsageError(f"{name} must be an integer, got {getattr(cfg, name)!r}") from None
     if cfg.outer_iters < 1:
         raise UsageError(f"outer_iters must be >= 1, got {cfg.outer_iters}")
     if cfg.method in ("cnn_btd", "cnn_cpd") and cfg.inner_iters < 1:
@@ -575,8 +575,8 @@ def _validate_config(cfg: FusionConfig):
             raise UsageError(f"rho must be positive or 'auto', got {cfg.rho!r}")
     elif cfg.rho != "auto":
         raise UsageError(f"rho must be a number or 'auto', got {cfg.rho!r}")
-    if not cfg.tol >= 0:
-        raise UsageError(f"tol must be >= 0, got {cfg.tol}")
+    if not (isinstance(cfg.tol, numbers.Real) and cfg.tol >= 0):
+        raise UsageError(f"tol must be a number >= 0, got {cfg.tol!r}")
     if cfg.seed < 0:
         raise UsageError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.init not in INIT_STRATEGIES:
@@ -624,16 +624,16 @@ def _start(hsi, msi, ops: DegradationOps, cfg: FusionConfig, rank: RankSpec):
     return e, hsi, msi, f
 
 
-def _block_score(w: AdmmWorkspace, z, form, data_sq: float) -> float:
+def _block_score(w: AdmmWorkspace, z, data_sq: float) -> float:
     """The coupled objective at block value z, from the quadratic it was solved from.
 
     With the other blocks fixed the objective is ``data_sq - 2 <z, H5_base> +
     <z, H1 z H2 + H3 z H4> - rho ||z||^2``, ``data_sq = ||Y_H||^2 + ||Y_M||^2``.
-    The quadratic is formed through the P of ``form`` and never multiplies by
+    The quadratic is formed through the P of ``w.form`` and never multiplies by
     the identity: ``<P z, (P z) H2> + <z, z H4>`` in the row form,
     ``<z, H1 z> + <z P^T, H3 z P^T>`` in the column form.
     """
-    transposed, _, _, p = form
+    transposed, p = w.form
     if transposed:
         zp = z @ p.T
         quad = np.vdot(z, w.H1 @ z) + np.vdot(zp, w.H3 @ zp)
@@ -707,23 +707,21 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     rank = cfg.rank if cfg.method != "cnn_cpd" else RankSpec(cfg.rank.R, 1)
     e, hsi, msi, f = _start(hsi, msi, ops, cfg, rank)
     constrained = cfg.method in ("cnn_btd", "cnn_cpd")
-    forms = _block_forms(ops)
     data_sq = frob_norm(hsi) ** 2 + frob_norm(msi) ** 2
     dual_state = {}
 
     def update(block):
-        form = forms[block]
         if constrained:
             w = build_subproblem(block, f, hsi, msi, ops, cfg.rho)
             if block in dual_state:
                 w.U = dual_state[block]
-            new_value, w = admm_nn_block(w, cfg.inner_iters, _form=form)
+            new_value, w = admm_nn_block(w, cfg.inner_iters)
             dual_state[block] = w.U
             jittered = False
         else:
             w = build_subproblem(block, f, hsi, msi, ops, 0.0)
             system = (w.H1, w.H4)
-            new_value = _solve_block_exact(w, block, form)
+            new_value = _solve_block_exact(w, block)
             # a jitter retry replaces H1 or H4, and its system is no longer
             # the objective's quadratic
             jittered = w.H1 is not system[0] or w.H4 is not system[1]
@@ -732,7 +730,7 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
         else:
             setattr(f, block, new_value)
         if not jittered:
-            j = _block_score(w, new_value, form, data_sq)
+            j = _block_score(w, new_value, data_sq)
             if j >= DENSE_SCORE_SHARE * data_sq:
                 return j, False
         return objective(f, hsi, msi, ops), False

@@ -29,6 +29,8 @@ def write_tensor(path, t) -> None:
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise UsageError(f"expected a 3-d tensor, got ndim={t.ndim}")
+    if 0 in t.shape:
+        raise UsageError(f"every dimension must be >= 1, got {t.shape}")
     path = os.fspath(path)
     header = _HEADER.pack(MAGIC, VERSION, *t.shape)
     # column-major little-endian doubles, copied only when t is not laid out

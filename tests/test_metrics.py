@@ -173,8 +173,10 @@ def test_ergas_zero_band_mean_undefined():
 
 def test_ergas_requires_positive_ratio():
     ref = np.ones((3, 3, 2))
-    with pytest.raises(UsageError):
-        ergas(ref, ref, 0)
+    # an infinite ratio used to give ERGAS 0, the best score, for any pair
+    for d in (0, math.inf, math.nan):
+        with pytest.raises(UsageError):
+            ergas(ref, ref, d)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,14 @@ def test_rankspec_invalid():
         RankSpec(2, (1, 2, 3))
     with pytest.raises(UsageError):
         RankSpec(2, (1, -1))
+    # int() used to truncate these to L=(1, 1, 1), R=2 and L=(1, 2)
+    with pytest.raises(UsageError, match="integral"):
+        RankSpec(3, 1.5)
+    with pytest.raises(UsageError, match="integral"):
+        RankSpec(2.9)
+    with pytest.raises(UsageError, match="integral"):
+        RankSpec(2, (1, 2.5))
+    assert RankSpec(np.int64(2), 2.0) == RankSpec(2, 2)
 
 
 def test_btdfactors_validation():

@@ -52,7 +52,7 @@ def psd(rng, n):
     return m.T @ m
 
 
-def coupled_instance(seed, dims=(12, 12, 8), rank=RankSpec(2, 2), K_M=3, snr=None):
+def coupled_instance(seed, dims=(12, 12, 8), rank=RankSpec(2, 2), K_M=3, snr=None, d=2):
     rng = np.random.default_rng(seed)
     i, j, k = dims
     truth = BtdFactors(
@@ -62,7 +62,7 @@ def coupled_instance(seed, dims=(12, 12, 8), rank=RankSpec(2, 2), K_M=3, snr=Non
         rank,
     )
     sri = btd_reconstruct(truth)
-    ops = make_degradation_ops(i, j, k, K_M=K_M, kernel_size=3, sigma=1.0, d=2)
+    ops = make_degradation_ops(i, j, k, K_M=K_M, kernel_size=3, sigma=1.0, d=d)
     hsi, msi = apply_degradation(sri, ops)
     if snr is not None:
         hsi = add_noise(hsi, NoiseSpec(snr, seed + 1))
@@ -513,19 +513,18 @@ def test_admm_requires_positive_rho():
     ids=["A", "B", "C", "C-R1"],
 )
 def test_admm_factored_path_matches_per_step_solves(block, rank):
-    # admm_nn_block factors H1..H4 once (in the block's stated form, as
-    # bcd_fuse passes it); every iterate must match a loop that calls
+    # admm_nn_block factors H1..H4 once (in the form build_subproblem
+    # states); every iterate must match a loop that calls
     # sylvester_solve afresh on each step.  R = 1 makes both forms of block C
     # apply (its 1x1 H3 is identity-scaled); the row form's pencil
     # (I, c P3^T P3) is singular, so the column form must be chosen and the
     # factored path taken.
-    from btdfuse.solver import _block_forms, _SylvesterFactor
+    from btdfuse.solver import _SylvesterFactor
 
     _, _, ops, hsi, msi = coupled_instance(16, rank=rank, snr=25.0)
     f = init_factors((12, 12, 8), rank, seed=8, strategy="random_uniform", msi=msi)
-    form = _block_forms(ops)[block]
     w0 = build_subproblem(block, f, hsi, msi, ops, "auto")
-    assert _SylvesterFactor(w0.H1, w0.H2, w0.H3, w0.H4, form).den is not None
+    assert _SylvesterFactor(w0.H1, w0.H2, w0.H3, w0.H4, w0.form).den is not None
 
     z, u = w0.Z.copy(), w0.U.copy()
     for steps in range(1, 7):
@@ -534,9 +533,9 @@ def test_admm_factored_path_matches_per_step_solves(block, rank):
         u = u + (z - x)
         w = AdmmWorkspace(
             H1=w0.H1, H2=w0.H2, H3=w0.H3, H4=w0.H4, H5_base=w0.H5_base,
-            Z=w0.Z.copy(), U=w0.U.copy(), rho=w0.rho,
+            Z=w0.Z.copy(), U=w0.U.copy(), rho=w0.rho, form=w0.form,
         )
-        got, w = admm_nn_block(w, steps, _form=form)
+        got, w = admm_nn_block(w, steps)
         # relative to the iterate's scale: U and the clamped part of Z may be 0
         scale = np.linalg.norm(x)
         for mine, ref in ((w.X, x), (got, z), (w.U, u)):
@@ -554,8 +553,8 @@ def test_admm_factored_path_matches_per_step_solves(block, rank):
 )
 def test_structured_sylvester_matches_dense(seed, rows, cols, other, log_rho, column_form):
     # the operator Gram P^T P sits in H1 (row form, blocks A and B) or H4
-    # (column form, block C); with fewer rows than columns the factor solves
-    # and checks the residual through P and the top-rows eigenvectors only
+    # (column form, block C); whatever P's shape, the factor solves through
+    # P's thin SVD and checks the residual through P
     from btdfuse.solver import _SylvesterFactor
 
     rng = np.random.default_rng(seed)
@@ -568,8 +567,8 @@ def test_structured_sylvester_matches_dense(seed, rows, cols, other, log_rho, co
     else:
         h, shape = (gram, partner, np.eye(cols), pencil), (cols, other)
     h5 = rng.standard_normal(shape)
-    system = _SylvesterFactor(*h, (column_form, *np.linalg.eigh(gram), p))
-    assert (system.p is not None) == (rows < cols)
+    system = _SylvesterFactor(*h, (column_form, p))
+    assert system.p is not None and system.den is not None
     x = system.solve(h5)
     ref = sylvester_solve_dense(*h, h5)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -578,14 +577,13 @@ def test_structured_sylvester_matches_dense(seed, rows, cols, other, log_rho, co
 def test_structured_residual_rejects_corrupt_factor():
     # without the Q1 correction the solve is wrong on the span of P's rows;
     # the residual formed through P must refuse it
-    from btdfuse.solver import _block_forms, _SylvesterFactor
+    from btdfuse.solver import _SylvesterFactor
 
     _, _, ops, hsi, msi = coupled_instance(17, snr=25.0)
     f = init_factors((12, 12, 8), RankSpec(2, 2), seed=9, strategy="random_uniform", msi=msi)
-    forms = _block_forms(ops)
     for block in ("A", "B", "C"):
         w = build_subproblem(block, f, hsi, msi, ops, "auto")
-        system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, forms[block])
+        system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, w.form)
         assert system.p is not None
         h5 = w.H5_base + w.rho * w.Z
         x = system.solve(h5)
@@ -652,9 +650,16 @@ def test_fuse_config_validation():
         FusionConfig(rank=rank, seed=-1),
         FusionConfig(rank=rank, init="lucky"),
         FusionConfig(rank=rank, init="provided"),
+        # these used to escape as a bare TypeError
+        FusionConfig(rank=rank, outer_iters=2.5),
+        FusionConfig(rank=rank, inner_iters=2.5),
+        FusionConfig(rank=rank, seed=1.5),
+        FusionConfig(rank=rank, tol="x"),
     ):
         with pytest.raises(UsageError):
             bcd_fuse(hsi, msi, ops, cfg)
+    counts = {"outer_iters": np.int64(1), "inner_iters": np.int64(2), "seed": np.int64(3)}
+    assert bcd_fuse(hsi, msi, ops, FusionConfig(rank=rank, **counts)).iters_run == 1
 
 
 def test_fuse_geometry_mismatch():
@@ -687,13 +692,16 @@ def test_fuse_ground_truth_is_fixed_point():
     rank=st.sampled_from((RankSpec(2, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1))),
     snr=st.floats(min_value=10.0, max_value=40.0),
     outer_iters=st.integers(1, 3),
+    square=st.booleans(),
 )
-def test_fuse_trace_is_the_objective(seed, method, rank, snr, outer_iters):
+def test_fuse_trace_is_the_objective(seed, method, rank, snr, outer_iters, square):
     # each block update is scored from the quadratic it solved; the score must
-    # be the coupled objective, and scoring must not touch the iterates
+    # be the coupled objective, and scoring must not touch the iterates.
+    # With d = 1 and K_M = K every operator is square.
     import btdfuse.solver as solver
 
-    _, _, ops, hsi, msi = coupled_instance(seed, snr=snr)
+    geometry = {"d": 1, "K_M": 8} if square else {}
+    _, _, ops, hsi, msi = coupled_instance(seed, snr=snr, **geometry)
     cfg = FusionConfig(method=method, rank=rank, outer_iters=outer_iters, seed=seed)
     res = bcd_fuse(hsi, msi, ops, cfg)
     dense = objective(res.factors, hsi, msi, ops)
@@ -733,9 +741,9 @@ def test_fuse_dense_objective_calls(monkeypatch):
     # longer the objective's quadratic, so the update is scored densely
     solve = solver._solve_block_exact
 
-    def jittered(w, block, form=None):
+    def jittered(w, block):
         w.H4 = w.H4.copy()
-        return solve(w, block, form)
+        return solve(w, block)
 
     monkeypatch.setattr(solver, "_solve_block_exact", jittered)
     calls.clear()
@@ -767,12 +775,13 @@ def test_fuse_independent_of_memory_layout():
 
 
 def test_fuse_states_block_forms_without_detecting_them(monkeypatch):
-    # bcd_fuse states each block's Sylvester form when it builds the system,
-    # so the identity-scale test of the public path must never run
+    # build_subproblem states each block's Sylvester form in its workspace,
+    # so neither bcd_fuse nor admm_nn_block on a built workspace may run the
+    # identity-scale test of the public sylvester_solve
     import btdfuse.solver as solver
 
     def detect(matrix):
-        raise AssertionError("bcd_fuse ran an identity-scale test")
+        raise AssertionError("a stated form was detected again")
 
     _, _, ops, hsi, msi = coupled_instance(33, snr=30.0)
     for method in ("cnn_btd", "cnn_cpd", "stereo"):
@@ -786,6 +795,22 @@ def test_fuse_states_block_forms_without_detecting_them(monkeypatch):
             for mine, theirs in ((got.sri_estimate, ref.sri_estimate),
                                  (got.factors.A, ref.factors.A), (got.factors.C, ref.factors.C)):
                 np.testing.assert_array_equal(mine, theirs)
+    # one sweep of the public admm_nn_block on built workspaces is bcd_fuse's
+    # first sweep from the same start
+    rank = RankSpec(2, 2)
+    start = init_factors((12, 12, 8), rank, seed=4, strategy="random_uniform", msi=msi)
+    cfg = FusionConfig(rank=rank, outer_iters=1, inner_iters=5, init="provided",
+                       init_factors=start)
+    fused = bcd_fuse(hsi, msi, ops, cfg).factors
+    f = start.copy()
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_identity_scale", detect)
+        for block in ("A", "B", "C"):
+            z, _ = admm_nn_block(build_subproblem(block, f, hsi, msi, ops, "auto"), 5)
+            setattr(f, block, z.T if block == "C" else z)
+    for block in ("A", "B", "C"):
+        mine, theirs = getattr(f, block), getattr(fused, block)
+        assert np.linalg.norm(mine - theirs) <= 1e-12 * np.linalg.norm(theirs), block
 
 
 def test_fuse_stereo_trace_monotone():

@@ -105,6 +105,13 @@ def test_tensorfile_bytes_independent_of_layout(tmp_path, layout):
     assert back.flags.f_contiguous and back.flags.writeable
 
 
+def test_tensorfile_write_rejects_zero_dim(tmp_path):
+    # read_tensor refuses a zero dim, so write_tensor must not write one
+    with pytest.raises(UsageError, match=">= 1"):
+        write_tensor(tmp_path / "empty.btf", np.zeros((0, 2, 2)))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tensorfile_read_zero_dim(tmp_path):
     path = tmp_path / "bad.btf"
     path.write_bytes(struct.pack("<4sBQQQ", b"HSRT", 1, 0, 2, 2))
@@ -321,6 +328,19 @@ def test_evaluate_rejects_non_finite_input_exit_2(tmp_path, capsys, which, bad):
     assert code == 2
     assert out == ""
     assert str(paths[which]) in err and "3 non-finite" in err
+
+
+def test_evaluate_infinite_ratio_exit_1(tmp_path, capsys):
+    # ERGAS scales by 1/d: an infinite ratio used to print the best score, 0
+    rng = np.random.default_rng(4)
+    ref, est = tmp_path / "ref.btf", tmp_path / "est.btf"
+    write_tensor(ref, rng.uniform(0.5, 1.5, size=(4, 4, 3)))
+    write_tensor(est, rng.uniform(0.5, 1.5, size=(4, 4, 3)))
+    code, out, err = run_cli(
+        capsys, "evaluate", "--ref", str(ref), "--est", str(est), "--ratio", "inf"
+    )
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
 
 
 def test_evaluate_dim_mismatch_exit_1(tmp_path, capsys):
