@@ -3,133 +3,19 @@ decomposition, with unconstrained and two-stage baselines, a degradation
 simulator, recovery-condition checks, fusion metrics, and a native tensor
 file format."""
 
-from .degradation import (
-    DegradationOps,
-    NoiseSpec,
-    add_noise,
-    apply_degradation,
-    build_spatial_ops,
-    downsample_matrix,
-    gaussian_blur_matrix,
-    load_srf_csv,
-    make_degradation_ops,
-    uniform_srf,
-)
-from .errors import (
-    BtdFuseError,
-    FormatError,
-    NumericalError,
-    UndefinedMetricError,
-    UsageError,
-)
-from .metrics import (
-    MatchResult,
-    MetricsReport,
-    cc,
-    compute_report,
-    ergas,
-    match_blocks,
-    r_snr,
-    sam,
-)
-from .model import (
-    AbundanceSet,
-    BtdFactors,
-    CheckResult,
-    RankSpec,
-    abundances,
-    btd_reconstruct,
-    btd_unfold_direct,
-    check_btd_identifiability,
-    check_coupled_identifiability,
-    degrade_factors,
-    spatial_map_matrix,
-)
-from .solver import (
-    AdmmWorkspace,
-    FusionConfig,
-    FusionResult,
-    admm_nn_block,
-    bcd_fuse,
-    build_subproblem,
-    init_factors,
-    objective,
-    recover_spectral_factor,
-    sylvester_solve,
-    sylvester_solve_dense,
-    two_stage_recover,
-)
-from .tensor_ops import (
-    fold,
-    frob_norm,
-    khatri_rao,
-    kronecker,
-    mode_product,
-    pw_khatri_rao,
-    unfold,
-    unvec,
-    vec,
-)
+from . import degradation, errors, metrics, model, solver, tensor_ops
+from .degradation import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .model import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .tensor_ops import *  # noqa: F403
 from .tensorfile import read_tensor, write_tensor
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbundanceSet",
-    "AdmmWorkspace",
-    "BtdFactors",
-    "BtdFuseError",
-    "CheckResult",
-    "DegradationOps",
-    "FormatError",
-    "FusionConfig",
-    "FusionResult",
-    "MatchResult",
-    "MetricsReport",
-    "NoiseSpec",
-    "NumericalError",
-    "RankSpec",
-    "UndefinedMetricError",
-    "UsageError",
-    "abundances",
-    "add_noise",
-    "admm_nn_block",
-    "apply_degradation",
-    "bcd_fuse",
-    "btd_reconstruct",
-    "btd_unfold_direct",
-    "build_spatial_ops",
-    "build_subproblem",
-    "cc",
-    "check_btd_identifiability",
-    "check_coupled_identifiability",
-    "compute_report",
-    "degrade_factors",
-    "downsample_matrix",
-    "ergas",
-    "fold",
-    "frob_norm",
-    "gaussian_blur_matrix",
-    "init_factors",
-    "khatri_rao",
-    "kronecker",
-    "load_srf_csv",
-    "make_degradation_ops",
-    "match_blocks",
-    "mode_product",
-    "objective",
-    "pw_khatri_rao",
-    "r_snr",
-    "read_tensor",
-    "recover_spectral_factor",
-    "sam",
-    "spatial_map_matrix",
-    "sylvester_solve",
-    "sylvester_solve_dense",
-    "two_stage_recover",
-    "unfold",
-    "uniform_srf",
-    "unvec",
-    "vec",
-    "write_tensor",
-]
+# each module's public names (its __all__) and the two tensor-file functions
+__all__ = sorted(
+    [name for m in (degradation, errors, metrics, model, solver, tensor_ops) for name in m.__all__]
+    + ["read_tensor", "write_tensor"]
+)

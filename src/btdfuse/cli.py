@@ -83,9 +83,17 @@ def _add_settings(p: argparse.ArgumentParser, keys):
                        choices=s.choices, metavar=metavar, help=s.help)
 
 
+def _whole(name: str, value) -> int:
+    """``int(value)``, refusing a float that the conversion would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _settings(keys, values: dict) -> dict:
     """``values[k]`` for each of ``keys`` by its row's type; missing or None takes the default."""
-    return {k: _SETTINGS[k].default if values.get(k) is None else _SETTINGS[k].type(values[k])
+    return {k: _SETTINGS[k].default if values.get(k) is None
+            else _whole(k, values[k]) if _SETTINGS[k].type is int else _SETTINGS[k].type(values[k])
             for k in keys}
 
 
@@ -239,7 +247,7 @@ def _fusion_config(entry: dict, seed: int) -> FusionConfig:
             s["outer_iters"] = 100 if method == "stereo" else _FUSION.outer_iters
         if s["rho"] != "auto":
             s["rho"] = float(s["rho"])
-        cfg = FusionConfig(method=method, rank=RankSpec(int(entry["R"]), s.pop("L")),
+        cfg = FusionConfig(method=method, rank=RankSpec(_whole("R", entry["R"]), s.pop("L")),
                            seed=seed, **s)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {method} settings: {exc}") from exc

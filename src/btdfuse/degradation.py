@@ -194,7 +194,9 @@ def make_degradation_ops(
 
 def apply_degradation(sri: np.ndarray, ops: DegradationOps) -> tuple[np.ndarray, np.ndarray]:
     """Produce the (hsi, msi) pair from a reference image by the two mode products."""
-    hsi = mode_product(mode_product(sri, ops.P1, 1), ops.P2, 2)
+    # mode 2 first: on a column-major image it is one GEMM per band, and the
+    # mode-1 GEMM then runs on the smaller tensor
+    hsi = mode_product(mode_product(sri, ops.P2, 2), ops.P1, 1)
     msi = mode_product(sri, ops.P3, 3)
     return hsi, msi
 

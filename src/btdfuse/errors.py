@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes: UsageError -> 1, file/format
 problems -> 2, NumericalError -> 3.
 """
 
+__all__ = ["BtdFuseError", "FormatError", "NumericalError", "UndefinedMetricError", "UsageError"]
+
 
 class BtdFuseError(Exception):
     """Base class for all btdfuse errors."""

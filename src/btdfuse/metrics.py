@@ -4,7 +4,9 @@ All four image metrics compare an estimate against a reference of the same
 shape: reconstruction SNR (dB, higher better), band-averaged Pearson cross
 correlation (1 best), mean spectral angle (radians, 0 best), and the
 dimensionless relative global error ERGAS (0 best).  All four are read from
-one cache-blocked pass over the pair, which makes no full-size temporary.
+one pass over the pair, which makes no full-size temporary for a column-major
+(band-major) pair, the layout of the tensor file and of ``btd_reconstruct``,
+nor for a row-major one.
 ``match_blocks`` resolves the permutation/scaling ambiguity between two
 factor sets before comparing them.
 """
@@ -63,18 +65,9 @@ class MatchResult:
     matched_error: float
 
 
-def _pair(ref, est):
-    ref = _check_tensor3(ref, "ref")
-    est = _check_tensor3(est, "est")
-    if ref.shape != est.shape:
-        raise UsageError(f"shape mismatch: ref {ref.shape} vs est {est.shape}")
-    return ref, est
-
-
-# Slab size in bytes per operand: the sweep's four slab-sized buffers (two
-# pixel-major copies, two temporaries) then take 2 MB, which stays in one core's
-# L2 cache.  Two columns of a 145 x 220 image.
-_SLAB_BYTES = 1 << 19
+# Bytes per operand in one chunk: a chunk of each input and the two
+# temporaries of its size take 2 MB, which stays in one core's L2 cache.
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -99,65 +92,74 @@ class _Sums:
 
 
 def _sweep(ref, est) -> _Sums:
-    """Walk ``ref``/``est`` once in slabs of whole columns ``[:, j0:j1, :]``.
+    """Every pixel's norm, then one walk over ``ref``/``est`` in chunks.
 
-    Each slab is copied pixel-major (one row per spectral fiber) into
-    cache-resident buffers, whatever the layout of the inputs.  The centred
-    band sums are taken per slab and merged across slabs by the pairwise
-    update of Chan, Golub & LeVeque (1983); the data are first shifted by the
-    first pixel's spectrum, so a constant band gives exactly zero.
+    A column-major pair (the layout of the tensor file, ``btd_reconstruct``
+    and ``mode_product``) is read in chunks of whole bands, each band one
+    contiguous vector; a row-major pair in chunks of whole fibers.  A pair in
+    any other layout is first copied to column-major.  Each chunk adds to its
+    pixels' squared chords between the unit fibers of ``ref`` and ``est`` and
+    to its bands' error energy and centred sums, which are merged across
+    chunks by the pairwise update of Chan, Golub & LeVeque (1983).  The data
+    are first shifted by the first pixel's spectrum, so that a constant band
+    gives exactly zero.
     """
-    ref, est = _pair(ref, est)
+    ref = _check_tensor3(ref, "ref")
+    est = _check_tensor3(est, "est")
+    if ref.shape != est.shape:
+        raise UsageError(f"shape mismatch: ref {ref.shape} vs est {est.shape}")
     i, j, k = ref.shape
-    cols = min(j, max(1, _SLAB_BYTES // (8 * i * k)))
-    x_buf, y_buf, s_buf, t_buf = (np.empty((cols * i, k)) for _ in range(4))
-    x0, y0 = ref[0, 0].copy(), est[0, 0].copy()
-    n = 0
-    mx, my = np.zeros(k), np.zeros(k)  # running means of the shifted bands
-    sxx, syy, sxy, err_sq = (np.zeros(k) for _ in range(4))
-    ref_sq = angle_sum = 0.0
-    angle_count = 0
-    for j0 in range(0, j, cols):
-        j1 = min(j0 + cols, j)
-        p = (j1 - j0) * i
-        x, y, s, t = x_buf[:p], y_buf[:p], s_buf[:p], t_buf[:p]
-        np.copyto(x.reshape(j1 - j0, i, k), ref[:, j0:j1].transpose(1, 0, 2))
-        np.copyto(y.reshape(j1 - j0, i, k), est[:, j0:j1].transpose(1, 0, 2))
+    n = i * j
+    by_pixel = ref.flags.c_contiguous and est.flags.c_contiguous and not ref.flags.f_contiguous
+    order = "C" if by_pixel else "F"
+    # (pixels, bands) views; column-major bands are read in place
+    xs, ys = (np.asarray(t, order=order).reshape(n, k, order=order) for t in (ref, est))
+    nx2, ny2 = np.einsum("pk,pk->p", xs, xs), np.einsum("pk,pk->p", ys, ys)
+    # spectral angle 2 arcsin(||u - v|| / 2) of the unit fibers u, v: it
+    # equals arccos(<u, v>) but stays exact at 0 for identical fibers and
+    # accurate for small angles; pixels with a zero fiber are skipped.  The
+    # fibers are divided by their norms: multiplying by the reciprocals
+    # rounds twice, which costs digits near an angle of pi
+    keep = (nx2 > 0) & (ny2 > 0)
+    nx, ny = np.sqrt(np.where(keep, nx2, 1.0)), np.sqrt(np.where(keep, ny2, 1.0))
+    total, width = (n, k) if by_pixel else (k, n)
+    step = min(total, max(1, _CHUNK_BYTES // (8 * width)))
+    # temporaries in the chunks' memory order
+    s_buf, t_buf = (np.empty((step, width)) for _ in range(2))
+    x0, y0 = xs[0][:, None], ys[0][:, None]
+    count, mx, my, err_sq, sxx, syy, sxy = (np.zeros(k) for _ in range(7))
+    chord = np.zeros(n)
+    for c0 in range(0, total, step):
+        c = slice(c0, min(c0 + step, total))
+        ps, bs = (c, slice(None)) if by_pixel else (slice(None), c)
+        x, y = xs[ps, bs].T, ys[ps, bs].T  # (bands, pixels)
+        s, t = (b[: c.stop - c0].T if by_pixel else b[: c.stop - c0] for b in (s_buf, t_buf))
 
         np.subtract(x, y, out=s)
-        err_sq += np.einsum("pk,pk->k", s, s)
+        err_sq[bs] += np.einsum("kp,kp->k", s, s)
+        np.divide(x, nx[ps], out=s)
+        s -= np.divide(y, ny[ps], out=t)
+        chord[ps] += np.einsum("kp,kp->p", s, s)
 
-        # spectral angle 2 arcsin(||u - v|| / 2) of the unit fibers u, v: it
-        # equals arccos(<u, v>) but stays exact at 0 for identical fibers and
-        # accurate for small angles; pixels with a zero fiber are skipped
-        nx2 = np.einsum("pk,pk->p", x, x)
-        ny2 = np.einsum("pk,pk->p", y, y)
-        ref_sq += float(nx2.sum())
-        keep = (nx2 > 0) & (ny2 > 0)
-        np.divide(x, np.sqrt(np.where(keep, nx2, 1.0))[:, None], out=s)
-        np.divide(y, np.sqrt(np.where(keep, ny2, 1.0))[:, None], out=t)
-        s -= t
-        half_chord = 0.5 * np.sqrt(np.einsum("pk,pk->p", s, s)[keep])
-        angle_sum += float(np.sum(2.0 * np.arcsin(np.minimum(half_chord, 1.0))))
-        angle_count += int(np.count_nonzero(keep))
-
-        np.subtract(x, x0, out=s)
-        np.subtract(y, y0, out=t)
-        bx = s.sum(axis=0) / p
-        by = t.sum(axis=0) / p
-        s -= bx
-        t -= by
-        dx, dy = bx - mx, by - my
-        w = n * p / (n + p)
-        sxx += np.einsum("pk,pk->k", s, s) + w * dx * dx
-        syy += np.einsum("pk,pk->k", t, t) + w * dy * dy
-        sxy += np.einsum("pk,pk->k", s, t) + w * dx * dy
-        mx += dx * (p / (n + p))
-        my += dy * (p / (n + p))
-        n += p
+        p, m = x.shape[1], count[bs]
+        np.subtract(x, x0[bs], out=s)
+        np.subtract(y, y0[bs], out=t)
+        bx, by = s.sum(axis=1) / p, t.sum(axis=1) / p
+        s -= bx[:, None]
+        t -= by[:, None]
+        dx, dy, w = bx - mx[bs], by - my[bs], m * p / (m + p)
+        sxx[bs] += np.einsum("kp,kp->k", s, s) + w * dx * dx
+        syy[bs] += np.einsum("kp,kp->k", t, t) + w * dy * dy
+        sxy[bs] += np.einsum("kp,kp->k", s, t) + w * dx * dy
+        mx[bs] += dx * (p / (m + p))
+        my[bs] += dy * (p / (m + p))
+        count[bs] += p
+    half_chord = 0.5 * np.sqrt(chord[keep])
     return _Sums(
-        pixels=n, ref_sq=ref_sq, ref_mean=x0 + mx, err_sq=err_sq,
-        sxx=sxx, syy=syy, sxy=sxy, angle_sum=angle_sum, angle_count=angle_count,
+        pixels=n, ref_sq=float(nx2.sum()), ref_mean=x0[:, 0] + mx, err_sq=err_sq,
+        sxx=sxx, syy=syy, sxy=sxy,
+        angle_sum=float(np.sum(2.0 * np.arcsin(np.minimum(half_chord, 1.0)))),
+        angle_count=int(np.count_nonzero(keep)),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .tensor_ops import fold, pw_khatri_rao, unvec, vec
+from .tensor_ops import pw_khatri_rao, unvec, vec
 
 __all__ = [
     "RankSpec",
@@ -153,11 +153,14 @@ class CheckResult:
 
 
 def btd_reconstruct(f: BtdFactors) -> np.ndarray:
-    """Dense ``(I, J, K)`` tensor of the block-term model."""
+    """Dense ``(I, J, K)`` tensor of the block-term model, column-major.
+
+    Index i runs fastest, then j, then k (band-major, the tensor file's
+    layout), so each band is one contiguous vector and ``write_tensor``
+    writes the tensor without a copy.
+    """
     i, j, k = f.dims
-    s = spatial_map_matrix(f)
-    x3 = s @ f.C.T
-    return fold(x3, 3, (i, j, k))
+    return (f.C @ spatial_map_matrix(f).T).reshape(k, j, i).transpose(2, 1, 0)
 
 
 def spatial_map_matrix(f: BtdFactors) -> np.ndarray:

@@ -25,7 +25,8 @@ then four GEMMs, a Hadamard divide and the residual check.  Every term of a
 block subproblem is assembled by one kernel (``_normal_equations``), for A
 and B from small R x R and L x L Grams, without forming the partition-wise
 Khatri-Rao matrices.  ``two_stage`` solves its least-squares updates on the
-explicit designs instead, since a Gram squares the design's condition number.
+explicit designs instead, from their thin SVDs, since a Gram squares the
+design's condition number.
 
 With a stated form the factor takes the thin SVD ``P = U S Q1^T``, so that
 ``P^T P = Q1 S^2 Q1^T`` with min(rows, cols) columns in Q1.  The operators
@@ -570,10 +571,10 @@ def _validate_config(cfg: FusionConfig):
         raise UsageError(f"outer_iters must be >= 1, got {cfg.outer_iters}")
     if cfg.method in ("cnn_btd", "cnn_cpd") and cfg.inner_iters < 1:
         raise UsageError(f"inner_iters must be >= 1, got {cfg.inner_iters}")
-    if not isinstance(cfg.rho, str):
-        if not math.isfinite(float(cfg.rho)) or float(cfg.rho) <= 0:
+    if isinstance(cfg.rho, numbers.Real):
+        if not math.isfinite(cfg.rho) or cfg.rho <= 0:
             raise UsageError(f"rho must be positive or 'auto', got {cfg.rho!r}")
-    elif cfg.rho != "auto":
+    elif not (isinstance(cfg.rho, str) and cfg.rho == "auto"):
         raise UsageError(f"rho must be a number or 'auto', got {cfg.rho!r}")
     if not (isinstance(cfg.tol, numbers.Real) and cfg.tol >= 0):
         raise UsageError(f"tol must be a number >= 0, got {cfg.tol!r}")
@@ -739,6 +740,19 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     return _result(f, trace, iters_run, e, start, cfg.method)
 
 
+def _min_norm_lstsq(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """``lstsq(w, y, rcond=None)``'s minimum-norm solution and the rank of ``w``.
+
+    From the thin SVD ``w = U S V^T``: ``V_r (U_r^T y / s_r)`` over the
+    singular values above ``eps * max(rows, cols) * s_max``, the ones
+    ``lstsq`` keeps.  Never forms ``w^T w``, and with many right-hand sides
+    it is several times faster than ``lstsq``.
+    """
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    r = int(np.count_nonzero(s > np.finfo(np.float64).eps * max(w.shape) * s[:1]))
+    return vt[:r].T @ ((u[:, :r].T @ y) / s[:r, None]), r
+
+
 def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> np.ndarray:
     """Least-squares spectral factor given fixed spatial factors.
 
@@ -751,7 +765,7 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     k_mat = _block_maps(ops.P1 @ a, ops.P2 @ b, rank)
-    sol, _, eff_rank, _ = np.linalg.lstsq(k_mat, unfold(hsi, 3), rcond=None)
+    sol, eff_rank = _min_norm_lstsq(k_mat, unfold(hsi, 3))
     if eff_rank < rank.R:
         raise NumericalError(
             "the spatially degraded block-map matrix is rank-deficient "
@@ -769,35 +783,36 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     Stage 1 runs unconstrained alternating least squares on the MSI-only
     objective ``||Y_M - sum_r A_r B_r^T o (P3 C)_r||_F^2`` with the reduced
     spectral factor as an auxiliary variable (discarded afterwards); each
-    update runs ``lstsq`` on its explicit design, not on the normal equations,
-    whose Gram squares the design's condition number.  Stage 2
-    recovers the full spectral factor from the HSI by one linear solve.  The
-    objective trace holds the stage-1 MSI residual after each block update,
-    then the final coupled objective of the assembled factors.
+    update takes the minimum-norm solution from its explicit design's thin
+    SVD, not from the normal equations, whose Gram squares the design's
+    condition number; stage 2 recovers the full spectral factor from the HSI
+    the same way.  The objective trace holds the stage-1 MSI residual after
+    each block update, taken in the unfolding the update solved, then the
+    final coupled objective of the assembled factors.
     """
     start = time.perf_counter()
     _validate_config(cfg)
     rank = cfg.rank
     e, hsi, msi, f0 = _start(hsi, msi, ops, cfg, rank)
-    a, b, c_m = f0.A, f0.B, ops.P3 @ f0.C
-    y1, y2, y3 = unfold(msi, 1), unfold(msi, 2), unfold(msi, 3)
+    # stage-1 factors, C holding the reduced spectral factor, and the MSI's unfoldings
+    x = {"A": f0.A, "B": f0.B, "C": ops.P3 @ f0.C}
+    y = {block: unfold(msi, mode) for mode, block in enumerate("ABC", 1)}
     msi_sq = frob_norm(msi) ** 2
 
     def update(block):
-        nonlocal a, b, c_m
-        if block == "A":
-            a = np.linalg.lstsq(pw_khatri_rao(c_m, b, rank.L), y1, rcond=None)[0].T
-        elif block == "B":
-            b = np.linalg.lstsq(pw_khatri_rao(c_m, a, rank.L), y2, rcond=None)[0].T
-        else:
-            c_m = np.linalg.lstsq(_block_maps(a, b, rank), y3, rcond=None)[0].T
-        j = frob_norm(y3 - _block_maps(a, b, rank) @ c_m.T) ** 2
+        a, b, c_m = x.values()
+        w = (_block_maps(a, b, rank) if block == "C"
+             else pw_khatri_rao(c_m, b if block == "A" else a, rank.L))
+        sol = _min_norm_lstsq(w, y[block])[0]
+        x[block] = sol.T
+        # ||Y_M - X_M||^2 in the unfolding just solved: no block maps rebuilt
+        j = frob_norm(y[block] - w @ sol) ** 2
         # a perfect MSI fit cannot improve further; stop regardless of tol
         return j, block == "C" and j <= 1e-28 * max(msi_sq, 1.0)
 
     trace, iters_run = _sweeps(cfg, e, update)
-    c = recover_spectral_factor(hsi, ops, a, b, rank)
-    f = BtdFactors(a, b, c, rank)
+    c = recover_spectral_factor(hsi, ops, x["A"], x["B"], rank)
+    f = BtdFactors(x["A"], x["B"], c, rank)
     j = objective(f, hsi, msi, ops)
     if not (math.isfinite(j) and np.isfinite(c).all()):
         raise NumericalError(

@@ -19,6 +19,7 @@ Conventions used throughout the package (all arrays are float64 ndarrays):
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -107,7 +108,8 @@ def mode_product(t: np.ndarray, p: np.ndarray, mode: int) -> np.ndarray:
     """Multiply every mode-``mode`` fiber of ``t`` by the matrix ``p``.
 
     The mode-th dimension ``t.shape[mode-1]`` must equal ``p.shape[1]`` and is
-    replaced by ``p.shape[0]`` in the result.
+    replaced by ``p.shape[0]`` in the result, which is column-major like the
+    tensor file, or row-major for a row-major ``t``.
     """
     t = _check_tensor3(t)
     p = _check_matrix(p, "operator")
@@ -117,9 +119,14 @@ def mode_product(t: np.ndarray, p: np.ndarray, mode: int) -> np.ndarray:
         raise UsageError(
             f"operator has {p.shape[1]} columns but tensor mode-{mode} has size {t.shape[mode - 1]}"
         )
-    # one GEMM per slice on views of t: tensordot would first copy t into the
-    # contracted axis order
-    return np.moveaxis(p @ np.moveaxis(t, mode - 1, -2), -2, mode - 1)
+    if t.flags.c_contiguous and not t.flags.f_contiguous:
+        return mode_product(t.T, p, 4 - mode).T  # t.T is column-major
+    # (before, mode, after) view of the column-major t: one GEMM on the mode-1
+    # or mode-3 unfolding, one per band for mode 2, each writing column-major
+    t = np.asfortranarray(t)
+    m = t.reshape(math.prod(t.shape[: mode - 1]), t.shape[mode - 1], -1, order="F")
+    out = (m[0].T @ p.T).T if mode == 1 else np.matmul(p, m.transpose(2, 1, 0)).transpose(2, 1, 0)
+    return out.reshape(t.shape[: mode - 1] + (p.shape[0],) + t.shape[mode:], order="F")
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:

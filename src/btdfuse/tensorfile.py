@@ -25,7 +25,11 @@ _HEADER = struct.Struct("<4sBQQQ")  # magic, version, I, J, K
 
 
 def write_tensor(path, t) -> None:
-    """Write a 3-d float array to ``path`` atomically."""
+    """Write a 3-d float array to ``path`` atomically.
+
+    A column-major ``t`` (what ``btd_reconstruct``, ``mode_product`` and
+    :func:`read_tensor` give) is written as it is; other layouts are copied.
+    """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise UsageError(f"expected a 3-d tensor, got ndim={t.ndim}")

@@ -239,7 +239,7 @@ def in_layout(t, layout):
         return np.ascontiguousarray(t)
     if layout == "F":
         return np.asfortranarray(t)
-    # transposed view: fibers contiguous, columns slowest (btd_reconstruct's layout)
+    # transposed view: fibers contiguous, columns slowest
     return np.ascontiguousarray(t.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
@@ -248,7 +248,7 @@ def metric_pairs(draw):
     i = draw(st.integers(1, 7))
     j = draw(st.integers(2, 13))
     k = draw(st.integers(1, 6))
-    slab_cols = draw(st.integers(1, j))
+    chunk_bytes = draw(st.integers(8, 8 * i * j * k))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     ref = rng.uniform(0.1, 1.0, size=(i, j, k))
@@ -265,16 +265,16 @@ def metric_pairs(draw):
         for kk in np.flatnonzero(rng.uniform(size=k) < 0.3):
             est[:, :, kk] = rng.uniform(-1.0, 1.0)  # constant estimate band
     layout = draw(st.sampled_from(["C", "F", "view"]))
-    return in_layout(ref, layout), in_layout(est, layout), slab_cols
+    return in_layout(ref, layout), in_layout(est, layout), chunk_bytes
 
 
 @settings(max_examples=200, deadline=None)
 @given(metric_pairs())
 def test_blocked_metrics_match_dense_formulas(case):
-    ref, est, slab_cols = case
-    i, j, k = ref.shape
-    # the slab covers slab_cols columns, so J need not be a multiple of it
-    with mock.patch.object(btdfuse.metrics, "_SLAB_BYTES", slab_cols * 8 * i * k):
+    ref, est, chunk_bytes = case
+    # a chunk holds chunk_bytes // (8 K) fibers or chunk_bytes // (8 I J) bands
+    # (at least 1), so neither count need divide the chunk
+    with mock.patch.object(btdfuse.metrics, "_CHUNK_BYTES", chunk_bytes):
         rep = compute_report(ref, est, 3)
     if np.array_equal(ref, est):
         assert rep.r_snr_db == 300.0

@@ -655,6 +655,9 @@ def test_fuse_config_validation():
         FusionConfig(rank=rank, inner_iters=2.5),
         FusionConfig(rank=rank, seed=1.5),
         FusionConfig(rank=rank, tol="x"),
+        # float() of these used to escape as a bare TypeError
+        FusionConfig(rank=rank, rho=None),
+        FusionConfig(rank=rank, rho=[1.0]),
     ):
         with pytest.raises(UsageError):
             bcd_fuse(hsi, msi, ops, cfg)
@@ -926,8 +929,22 @@ def test_recover_spectral_factor_rank_deficient():
     b = rng.uniform(size=(4, 3))
     ops = make_degradation_ops(4, 4, 6, K_M=2, kernel_size=1, d=4)
     hsi = rng.uniform(size=(1, 1, 6))
-    with pytest.raises(NumericalError, match="full column rank"):
+    with pytest.raises(NumericalError, match=r"rank 1 < R = 3.*full column rank.*I_H\*J_H >= R"):
         recover_spectral_factor(hsi, ops, a, b, rank)
+
+
+@pytest.mark.parametrize("shape, rank", [((40, 6), 6), ((40, 6), 3), ((5, 9), 5)],
+                         ids=["tall", "rank-deficient", "underdetermined"])
+def test_min_norm_lstsq_matches_lstsq(shape, rank):
+    from btdfuse.solver import _min_norm_lstsq
+
+    rng = np.random.default_rng(65)
+    w = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    y = rng.standard_normal((shape[0], 7))
+    got, got_rank = _min_norm_lstsq(w, y)
+    want, _, want_rank, _ = np.linalg.lstsq(w, y, rcond=None)
+    assert got_rank == want_rank == rank
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_two_stage_recovers_from_warm_start():

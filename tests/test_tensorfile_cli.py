@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ import pytest
 from btdfuse import (
     FormatError,
     NoiseSpec,
+    RankSpec,
     UsageError,
     add_noise,
     apply_degradation,
+    btd_reconstruct,
+    init_factors,
     make_degradation_ops,
     read_tensor,
     write_tensor,
@@ -34,6 +38,23 @@ def test_tensorfile_round_trip_bit_exact(tmp_path):
     back = read_tensor(path)
     assert back.shape == t.shape
     assert back.tobytes() == t.tobytes()
+
+
+def test_write_reconstruction_copies_nothing(tmp_path):
+    # btd_reconstruct returns the file's column-major layout, so the write
+    # streams the estimate as it is instead of copying it first
+    t = btd_reconstruct(init_factors((40, 30, 50), RankSpec(3, 2), 0, "random_uniform"))
+    assert t.flags.f_contiguous
+    path = tmp_path / "est.btf"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_tensor(path, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes / 8
+    assert read_tensor(path).tobytes(order="F") == t.tobytes(order="F")
 
 
 def test_tensorfile_header_layout(tmp_path):
@@ -625,6 +646,23 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
         assert code == 1, overrides
         assert out == "" and err.startswith("error: "), overrides
         assert not (tmp_path / "table.csv").exists()
+
+
+def test_bench_refuses_non_integral_counts(tmp_path, capsys):
+    # int() used to truncate these: R=2.9, L=1.5, outer_iters=2.5 ran R=2,
+    # L=(1, 1) and 2 sweeps
+    for entry in ({"R": 2.9}, {"R": 2, "L": 1.5}, {"R": 2, "outer_iters": 2.5},
+                  {"R": 2, "inner_iters": 2.5},
+                  {"R": 2.9, "L": 1.5, "outer_iters": 2.5}):
+        path, _ = bench_config(tmp_path, methods=[{"method": "cnn_btd", **entry}])
+        code, out, err = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 1, entry
+        assert out == "" and err.startswith("error: ") and "integer" in err, entry
+        assert not (tmp_path / "table.csv").exists()
+    # a whole number written as a float is still that number
+    path, _ = bench_config(tmp_path, methods=[{"method": "stereo", "R": 2.0, "L": 2.0,
+                                               "outer_iters": 3.0}])
+    assert run_cli(capsys, "bench", "--config", str(path))[0] == 0
 
 
 def test_bench_reads_settings_as_the_commands_do(tmp_path, capsys):

@@ -20,13 +20,16 @@ numeric change on the command line as it does on the solver.
 Usage::
 
     python tools/parity_matrix.py dump SRC_DIR OUT.npz
-    python tools/parity_matrix.py compare BASE.npz NEW.npz
+    python tools/parity_matrix.py compare BASE.npz NEW.npz [--rtol X]
 
 ``dump`` imports ``btdfuse`` from ``SRC_DIR`` (for example the ``src`` of a
 checkout of the parent commit) and runs the command line with it on
 ``PYTHONPATH``.  ``compare`` lists every array that is not equal under
 ``np.array_equal`` with its largest relative difference, counts the solver
-arrays and the command-line outputs apart, and exits 1 when any differs.
+arrays and the command-line outputs apart, and exits 1 when any differs by
+more than ``X`` relative (default 0: every array must be equal).  An array
+missing on one side, or differing in shape or in a non-numeric value,
+always fails.
 """
 
 import csv
@@ -177,7 +180,7 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a.astype(np.float64) - b).max(initial=0.0)) / scale
 
 
-def compare(base: str, new: str) -> int:
+def compare(base: str, new: str, rtol: float = 0.0) -> int:
     a, b = np.load(base), np.load(new)
     names = sorted(set(a.files) | set(b.files))
     differ = []
@@ -194,16 +197,18 @@ def compare(base: str, new: str) -> int:
         total = sum(map(test, names))
         equal = total - sum(test(n) for n, _ in differ)
         print(f"{equal} of {total} {kind} equal")
-    print(f"largest relative difference {worst:.3e}")
-    return 1 if differ else 0
+    print(f"largest relative difference {worst:.3e} (allowed {rtol:.3e})")
+    return 1 if worst > rtol else 0
 
 
 def main(argv) -> int:
     if len(argv) == 3 and argv[0] == "dump":
         dump(argv[1], argv[2])
         return 0
-    if len(argv) == 3 and argv[0] == "compare":
-        return compare(argv[1], argv[2])
+    if argv[:1] == ["compare"] and (len(argv) == 3 or len(argv) == 5 and argv[3] == "--rtol"):
+        rtol = float(argv[4]) if len(argv) == 5 else 0.0
+        if rtol >= 0:
+            return compare(argv[1], argv[2], rtol)
     print(__doc__, file=sys.stderr)
     return 1
 
