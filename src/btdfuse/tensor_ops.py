@@ -122,11 +122,14 @@ def mode_product(t: np.ndarray, p: np.ndarray, mode: int) -> np.ndarray:
     if t.flags.c_contiguous and not t.flags.f_contiguous:
         return mode_product(t.T, p, 4 - mode).T  # t.T is column-major
     # (before, mode, after) view of the column-major t: one GEMM on the mode-1
-    # or mode-3 unfolding, one per band for mode 2, each writing column-major
+    # or mode-3 unfolding, one per band for mode 2.  Modes 2 and 3 write the
+    # result column-major; mode 1 is copied to it, because a GEMM that writes
+    # its (J*K, rows(p)) transpose is slower than the copy for few rows
     t = np.asfortranarray(t)
     m = t.reshape(math.prod(t.shape[: mode - 1]), t.shape[mode - 1], -1, order="F")
-    out = (m[0].T @ p.T).T if mode == 1 else np.matmul(p, m.transpose(2, 1, 0)).transpose(2, 1, 0)
-    return out.reshape(t.shape[: mode - 1] + (p.shape[0],) + t.shape[mode:], order="F")
+    out = p @ m[0] if mode == 1 else np.matmul(p, m.transpose(2, 1, 0)).transpose(2, 1, 0)
+    return np.asfortranarray(out.reshape(t.shape[: mode - 1] + (p.shape[0],) + t.shape[mode:],
+                                         order="F"))
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -198,7 +198,7 @@ def compare(base: str, new: str, rtol: float = 0.0) -> int:
         equal = total - sum(test(n) for n, _ in differ)
         print(f"{equal} of {total} {kind} equal")
     print(f"largest relative difference {worst:.3e} (allowed {rtol:.3e})")
-    return 1 if worst > rtol else 0
+    return 1 if any(not rel <= rtol for _, rel in differ) else 0
 
 
 def main(argv) -> int:
