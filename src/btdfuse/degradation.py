@@ -207,14 +207,18 @@ def add_noise(t: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     The noise variance is ``||t||_F^2 / (numel * 10^(snr_db/10))``.  Draws come
     from numpy's PCG64 bit generator (``np.random.default_rng(seed)``), the
     package-wide fixed RNG, so results are reproducible for a given seed.
-    ``snr_db = inf`` returns the input unchanged.
+    ``snr_db = inf`` returns the input unchanged.  Either way the result keeps
+    the input's memory layout, so a column-major tensor stays column-major.
     """
     t = np.asarray(t, dtype=np.float64)
     if spec.snr_db == math.inf:
-        return t.copy()
+        return t.copy(order="K")
     norm = frob_norm(t)
     if norm == 0.0:
         raise UsageError("cannot set an SNR on an all-zero tensor")
     sigma = norm / math.sqrt(t.size * 10.0 ** (spec.snr_db / 10.0))
     rng = np.random.default_rng(spec.seed)
-    return t + sigma * rng.standard_normal(t.shape)
+    # the draw is copied to t's layout first: arithmetic over two layouts is slow
+    noisy = np.empty_like(t)
+    noisy[...] = rng.standard_normal(t.shape)
+    return np.add(t, np.multiply(sigma, noisy, out=noisy), out=noisy)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .tensor_ops import pw_khatri_rao, unvec, vec
+from .tensor_ops import pw_khatri_rao, unvec
 
 __all__ = [
     "RankSpec",
@@ -168,13 +168,34 @@ def spatial_map_matrix(f: BtdFactors) -> np.ndarray:
     return _block_maps(f.A, f.B, f.rank)
 
 
+def _partition(rank: RankSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each factor column's ``(block, place within block)``, two index arrays of length sum(L).
+
+    ``_stack(m, rank)[block, :, place].T`` gives ``m`` back, and a batched
+    product over the stacked blocks is gathered to factor columns the same way.
+    """
+    block = np.repeat(np.arange(rank.R), rank.L)
+    starts = np.cumsum(rank.L) - rank.L
+    return block, np.arange(rank.total) - starts[block]
+
+
+def _stack(m: np.ndarray, rank: RankSpec) -> np.ndarray:
+    """The column blocks of ``m`` as an (R, rows, max L) array, zero past each block's width."""
+    block, place = _partition(rank)
+    out = np.zeros((rank.R, m.shape[0], max(rank.L)))
+    out[block, :, place] = m.T
+    return out
+
+
 def _block_maps(a: np.ndarray, b: np.ndarray, rank: RankSpec) -> np.ndarray:
-    """``[vec(a_r @ b_r.T)]_r`` over the column blocks of ``rank``, shape (rows(a)*rows(b), R)."""
-    s = np.empty((a.shape[0] * b.shape[0], rank.R))
-    for r in range(rank.R):
-        cols = rank.block_slice(r)
-        s[:, r] = vec(a[:, cols] @ b[:, cols].T)
-    return s
+    """``[vec(a_r @ b_r.T)]_r`` over the column blocks of ``rank``, shape (rows(a)*rows(b), R).
+
+    One batched product ``b_r @ a_r.T`` of the stacked blocks, to which the
+    zero padding adds nothing; block r's (rows(b), rows(a)) map is row r of
+    the result in row-major order, which is ``vec(a_r @ b_r.T)``.
+    """
+    maps = _stack(b, rank) @ _stack(a, rank).transpose(0, 2, 1)
+    return maps.reshape(rank.R, -1).T
 
 
 def btd_unfold_direct(f: BtdFactors, mode: int) -> np.ndarray:

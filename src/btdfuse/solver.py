@@ -24,9 +24,12 @@ factors H1..H4 once (``_SylvesterFactor``, as in AO-ADMM) and every step is
 then four GEMMs, a Hadamard divide and the residual check.  Every term of a
 block subproblem is assembled by one kernel (``_normal_equations``), for A
 and B from small R x R and L x L Grams, without forming the partition-wise
-Khatri-Rao matrices.  ``two_stage`` solves its least-squares updates on the
-explicit designs instead, from their thin SVDs, since a Gram squares the
-design's condition number.
+Khatri-Rao matrices.  It, the block maps and ``svd_warm`` loop over no
+block: each stacks a factor's column blocks as one (R, rows, max L) array,
+zero past each block's width, runs one batched product or SVD over the R
+blocks and gathers the result back to factor columns.  ``two_stage`` solves
+its least-squares updates on the explicit designs instead, from their thin
+SVDs, since a Gram squares the design's condition number.
 
 With a stated form the factor takes the thin SVD ``P = U S Q1^T``, so that
 ``P^T P = Q1 S^2 Q1^T`` with min(rows, cols) columns in Q1.  The operators
@@ -62,6 +65,8 @@ from .model import (
     BtdFactors,
     RankSpec,
     _block_maps,
+    _partition,
+    _stack,
     btd_reconstruct,
     degrade_factors,
 )
@@ -430,12 +435,6 @@ def _resolve_rho(rho, gram: np.ndarray, ncols: int) -> float:
     return val
 
 
-def _expand(gram_r: np.ndarray, rank: RankSpec) -> np.ndarray:
-    """Spread an R x R matrix over the column blocks: entry (r, s) fills block (r, s)."""
-    idx = np.repeat(np.arange(rank.R), rank.L)
-    return gram_r[np.ix_(idx, idx)]
-
-
 def _normal_equations(y, u, v, rank: RankSpec, mode: int):
     """``(G, R)``, the normal equations of ``unfold(y, mode) ~ W X^T`` with ``G = W^T W``.
 
@@ -443,21 +442,20 @@ def _normal_equations(y, u, v, rank: RankSpec, mode: int):
     ``unfold(y, mode)^T W`` for mode 1 or 2 (the unknown is A or B), and
     ``W^T unfold(y, 3)`` for mode 3 (the unknown is C^T).  For mode 1 or 2, W
     is ``pw_khatri_rao(u, v, rank.L)`` and is never formed:
-    ``W^T W = expand(u^T u) o v^T v``, and y is contracted with u along mode 3
-    once, then with v by one GEMM per block.  For mode 3, W is the block-map
-    matrix of (u, v).
+    ``W^T W = expand(u^T u) o v^T v``, with entry (r, s) of ``u^T u`` spread
+    over block (r, s), and y is contracted with u along mode 3 once, then with
+    the stacked column blocks of v by one batched product, gathered back to
+    the columns of v.  For mode 3, W is the block-map matrix of (u, v).
     """
     if mode == 3:
         w = _block_maps(u, v, rank)
         return w.T @ w, w.T @ unfold(y, 3)
     i, j, _ = y.shape
+    block, place = _partition(rank)
     # t[r, j, i] = sum_k y[i, j, k] u[k, r]
     t = (u.T @ unfold(y, 3).T).reshape(rank.R, j, i)
-    r_mat = np.empty((i if mode == 1 else j, rank.total))
-    for r in range(rank.R):
-        cols = rank.block_slice(r)
-        r_mat[:, cols] = (t[r].T if mode == 1 else t[r]) @ v[:, cols]
-    return _expand(u.T @ u, rank) * (v.T @ v), r_mat
+    r_mat = ((t.transpose(0, 2, 1) if mode == 1 else t) @ _stack(v, rank))[block, :, place].T
+    return (u.T @ u)[np.ix_(block, block)] * (v.T @ v), r_mat
 
 
 def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -> AdmmWorkspace:
@@ -855,8 +853,9 @@ def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> Bt
         raise UsageError(f"unknown init strategy {strategy!r}")
     if msi is not None:
         msi = _check_tensor3(msi, "msi")
-        # ||X||^2 = sum(expand(C^T C) o A^T A o B^T B): no reconstruction needed
-        norm_sq = float(np.sum(_expand(f.C.T @ f.C, f.rank) * (f.A.T @ f.A) * (f.B.T @ f.B)))
+        # ||X||^2 = sum((C^T C spread over the blocks) o A^T A o B^T B): no reconstruction
+        block = _partition(f.rank)[0]
+        norm_sq = float(np.sum((f.C.T @ f.C)[np.ix_(block, block)] * (f.A.T @ f.A) * (f.B.T @ f.B)))
         if norm_sq > 0:
             f.C = f.C * (frob_norm(msi) / math.sqrt(norm_sq))
     return f
@@ -877,17 +876,11 @@ def _svd_warm_factors(dims, rank: RankSpec, msi) -> BtdFactors:
     t = np.stack([np.interp(dst, src, basis) for basis in np.eye(k_m)], axis=1)
     interp3 = unfold(msi, 3) @ t.T
     u, s, vt = np.linalg.svd(interp3, full_matrices=False)
-    a = np.empty((i, rank.total))
-    b = np.empty((j, rank.total))
-    c = np.empty((k, rank.R))
-    for r in range(rank.R):
-        ur, vr = u[:, r], vt[r]
-        if ur.sum() < 0:
-            ur, vr = -ur, -vr
-        us, ss, vts = np.linalg.svd(unvec(ur, i, j), full_matrices=False)
-        l_r = rank.L[r]
-        cols = rank.block_slice(r)
-        a[:, cols] = np.abs(us[:, :l_r] * np.sqrt(ss[:l_r]))
-        b[:, cols] = np.abs(vts[:l_r].T * np.sqrt(ss[:l_r]))
-        c[:, r] = np.abs(s[r] * vr)
-    return BtdFactors(a, b, c, rank)
+    # the R leading left vectors as (I, J) maps, and one batched SVD of them
+    us, ss, vts = np.linalg.svd(u[:, :rank.R].T.reshape(rank.R, j, i).transpose(0, 2, 1),
+                                full_matrices=False)
+    block, place = _partition(rank)
+    root = np.sqrt(ss)[:, None, :]
+    a = np.abs(us * root)[block, :, place].T
+    b = np.abs(vts.transpose(0, 2, 1) * root)[block, :, place].T
+    return BtdFactors(a, b, np.abs(s[:rank.R] * vt[:rank.R].T), rank)

@@ -257,6 +257,23 @@ def test_add_noise_realized_snr():
         assert abs(realized - target) <= 0.05
 
 
+def test_add_noise_keeps_layout():
+    # both paths return the input's layout, with the values of the row-major sum
+    base = np.random.default_rng(5).uniform(size=(4, 5, 6))
+    for t in (np.ascontiguousarray(base), np.asfortranarray(base)):
+        for snr_db in (20.0, float("inf")):
+            out = add_noise(t, NoiseSpec(snr_db, 9))
+            assert out.flags.c_contiguous == t.flags.c_contiguous
+            assert out.flags.f_contiguous == t.flags.f_contiguous
+            if snr_db == float("inf"):
+                expected = np.array(t)
+            else:
+                sigma = frob_norm(t) / np.sqrt(t.size * 10.0 ** (snr_db / 10.0))
+                expected = t + sigma * np.random.default_rng(9).standard_normal(t.shape)
+            np.testing.assert_array_equal(out, expected)
+            assert out is not t
+
+
 def test_add_noise_zero_tensor_rejected():
     with pytest.raises(UsageError):
         add_noise(np.zeros((3, 3, 3)), NoiseSpec(20.0, 0))

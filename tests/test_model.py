@@ -1,5 +1,7 @@
 """Block-term factor containers, reconstruction, and identifiability checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -142,8 +144,10 @@ def oracle_reconstruct(f):
 
 def test_reconstruct_against_loop_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(8):
-        rank = RankSpec(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    # drawn lazily, so each case's dims and factors follow its rank in the stream
+    drawn = (RankSpec(int(rng.integers(1, 4)), int(rng.integers(1, 4))) for _ in range(8))
+    # then one block, and a wide block between unit blocks
+    for rank in itertools.chain(drawn, [RankSpec(1, 2), RankSpec(4, (1, 5, 1, 2))]):
         dims = tuple(int(d) for d in rng.integers(2, 7, size=3))
         f = random_factors(rng, dims=dims, rank=rank)
         rel = np.linalg.norm(btd_reconstruct(f) - oracle_reconstruct(f)) / max(
@@ -299,17 +303,18 @@ def test_coupled_identifiability_nonuniform_L():
 
 def test_abundances_maps_match_block_products():
     rng = np.random.default_rng(11)
-    rank = RankSpec(2, 2)
-    f = random_factors(rng, dims=(5, 6, 4), rank=rank, nonneg=True)
-    ab = abundances(f)
-    assert ab.S.shape == (30, 2)
-    assert ab.spatial_dims == (5, 6)
-    for r in range(2):
-        sl = rank.block_slice(r)
-        np.testing.assert_allclose(ab.map(r), f.A[:, sl] @ f.B[:, sl].T, atol=1e-14)
-        np.testing.assert_allclose(
-            ab.S[:, r], (f.A[:, sl] @ f.B[:, sl].T).ravel(order="F"), atol=1e-14
-        )
+    # one block, and a wide block between unit blocks
+    for rank in (RankSpec(2, 2), RankSpec(1, 2), RankSpec(4, (1, 5, 1, 2))):
+        f = random_factors(rng, dims=(5, 6, 4), rank=rank, nonneg=True)
+        ab = abundances(f)
+        assert ab.S.shape == (30, rank.R)
+        assert ab.spatial_dims == (5, 6)
+        for r in range(rank.R):
+            sl = rank.block_slice(r)
+            np.testing.assert_allclose(ab.map(r), f.A[:, sl] @ f.B[:, sl].T, atol=1e-14)
+            np.testing.assert_allclose(
+                ab.S[:, r], (f.A[:, sl] @ f.B[:, sl].T).ravel(order="F"), atol=1e-14
+            )
 
 
 def test_abundances_rank_one_when_L_is_1():

@@ -19,7 +19,6 @@ from btdfuse import (
     apply_degradation,
     bcd_fuse,
     btd_reconstruct,
-    degrade_factors,
     frob_norm,
     init_factors,
     make_degradation_ops,
@@ -27,7 +26,6 @@ from btdfuse import (
     pw_khatri_rao,
     r_snr,
     recover_spectral_factor,
-    spatial_map_matrix,
     sylvester_solve,
     sylvester_solve_dense,
     unfold,
@@ -270,8 +268,19 @@ def blockwise_columns(c, a, rank):
     return np.column_stack(cols)
 
 
+def blockwise_maps(a, b, rank):
+    return np.column_stack(
+        [(a[:, rank.block_slice(r)] @ b[:, rank.block_slice(r)].T).ravel(order="F")
+         for r in range(rank.R)]
+    )
+
+
 @pytest.mark.parametrize("block", ["A", "B", "C"])
-@pytest.mark.parametrize("rank", [RankSpec(2, 2), RankSpec(3, (1, 2, 3))], ids=["L2", "L123"])
+@pytest.mark.parametrize(
+    "rank",
+    [RankSpec(2, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 2), RankSpec(4, (1, 5, 1, 2))],
+    ids=["L2", "L123", "R1", "L1512"],
+)
 def test_build_subproblem_assembly(block, rank):
     # the Gram-based assembly against the explicit Khatri-Rao / map-matrix formulas
     _, _, ops, hsi, msi = coupled_instance(10, rank=rank, snr=25.0)
@@ -293,9 +302,8 @@ def test_build_subproblem_assembly(block, rank):
             p.T @ (unfold(hsi, mode).T @ wh) + unfold(msi, mode).T @ wm,
         )
     else:
-        f_h, _ = degrade_factors(f, ops)
-        wh = spatial_map_matrix(f_h)
-        wm = spatial_map_matrix(f)
+        wh = blockwise_maps(p1 @ f.A, p2 @ f.B, rank)
+        wm = blockwise_maps(f.A, f.B, rank)
         z = f.C.T
         expected = (
             wh.T @ wh + rho * np.eye(rank.R),
@@ -1139,6 +1147,36 @@ def test_init_svd_warm_deterministic_nonneg():
     np.testing.assert_array_equal(f1.A, f2.A)  # no randomness involved
     assert f1.is_nonnegative()
     assert f1.dims == (12, 12, 8)
+
+
+def oracle_svd_warm(dims, rank, msi):
+    """svd_warm by a loop over the blocks, each left vector's sign flipped to a positive sum."""
+    i, j, k = dims
+    k_m = msi.shape[2]
+    src, dst = np.linspace(0.0, 1.0, k_m), np.linspace(0.0, 1.0, k)
+    t = np.stack([np.interp(dst, src, basis) for basis in np.eye(k_m)], axis=1)
+    u, s, vt = np.linalg.svd(unfold(msi, 3) @ t.T, full_matrices=False)
+    a, b, c = np.empty((i, rank.total)), np.empty((j, rank.total)), np.empty((k, rank.R))
+    for r in range(rank.R):
+        ur, vr = u[:, r], vt[r]
+        if ur.sum() < 0:
+            ur, vr = -ur, -vr
+        us, ss, vts = np.linalg.svd(ur.reshape(i, j, order="F"), full_matrices=False)
+        l_r, cols = rank.L[r], rank.block_slice(r)
+        a[:, cols] = np.abs(us[:, :l_r] * np.sqrt(ss[:l_r]))
+        b[:, cols] = np.abs(vts[:l_r].T * np.sqrt(ss[:l_r]))
+        c[:, r] = np.abs(s[r] * vr)
+    # init_factors scales C so that the reconstruction has the MSI's norm
+    c *= frob_norm(msi) / frob_norm(btd_reconstruct(BtdFactors(a, b, c, rank)))
+    return a, b, c
+
+
+def test_init_svd_warm_matches_block_loop():
+    for rank in (RankSpec(3, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 2)):
+        _, _, ops, hsi, msi = coupled_instance(73, rank=rank, snr=30.0)
+        f = init_factors((12, 12, 8), rank, seed=0, strategy="svd_warm", msi=msi)
+        for name, got, want in zip("ABC", (f.A, f.B, f.C), oracle_svd_warm((12, 12, 8), rank, msi)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"{rank} {name}")
 
 
 def test_init_svd_warm_needs_msi():

@@ -5,7 +5,9 @@ svd_warm} x tol {0, 1e-3, 1e-2}, 40 sweeps each, on a noisy 30x30x24 pair
 (R=3 L=2 from ``init_factors(seed=123)``, kernel 5, sigma 1.5, d 3, 4 bands,
 30 dB noise with seeds 7 and 8, fusion seed 5), with one BLAS thread.  For
 each of the 24 cases it saves the objective trace, ``iters_run``, the
-estimate and the factors A, B, C: 144 arrays.
+estimate and the factors A, B, C: 144 arrays.  Each method also runs once
+with the uneven partition ``RankSpec(3, (1, 2, 3))`` from ``random_uniform``
+with tol 0, saved under ``METHOD/L123/...``: 24 arrays more.
 
 ``dump`` also runs the command line on a fixed script (``CLI_SCRIPT``):
 ``make-sri``; ``simulate`` with default and with explicit flags; ``fuse`` for
@@ -157,17 +159,19 @@ def dump(src: str, out: str) -> None:
     hsi, msi = bf.apply_degradation(sri, ops)
     hsi = bf.add_noise(hsi, bf.NoiseSpec(30.0, 7))
     msi = bf.add_noise(msi, bf.NoiseSpec(30.0, 8))
+    # (label, rank, init, tol) of each case, run for every method
+    cases = [(f"{init}/{tol:g}", rank, init, tol) for init in INITS for tol in TOLS]
+    cases.append(("L123/random_uniform/0", bf.RankSpec(3, (1, 2, 3)), "random_uniform", 0.0))
     arrays = {}
     for method in METHODS:
-        for init in INITS:
-            for tol in TOLS:
-                cfg = bf.FusionConfig(method=method, rank=rank, outer_iters=40,
-                                      tol=tol, seed=5, init=init)
-                res = bf.bcd_fuse(hsi, msi, ops, cfg)
-                values = (np.asarray(res.objective_trace), np.asarray(res.iters_run),
-                          res.sri_estimate, res.factors.A, res.factors.B, res.factors.C)
-                for name, value in zip(FIELDS, values):
-                    arrays[f"{method}/{init}/{tol:g}/{name}"] = value
+        for label, case_rank, init, tol in cases:
+            cfg = bf.FusionConfig(method=method, rank=case_rank, outer_iters=40,
+                                  tol=tol, seed=5, init=init)
+            res = bf.bcd_fuse(hsi, msi, ops, cfg)
+            values = (np.asarray(res.objective_trace), np.asarray(res.iters_run),
+                      res.sri_estimate, res.factors.A, res.factors.B, res.factors.C)
+            for name, value in zip(FIELDS, values):
+                arrays[f"{method}/{label}/{name}"] = value
     arrays.update(dump_cli(src))
     np.savez(out, **arrays)
     print(f"{out}: {len(arrays)} arrays from {src}")
