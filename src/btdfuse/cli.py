@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -427,6 +428,15 @@ def entry(argv=None) -> int:
 
 
 def main():
+    """The process entry: ``python -m btdfuse.cli`` and the ``btdfuse`` script.
+
+    Every import is done by now, so freezing moves the import-time objects
+    (numpy's included) out of the collector's reach; the full collections of
+    interpreter shutdown then skip them, which saves tens of milliseconds per
+    command.  ``entry`` does not freeze: freezing is process-global state, and
+    callers that run commands in-process keep their collector as it was.
+    """
+    gc.freeze()
     sys.exit(entry())
 
 

@@ -68,6 +68,11 @@ class MatchResult:
 # Bytes per operand in one chunk: a chunk of each input and the two
 # temporaries of its size take 2 MB, which stays in one core's L2 cache.
 _CHUNK_BYTES = 1 << 19
+# The range a pair's largest squared pixel norm must lie in for the sweep to
+# run on the pair as given.  The margin past the normal range keeps the sums
+# over pixels from overflowing and the error energy of a close estimate from
+# going subnormal.
+_NORM_SQ_RANGE = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,8 @@ class _Sums:
     Per band k: the reference mean, the error energy ``sum (ref - est)^2``
     and the mean-centred sums ``sxx``, ``syy``, ``sxy``; over all pixels:
     ``||ref||^2``, the sum of the spectral angles and how many pixels they
-    cover.
+    cover.  The sums may be those of the pair scaled by a power of two, which
+    leaves every metric unchanged.
     """
 
     pixels: int
@@ -103,6 +109,12 @@ def _sweep(ref, est) -> _Sums:
     chunks by the pairwise update of Chan, Golub & LeVeque (1983).  The data
     are first shifted by the first pixel's spectrum, so that a constant band
     gives exactly zero.
+
+    A pair whose squared pixel norms overflow or come near the subnormal
+    range is swept again scaled by the power of two that brings its largest
+    entry into [1/2, 1).  That scaling is exact, so the metrics of ``2^k ref``
+    and ``2^k est`` are those of ``ref`` and ``est``; any other pair is swept
+    as it is.
     """
     ref = _check_tensor3(ref, "ref")
     est = _check_tensor3(est, "est")
@@ -115,6 +127,14 @@ def _sweep(ref, est) -> _Sums:
     # (pixels, bands) views; column-major bands are read in place
     xs, ys = (np.asarray(t, order=order).reshape(n, k, order=order) for t in (ref, est))
     nx2, ny2 = np.einsum("pk,pk->p", xs, xs), np.einsum("pk,pk->p", ys, ys)
+    lo, hi = _NORM_SQ_RANGE
+    if not lo <= max(nx2.max(), ny2.max()) <= hi:
+        big = max(float(np.abs(ref).max()), float(np.abs(est).max()))
+        # an all-zero or non-finite pair is swept as it is; a scaled pair
+        # has squared norms in [1/4, k] and is not scaled again
+        if 0.0 < big < math.inf:
+            e = math.frexp(big)[1]
+            return _sweep(np.ldexp(ref, -e), np.ldexp(est, -e))
     # spectral angle 2 arcsin(||u - v|| / 2) of the unit fibers u, v: it
     # equals arccos(<u, v>) but stays exact at 0 for identical fibers and
     # accurate for small angles; pixels with a zero fiber are skipped.  The

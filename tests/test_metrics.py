@@ -285,6 +285,30 @@ def test_blocked_metrics_match_dense_formulas(case):
     assert rep.ergas == pytest.approx(dense_ergas(ref, est, 3), rel=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(metric_pairs(), st.integers(-600, 600))
+def test_compute_report_is_scale_equivariant(case, k):
+    # a power-of-two scaling is exact, so the report must not move by a bit,
+    # also where the squared pixel norms of the scaled pair overflow or
+    # underflow
+    ref, est, chunk_bytes = case
+    with mock.patch.object(btdfuse.metrics, "_CHUNK_BYTES", chunk_bytes):
+        base = compute_report(ref, est, 3)
+        scaled = compute_report(np.ldexp(ref, k), np.ldexp(est, k), 3)
+    assert scaled == base
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("k", [520, 600, -540, -600])
+def test_compute_report_out_of_range_pair(k, layout):
+    # the squared pixel norms used to overflow to nan metrics and a SAM of 0
+    # (k > 0) or underflow to "reference tensor is identically zero" (k < 0)
+    rng = np.random.default_rng(0)
+    ref = in_layout(rng.uniform(size=(6, 5, 7)) + 0.5, layout)
+    est = in_layout(ref + 0.01 * rng.uniform(size=ref.shape), layout)
+    assert compute_report(np.ldexp(ref, k), np.ldexp(est, k), 2) == compute_report(ref, est, 2)
+
+
 def test_compute_report_allocates_less_than_one_input():
     rng = np.random.default_rng(18)
     ref = rng.uniform(0.5, 1.5, size=(64, 64, 100))

@@ -1,8 +1,12 @@
 """On-disk tensor format and the command-line workflows."""
 
 import csv
+import gc
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +25,7 @@ from btdfuse import (
     read_tensor,
     write_tensor,
 )
+import btdfuse.cli
 from btdfuse.cli import entry
 
 
@@ -745,3 +750,62 @@ def test_bench_continues_past_partial_failure(tmp_path, capsys):
     summary = last_json(out)
     assert summary["completed_runs"] == 1
     assert summary["failed_runs"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+
+
+# {sri}, {hsi}, {msi} and {tmp} are the pair make_pair writes and its folder;
+# the HSI of that pair has 2x2 coarse pixels, too few for five blocks in
+# two_stage's spectral recovery
+PROCESS_CASES = [
+    pytest.param(["make-sri", "--out", "{tmp}/s.btf", "--dims", "6", "5", "4", "-R", "2"],
+                 0, id="ok-0"),
+    pytest.param(["make-sri", "--out", "{tmp}/s.btf", "--dims", "6", "5", "4", "-R", "2",
+                  "--seed", "-1"], 1, id="usage-1"),
+    pytest.param(["evaluate", "--ref", "{sri}", "--est", "{tmp}/nope.btf", "--ratio", "3"],
+                 2, id="io-2"),
+    pytest.param(["fuse", "--hsi", "{hsi}", "--msi", "{msi}", "--out", "{tmp}/est.btf",
+                  "--method", "two_stage", "-R", "5", "-L", "1", "--kernel", "3",
+                  "--sigma", "1.5", "--ratio", "3"], 3, id="numerical-3"),
+]
+
+
+@pytest.mark.parametrize("argv, want", PROCESS_CASES)
+def test_process_exit_codes(tmp_path, capsys, argv, want):
+    # python -m btdfuse.cli runs main(), which freezes the collector before
+    # entry() and leaves through sys.exit
+    sri, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(6, 6, 5), blocks=2,
+                                 block_rank=1, ratio=3, sigma=1.5, bands=2)
+    paths = {"sri": sri, "hsi": hsi, "msi": msi, "tmp": tmp_path}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btdfuse.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "btdfuse.cli",
+                           *(a.format(**paths) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == want, proc.stderr
+    if want == 0:
+        assert isinstance(json.loads(proc.stdout), dict)
+    else:
+        assert proc.stdout == ""
+        # fuse may warn on identifiability before it fails
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_only_main_freezes_the_collector(tmp_path, capsys, monkeypatch):
+    # freezing is process-global, so neither the library nor entry() may do it
+    assert gc.get_freeze_count() == 0
+    code, _, _ = run_cli(capsys, "make-sri", "--out", str(tmp_path / "s.btf"),
+                         "--dims", "6", "5", "4", "-R", "2")
+    assert code == 0
+    assert gc.get_freeze_count() == 0
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(btdfuse.cli, "entry", lambda argv=None: calls.append("entry") or 0)
+    with pytest.raises(SystemExit) as exc:
+        btdfuse.cli.main()
+    assert exc.value.code == 0
+    assert calls == ["freeze", "entry"]

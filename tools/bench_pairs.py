@@ -1,0 +1,154 @@
+"""Run the benchmark on two checkouts in alternating pairs and write a BENCH file.
+
+Usage::
+
+    python3 tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload W --pairs N \\
+        --seconds S --seed-base B --label L
+
+Each root is a checkout of one commit (a git clone, so that the benchmark can
+record the commit).  Pair i runs ``python3 perfbench/run.py --workload W
+--seed B+i --seconds S --trace 0`` from the root of each checkout, with that
+checkout's own ``perfbench``; the parent runs first in even pairs and second
+in odd ones.  The runs go one at a time.
+
+The script writes ``BENCH_<L>.json`` in the working directory: for every end
+to end metric the runs, median and quartiles of each side, the pairs in which
+the change was lower and the ratio of the medians; the mean R-SNR of each run;
+failed and attempted operations; and the machine and commits read from the
+provenance each run leaves under ``.perfbench/``.  When the file exists, the
+workload is added to it (or replaced), provided the commits and the machine
+match.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+MACHINE_KEYS = ("cores", "affinity", "cpu_model", "caches", "blas", "python", "numpy", "scipy")
+PROCEDURE = ("python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
+             "run from the root of a checkout of each commit by tools/bench_pairs.py; pairs "
+             "alternate which commit runs first; one process at a time on the machine below")
+SEED_DERIVATION = "each run's 8 data instances take perfbench/run.py derive_seeds(S, i), i = 0..7"
+QUALITY_NOTE = ("nrmse, sam_rad and objective_final are means over a run's 8 instances, "
+                "as perfbench reports them")
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``root``: the detail file it leaves behind."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
+    if proc.returncode not in (0, 1):  # 1 is a failed check, which the file records
+        raise RuntimeError(f"{root}: {' '.join(argv)} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    path = os.path.join(root, ".perfbench", f"{workload}-seed{seed}-trace0.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def quartiles(runs) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+
+
+def summarize(details: dict, seeds: list, parent_first: list) -> dict:
+    """The workload entry of a BENCH file from the two sides' run details."""
+    first = details["change"][0]
+    out = {
+        "pairs": len(seeds),
+        "seeds": seeds,
+        "order": (f"parent ran first for seeds {[s for s, p in zip(seeds, parent_first) if p]} "
+                  f"and second for {[s for s, p in zip(seeds, parent_first) if not p]}"),
+        "params": first["provenance"]["params"],
+        "metrics": {},
+    }
+    for name, m in first["metrics"].items():
+        runs = {side: [d["metrics"][name]["value"] for d in details[side]] for side in SIDES}
+        entry = {side: quartiles(runs[side]) for side in SIDES}
+        lower = sum(c < p for p, c in zip(runs["parent"], runs["change"]))
+        entry.update(unit=m["unit"], change_lower_in=f"{lower}/{len(seeds)} pairs",
+                     median_ratio_change_over_parent=(entry["change"]["median"]
+                                                      / entry["parent"]["median"]))
+        out["metrics"][name] = entry
+    out["rsnr_db_mean_per_run"] = {
+        side: [statistics.fmean(d["series"]["rsnr_db"]) for d in details[side]]
+        for side in SIDES}
+    for key in ("failed", "attempted"):
+        out[key] = {side: sum(d[key] for d in details[side]) for side in SIDES}
+    return out
+
+
+def provenance(details: dict) -> tuple:
+    """The machine and the per-side commits; every run must agree on them."""
+    commits, machines = {}, set()
+    for side in SIDES:
+        seen = {d["provenance"]["commit"] for d in details[side]}
+        if len(seen) != 1:
+            raise RuntimeError(f"the {side} runs report several commits: {sorted(seen)}")
+        commits[side] = seen.pop()
+        machines.update(json.dumps({k: d["provenance"][k] for k in MACHINE_KEYS},
+                                   sort_keys=True) for d in details[side])
+    if len(machines) != 1:
+        raise RuntimeError("the runs report different machines")
+    return json.loads(machines.pop()), commits
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_root")
+    ap.add_argument("change_root")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed-base", type=int, required=True)
+    ap.add_argument("--label", required=True)
+    args = ap.parse_args(argv)
+    roots = {"parent": os.path.abspath(args.parent_root),
+             "change": os.path.abspath(args.change_root)}
+
+    seeds = [args.seed_base + i for i in range(args.pairs)]
+    parent_first = [i % 2 == 0 for i in range(args.pairs)]
+    details = {side: [] for side in SIDES}
+    for seed, pf in zip(seeds, parent_first):
+        for side in SIDES if pf else SIDES[::-1]:
+            details[side].append(run_once(roots[side], args.workload, seed, args.seconds))
+            m = details[side][-1]["metrics"]
+            print(f"seed {seed} {side:6s} " + " ".join(
+                f"{k}={v['value']:.4g}" for k, v in m.items()), flush=True)
+
+    machine, commits = provenance(details)
+    path = f"BENCH_{args.label}.json"
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            bench = json.load(fh)
+        if bench["commits"] != commits or bench["machine"] != machine:
+            raise RuntimeError(f"{path} holds runs of other commits or another machine")
+    else:
+        bench = {"label": args.label, "procedure": PROCEDURE.format(seconds=args.seconds),
+                 "seed_derivation": SEED_DERIVATION, "quality_note": QUALITY_NOTE,
+                 "machine": machine, "commits": commits,
+                 "page_cache": details["change"][0]["provenance"]["page_cache"],
+                 "workloads": {}}
+    entry = summarize(details, seeds, parent_first)
+    bench["workloads"][args.workload] = entry
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+
+    for name, m in entry["metrics"].items():
+        p, c = m["parent"], m["change"]
+        print(f"{args.workload} {name}: {p['median']:.6g} -> {c['median']:.6g} {m['unit']} "
+              f"(parent IQR {p['q3'] - p['q1']:.3g}), change lower in {m['change_lower_in']}")
+    print(f"failed/attempted: parent {entry['failed']['parent']}/{entry['attempted']['parent']}, "
+          f"change {entry['failed']['change']}/{entry['attempted']['change']}; wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
