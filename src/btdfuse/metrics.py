@@ -130,8 +130,8 @@ def _sweep(ref, est) -> _Sums:
     lo, hi = _NORM_SQ_RANGE
     if not lo <= max(nx2.max(), ny2.max()) <= hi:
         big = max(float(np.abs(ref).max()), float(np.abs(est).max()))
-        # an all-zero or non-finite pair is swept as it is; a scaled pair
-        # has squared norms in [1/4, k] and is not scaled again
+        # an all-zero or non-finite pair is swept as it is; the largest
+        # squared norm of a scaled pair is in [1/4, k], so it is not scaled again
         if 0.0 < big < math.inf:
             e = math.frexp(big)[1]
             return _sweep(np.ldexp(ref, -e), np.ldexp(est, -e))
