@@ -31,6 +31,7 @@ from .errors import FormatError, NumericalError, UsageError
 from .metrics import compute_report
 from .model import RankSpec, btd_reconstruct, check_coupled_identifiability
 from .solver import INIT_STRATEGIES, METHODS, FusionConfig, _validate_config, bcd_fuse, init_factors
+from .tensor_ops import _check_dims, _check_int
 from .tensorfile import read_tensor, write_tensor
 
 __all__ = ["main", "entry", "build_parser"]
@@ -84,18 +85,11 @@ def _add_settings(p: argparse.ArgumentParser, keys):
                        choices=s.choices, metavar=metavar, help=s.help)
 
 
-def _whole(name: str, value) -> int:
-    """``int(value)``, refusing a float that the conversion would truncate."""
-    if isinstance(value, float) and not value.is_integer():
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _settings(keys, values: dict) -> dict:
     """``values[k]`` for each of ``keys`` by its row's type; missing or None takes the default."""
     return {k: _SETTINGS[k].default if values.get(k) is None
-            else _whole(k, values[k]) if _SETTINGS[k].type is int else _SETTINGS[k].type(values[k])
-            for k in keys}
+            else _check_int(values[k], k) if _SETTINGS[k].type is int
+            else _SETTINGS[k].type(values[k]) for k in keys}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,8 +242,7 @@ def _fusion_config(entry: dict, seed: int) -> FusionConfig:
             s["outer_iters"] = 100 if method == "stereo" else _FUSION.outer_iters
         if s["rho"] != "auto":
             s["rho"] = float(s["rho"])
-        cfg = FusionConfig(method=method, rank=RankSpec(_whole("R", entry["R"]), s.pop("L")),
-                           seed=seed, **s)
+        cfg = FusionConfig(method=method, rank=RankSpec(entry["R"], s.pop("L")), seed=seed, **s)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {method} settings: {exc}") from exc
     _validate_config(cfg)
@@ -317,14 +310,13 @@ def _bench_config(raw) -> argparse.Namespace:
     try:
         cfg = argparse.Namespace(**{key: raw.get(key) for key in _BENCH_KEYS},
                                  **_settings(_DEGRADATION_KEYS, raw))
-        cfg.trials = int(raw.get("trials", 1))
-        cfg.seed_base = int(raw.get("seed_base", 0))
-        if not cfg.sri_path:
-            i, j, k = (int(d) for d in cfg.sri_dims)
-            cfg.sri_dims = (i, j, k)
-            cfg.sri_rank = RankSpec(int(sri_rank["R"]), int(sri_rank.get("L", 1)))
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bench config: {exc}") from exc
+    cfg.trials = _check_int(raw.get("trials", 1), "trials")
+    cfg.seed_base = _check_int(raw.get("seed_base", 0), "seed_base")
+    if not cfg.sri_path:
+        cfg.sri_dims = _check_dims(cfg.sri_dims, "sri_dims")
+        cfg.sri_rank = RankSpec(sri_rank["R"], sri_rank.get("L", 1))
     if cfg.trials < 1:
         raise UsageError(f"trials must be >= 1, got {cfg.trials}")
     if not cfg.output:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, UsageError
-from .tensor_ops import frob_norm, mode_product
+from .tensor_ops import _check_int, frob_norm, mode_product
 
 __all__ = [
     "DegradationOps",
@@ -60,6 +60,7 @@ class NoiseSpec:
     def __post_init__(self):
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise UsageError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
 
@@ -71,8 +72,7 @@ def gaussian_blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
     centered at i; weights falling outside the domain are dropped and each row
     is renormalized to sum to 1.
     """
-    n = int(n)
-    kernel_size = int(kernel_size)
+    n, kernel_size = _check_int(n, "n"), _check_int(kernel_size, "kernel_size")
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     if kernel_size % 2 == 0 or kernel_size < 1:
@@ -98,7 +98,7 @@ def downsample_matrix(n: int, d: int, offset: int = 0) -> np.ndarray:
 
     Shape is ``(ceil((n - offset) / d), n)``.
     """
-    n, d, offset = int(n), int(d), int(offset)
+    n, d, offset = _check_int(n, "n"), _check_int(d, "d"), _check_int(offset, "offset")
     if not 1 <= d <= n:
         raise UsageError(f"need 1 <= d <= n, got d={d}, n={n}")
     if not 0 <= offset < d:
@@ -122,6 +122,7 @@ def build_spatial_ops(
     ``sigma`` defaults to ``d / 2``, tying the blur extent to the
     downsampling ratio as in standard reference-image protocols.
     """
+    I_M, J_M, d = _check_int(I_M, "I_M"), _check_int(J_M, "J_M"), _check_int(d, "d")
     if sigma is None:
         sigma = d / 2.0
     p1 = downsample_matrix(I_M, d, offset) @ gaussian_blur_matrix(I_M, kernel_size, sigma)
@@ -135,7 +136,7 @@ def uniform_srf(K_H: int, K_M: int) -> np.ndarray:
     The first ``K_H mod K_M`` groups get one extra band; each row averages its
     group uniformly, so rows sum to 1.
     """
-    K_H, K_M = int(K_H), int(K_M)
+    K_H, K_M = _check_int(K_H, "K_H"), _check_int(K_M, "K_M")
     if K_M < 1 or K_H < 1:
         raise UsageError(f"band counts must be >= 1, got K_H={K_H}, K_M={K_M}")
     if K_M > K_H:
@@ -176,17 +177,18 @@ def make_degradation_ops(
         p3 = uniform_srf(K_H, K_M)
     else:
         p3 = np.asarray(srf, dtype=np.float64)
-        if p3.shape != (K_M, K_H):
+        if p3.shape != (_check_int(K_M, "K_M"), _check_int(K_H, "K_H")):
             raise UsageError(f"SRF must be {K_M}x{K_H}, got {p3.shape}")
     return DegradationOps(
         P1=p1,
         P2=p2,
         P3=p3,
         params={
-            "kernel_size": int(kernel_size),
-            "sigma": float(sigma) if sigma is not None else d / 2.0,
-            "ratio": int(d),
-            "offset": int(offset),
+            # build_spatial_ops has accepted these, so they convert without a loss
+            "kernel_size": _check_int(kernel_size, "kernel_size"),
+            "sigma": float(sigma if sigma is not None else d / 2.0),
+            "ratio": _check_int(d, "d"),
+            "offset": _check_int(offset, "offset"),
             "srf_source": srf_source,
         },
     )

@@ -14,6 +14,7 @@ factor sets before comparing them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ class MatchResult:
 # Bytes per operand in one chunk: a chunk of each input and the two
 # temporaries of its size take 2 MB, which stays in one core's L2 cache.
 _CHUNK_BYTES = 1 << 19
-# The range a pair's largest squared pixel norm must lie in for the sweep to
-# run on the pair as given.  The margin past the normal range keeps the sums
+# The range each tensor's largest squared pixel norm must lie in for the sweep
+# to run on the pair as given.  The margin past the normal range keeps the sums
 # over pixels from overflowing and the error energy of a close estimate from
 # going subnormal.
 _NORM_SQ_RANGE = (2.0**-500, 2.0**500)
@@ -82,8 +83,10 @@ class _Sums:
     Per band k: the reference mean, the error energy ``sum (ref - est)^2``
     and the mean-centred sums ``sxx``, ``syy``, ``sxy``; over all pixels:
     ``||ref||^2``, the sum of the spectral angles and how many pixels they
-    cover.  The sums may be those of the pair scaled by a power of two, which
-    leaves every metric unchanged.
+    cover.  The sums may be those of ``2^-a ref`` and ``2^-b est``, which
+    leaves CC and SAM unchanged; the error energy is then that of
+    ``2^-c (ref - est)`` with ``c = a + err_exp``, so the error's share of
+    ``||ref||^2`` is ``err_sq / ref_sq`` times ``4^err_exp``.
     """
 
     pixels: int
@@ -95,9 +98,10 @@ class _Sums:
     sxy: np.ndarray
     angle_sum: float
     angle_count: int
+    err_exp: int
 
 
-def _sweep(ref, est) -> _Sums:
+def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
     """Every pixel's norm, then one walk over ``ref``/``est`` in chunks.
 
     A column-major pair (the layout of the tensor file, ``btd_reconstruct``
@@ -110,11 +114,15 @@ def _sweep(ref, est) -> _Sums:
     are first shifted by the first pixel's spectrum, so that a constant band
     gives exactly zero.
 
-    A pair whose squared pixel norms overflow or come near the subnormal
-    range is swept again scaled by the power of two that brings its largest
-    entry into [1/2, 1).  That scaling is exact, so the metrics of ``2^k ref``
-    and ``2^k est`` are those of ``ref`` and ``est``; any other pair is swept
-    as it is.
+    A pair in which either tensor's squared pixel norms overflow or come
+    near the subnormal range is swept again with ``ref`` scaled by ``2^-a``
+    and ``est`` by ``2^-b``, the powers of two that bring each one's largest
+    entry into [1/2, 1).  The error is taken at the larger of the two
+    scales, ``2^-c`` with ``c = max(a, b)``: each chunk of the scaled pair
+    is multiplied by ``err_exps = (a - c, b - c)`` before the difference.
+    These scalings are exact, so the metrics of ``2^k ref`` and ``2^k est``
+    are those of ``ref`` and ``est``, and a scale gap between ``ref`` and
+    ``est`` does not lose the smaller one.  Any other pair is swept as it is.
     """
     ref = _check_tensor3(ref, "ref")
     est = _check_tensor3(est, "est")
@@ -128,13 +136,16 @@ def _sweep(ref, est) -> _Sums:
     xs, ys = (np.asarray(t, order=order).reshape(n, k, order=order) for t in (ref, est))
     nx2, ny2 = np.einsum("pk,pk->p", xs, xs), np.einsum("pk,pk->p", ys, ys)
     lo, hi = _NORM_SQ_RANGE
-    if not lo <= max(nx2.max(), ny2.max()) <= hi:
-        big = max(float(np.abs(ref).max()), float(np.abs(est).max()))
-        # an all-zero or non-finite pair is swept as it is; the largest
-        # squared norm of a scaled pair is in [1/4, k], so it is not scaled again
-        if 0.0 < big < math.inf:
-            e = math.frexp(big)[1]
-            return _sweep(np.ldexp(ref, -e), np.ldexp(est, -e))
+    # a tensor whose squared norms all underflow to 0 is out of range unless it is zero
+    if any(not lo <= m <= hi and (m > 0 or v.any()) for m, v in ((nx2.max(), xs), (ny2.max(), ys))):
+        tops = float(np.abs(ref).max()), float(np.abs(est).max())
+        # a pair with a non-finite entry is swept as it is; an all-zero
+        # tensor takes the other's scale; each tensor of a scaled pair has
+        # its largest squared norm in [1/4, k], so it is not scaled again
+        if all(t < math.inf for t in tops):
+            a, b = (math.frexp(t or max(tops))[1] for t in tops)
+            c = max(a, b)
+            return _sweep(np.ldexp(ref, -a), np.ldexp(est, -b), (a - c, b - c))
     # spectral angle 2 arcsin(||u - v|| / 2) of the unit fibers u, v: it
     # equals arccos(<u, v>) but stays exact at 0 for identical fibers and
     # accurate for small angles; pixels with a zero fiber are skipped.  The
@@ -155,7 +166,11 @@ def _sweep(ref, est) -> _Sums:
         x, y = xs[ps, bs].T, ys[ps, bs].T  # (bands, pixels)
         s, t = (b[: c.stop - c0].T if by_pixel else b[: c.stop - c0] for b in (s_buf, t_buf))
 
-        np.subtract(x, y, out=s)
+        if any(err_exps):
+            np.ldexp(x, err_exps[0], out=s)
+            s -= np.ldexp(y, err_exps[1], out=t)
+        else:
+            np.subtract(x, y, out=s)
         err_sq[bs] += np.einsum("kp,kp->k", s, s)
         np.divide(x, nx[ps], out=s)
         s -= np.divide(y, ny[ps], out=t)
@@ -179,7 +194,7 @@ def _sweep(ref, est) -> _Sums:
         pixels=n, ref_sq=float(nx2.sum()), ref_mean=x0[:, 0] + mx, err_sq=err_sq,
         sxx=sxx, syy=syy, sxy=sxy,
         angle_sum=float(np.sum(2.0 * np.arcsin(np.minimum(half_chord, 1.0)))),
-        angle_count=int(np.count_nonzero(keep)),
+        angle_count=int(np.count_nonzero(keep)), err_exp=-err_exps[0],
     )
 
 
@@ -189,7 +204,12 @@ def _r_snr(s: _Sums) -> float:
     den = float(s.err_sq.sum())
     if den == 0.0:
         return R_SNR_CAP_DB
-    return min(10.0 * math.log10(s.ref_sq / den), R_SNR_CAP_DB)
+    q = s.ref_sq / den
+    # the ratio is q / 4^err_exp; past the normal range, add the exponent to the log
+    ratio = math.ldexp(q, -2 * s.err_exp)
+    db = (math.log10(ratio) if ratio >= sys.float_info.min
+          else math.log10(q) - 2 * s.err_exp * math.log10(2.0))
+    return min(10.0 * db, R_SNR_CAP_DB)
 
 
 def _sam(s: _Sums) -> float:
@@ -219,7 +239,10 @@ def _ergas(s: _Sums, d: float) -> float:
     if np.any(mu == 0.0):
         raise UndefinedMetricError("a reference band has zero mean")
     mse = s.err_sq / s.pixels
-    return float(100.0 / d * math.sqrt(np.mean(mse / mu**2)))
+    try:
+        return math.ldexp(100.0 / d * math.sqrt(np.mean(mse / mu**2)), s.err_exp)
+    except OverflowError:
+        return math.inf
 
 
 def r_snr(ref, est) -> float:

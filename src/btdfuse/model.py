@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .tensor_ops import pw_khatri_rao, unvec
+from .tensor_ops import _check_int, pw_khatri_rao, unvec
 
 __all__ = [
     "RankSpec",
@@ -33,14 +33,6 @@ __all__ = [
 ]
 
 
-def _integral(value, name: str) -> int:
-    """``int(value)``, refusing a value that the conversion would round."""
-    n = int(value)
-    if n != value:
-        raise UsageError(f"{name} must be integral, got {value!r}")
-    return n
-
-
 @dataclass(frozen=True)
 class RankSpec:
     """Number of blocks ``R`` and per-block ranks ``L`` (length R).
@@ -53,12 +45,9 @@ class RankSpec:
     L: tuple[int, ...] = field(default=(1,))
 
     def __init__(self, R: int, L=1):
-        object.__setattr__(self, "R", _integral(R, "R"))
-        if np.isscalar(L):
-            widths = (_integral(L, "L"),) * self.R
-        else:
-            widths = tuple(_integral(w, "L") for w in L)
-        object.__setattr__(self, "L", widths)
+        object.__setattr__(self, "R", _check_int(R, "R"))
+        widths = L if np.iterable(L) else (L,) * self.R  # a scalar L is every block's
+        object.__setattr__(self, "L", tuple(_check_int(w, "L") for w in widths))
         if self.R < 1:
             raise UsageError(f"R must be >= 1, got {self.R}")
         if len(self.L) != self.R:
@@ -246,6 +235,7 @@ def check_btd_identifiability(I: int, J: int, K: int, rank: RankSpec) -> CheckRe
     The condition is sufficient, not necessary: a False verdict does not rule
     out recovery, so callers should treat it as advisory.
     """
+    I, J, K = _check_int(I, "I"), _check_int(J, "J"), _check_int(K, "K")
     l = _require_uniform(rank)
     r = rank.R
     failed = []
@@ -267,6 +257,8 @@ def check_coupled_identifiability(
     determined by least squares.  Advisory, as for
     :func:`check_btd_identifiability`, whose clauses it reports for the MSI.
     """
+    I_M, J_M, K_M = _check_int(I_M, "I_M"), _check_int(J_M, "J_M"), _check_int(K_M, "K_M")
+    I_H, J_H = _check_int(I_H, "I_H"), _check_int(J_H, "J_H")
     failed = check_btd_identifiability(I_M, J_M, K_M, rank).failed_clauses
     if I_H * J_H < rank.R:
         failed.append(f"I_H*J_H = {I_H * J_H} < R = {rank.R}")

@@ -70,7 +70,8 @@ from .model import (
     btd_reconstruct,
     degrade_factors,
 )
-from .tensor_ops import _check_tensor3, frob_norm, kronecker, pw_khatri_rao, unfold, unvec, vec
+from .tensor_ops import _check_dims, _check_int, _check_tensor3, frob_norm, kronecker, pw_khatri_rao
+from .tensor_ops import unfold, unvec, vec
 
 __all__ = [
     "FusionConfig",
@@ -699,10 +700,10 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     block update; iteration stops at ``outer_iters`` sweeps or earlier when
     the relative objective change between sweeps drops below ``tol``.
     """
+    if cfg.method == "two_stage":  # two_stage_recover validates cfg
+        return two_stage_recover(hsi, msi, ops, cfg)
     start = time.perf_counter()
     _validate_config(cfg)
-    if cfg.method == "two_stage":
-        return two_stage_recover(hsi, msi, ops, cfg)
     rank = cfg.rank if cfg.method != "cnn_cpd" else RankSpec(cfg.rank.R, 1)
     e, hsi, msi, f = _start(hsi, msi, ops, cfg, rank)
     constrained = cfg.method in ("cnn_btd", "cnn_cpd")
@@ -832,9 +833,8 @@ def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> Bt
     per block of its band-map matrix, and uses absolute values of the
     truncated components; no randomness involved.
     """
-    i, j, k = (int(d) for d in dims)
-    if min(i, j, k) < 1:
-        raise UsageError(f"dims must be positive, got {dims}")
+    i, j, k = dims = _check_dims(dims)
+    seed = _check_int(seed, "seed")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     if strategy == "random_uniform":
@@ -861,8 +861,8 @@ def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> Bt
     return f
 
 
-def _svd_warm_factors(dims, rank: RankSpec, msi) -> BtdFactors:
-    i, j, k = (int(d) for d in dims)
+def _svd_warm_factors(dims: tuple[int, int, int], rank: RankSpec, msi) -> BtdFactors:
+    i, j, k = dims
     msi = _check_tensor3(msi, "msi")
     if msi.shape[0] != i or msi.shape[1] != j:
         raise UsageError(f"msi spatial dims {msi.shape[:2]} do not match {(i, j)}")

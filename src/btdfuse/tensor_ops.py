@@ -20,6 +20,7 @@ Conventions used throughout the package (all arrays are float64 ndarrays):
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -55,6 +56,27 @@ def _check_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _check_int(value, name: str) -> int:
+    """``value`` as an int: the package's one rule for sizes, ranks, ratios, counts and seeds.
+
+    An int, a numpy integer or a float with an integral value is accepted;
+    anything else (2.5, NaN, an infinity, None, a bool, a string) raises
+    UsageError naming ``name``, so nothing is truncated on the way.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return int(value)
+    raise UsageError(f"{name} must be an integer or an integral float, got {value!r}")
+
+
+def _check_dims(dims, name: str = "dims") -> tuple[int, int, int]:
+    """The three sizes of a third-order tensor, each a whole number >= 1."""
+    out = tuple(_check_int(d, name) for d in dims) if np.iterable(dims) else ()
+    if len(out) != 3 or min(out) < 1:
+        raise UsageError(f"{name} must be three integers >= 1, got {dims!r}")
+    return out
+
+
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Matricize ``t`` along ``mode`` (1, 2 or 3).
 
@@ -84,12 +106,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the ``(I, J, K)`` tensor from a mode-n unfolding."""
     m = _check_matrix(m)
-    try:
-        i, j, k = (int(d) for d in dims)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"dims must be three integers, got {dims!r}") from exc
-    if min(i, j, k) < 1:
-        raise UsageError(f"all dims must be >= 1, got {dims}")
+    i, j, k = _check_dims(dims)
     expected = {1: (k * j, i), 2: (k * i, j), 3: (i * j, k)}.get(mode)
     if expected is None:
         raise UsageError(f"mode must be 1, 2 or 3, got {mode!r}")
@@ -166,7 +183,7 @@ def pw_khatri_rao(c: np.ndarray, a: np.ndarray, block_widths: Sequence[int]) -> 
     """
     c = _check_matrix(c, "c")
     a = _check_matrix(a, "a")
-    widths = [int(w) for w in block_widths]
+    widths = [_check_int(w, "block_widths") for w in block_widths]
     if any(w < 1 for w in widths):
         raise UsageError(f"block widths must be positive, got {widths}")
     if c.shape[1] != len(widths):
@@ -194,6 +211,7 @@ def vec(m: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     v = np.asarray(v, dtype=np.float64)
+    rows, cols = _check_int(rows, "rows"), _check_int(cols, "cols")
     if v.size != rows * cols:
         raise UsageError(f"cannot reshape {v.size} entries to {rows}x{cols}")
     return v.reshape(rows, cols, order="F")

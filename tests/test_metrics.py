@@ -309,6 +309,23 @@ def test_compute_report_out_of_range_pair(k, layout):
     assert compute_report(np.ldexp(ref, k), np.ldexp(est, k), 2) == compute_report(ref, est, 2)
 
 
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("k", [-1000, -600, 540, 1000])
+def test_compute_report_scale_gap_between_ref_and_est(k, layout):
+    # est = 2^k ref used to lose the smaller tensor: "every spectral fiber is
+    # zero" for k < 0 and "reference tensor is identically zero" for k > 0
+    rng = np.random.default_rng(0)
+    ref = in_layout(rng.uniform(size=(6, 5, 7)) + 0.5, layout)
+    rep = compute_report(ref, in_layout(np.ldexp(ref, k), layout), 2)
+    gap = abs(1.0 - 2.0**k)
+    mu = ref.mean(axis=(0, 1))
+    ergas = 100.0 / 2 * gap * math.sqrt(np.mean(np.mean(ref**2, axis=(0, 1)) / mu**2))
+    assert rep.sam_rad <= 1e-12
+    assert rep.cc == pytest.approx(1.0, abs=1e-12)
+    assert rep.r_snr_db == pytest.approx(-20.0 * math.log10(gap), rel=1e-12, abs=1e-12)
+    assert rep.ergas == pytest.approx(ergas, rel=1e-12)
+
+
 def test_compute_report_allocates_less_than_one_input():
     rng = np.random.default_rng(18)
     ref = rng.uniform(0.5, 1.5, size=(64, 64, 100))

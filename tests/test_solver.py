@@ -673,6 +673,21 @@ def test_fuse_config_validation():
     assert bcd_fuse(hsi, msi, ops, FusionConfig(rank=rank, **counts)).iters_run == 1
 
 
+def test_fuse_validates_each_config_once(monkeypatch):
+    # bcd_fuse used to validate a two_stage config and then hand it to
+    # two_stage_recover, which validated it again
+    import btdfuse.solver as solver
+
+    calls = []
+    validate = solver._validate_config
+    monkeypatch.setattr(solver, "_validate_config", lambda cfg: calls.append(validate(cfg)))
+    _, _, ops, hsi, msi = coupled_instance(30)
+    for method in ("cnn_btd", "cnn_cpd", "stereo", "two_stage"):
+        calls.clear()
+        bcd_fuse(hsi, msi, ops, FusionConfig(method=method, rank=RankSpec(2, 2), outer_iters=1))
+        assert len(calls) == 1, method
+
+
 def test_fuse_geometry_mismatch():
     _, _, ops, hsi, msi = coupled_instance(31)
     with pytest.raises(UsageError):

@@ -670,6 +670,39 @@ def test_bench_refuses_non_integral_counts(tmp_path, capsys):
     assert run_cli(capsys, "bench", "--config", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("overrides", [
+    {"trials": 1.5}, {"seed_base": 0.7}, {"sri_dims": [12.9, 12, 10]},
+    {"sri_rank": {"R": 2.6}}, {"sri_rank": {"R": 2, "L": 2.2}},
+    {"kernel_size": 3.5}, {"ratio": 2.5}, {"offset": 0.5}, {"bands": 2.5},
+    {"trials": None}, {"seed_base": float("nan")}, {"sri_dims": [12, None, 10]},
+    {"sri_rank": {"R": float("inf")}}, {"trials": True},
+], ids=repr)
+def test_bench_refuses_non_integral_config_values(tmp_path, capsys, overrides):
+    # these used to run truncated: 1.5 trials as 1, seed_base 0.7 as 0, a
+    # 12.9-pixel side as 12 and R 2.6, L 2.2 as R2 L2
+    path, _ = bench_config(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and "integer" in err
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_bench_reads_integral_floats_as_ints(tmp_path, capsys):
+    tables = []
+    for number in (int, float):
+        path, _ = bench_config(
+            tmp_path, trials=number(2), seed_base=number(3), sri_dims=[number(15), 15, 8],
+            sri_rank={"R": number(2), "L": number(2)}, kernel_size=number(3),
+            ratio=number(3), offset=number(1), bands=number(4),
+            methods=[{"method": "stereo", "R": number(2), "L": number(2),
+                      "outer_iters": number(5)}],
+        )
+        assert run_cli(capsys, "bench", "--config", str(path))[0] == 0
+        with open(tmp_path / "table.csv", newline="") as fh:
+            tables.append([row[:-1] for row in csv.reader(fh)])  # not the runtime
+    assert tables[0] == tables[1]
+
+
 def test_bench_reads_settings_as_the_commands_do(tmp_path, capsys):
     # every degradation and fusion setting away from its default: one bench
     # trial and simulate + fuse + evaluate with the same seed see the same

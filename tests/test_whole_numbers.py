@@ -1,0 +1,114 @@
+"""One rule for every size, rank, ratio, count and seed a caller passes.
+
+Each entry point takes an int, a numpy integer or an integral float and gives
+the same result for all three; any other value raises UsageError naming the
+parameter instead of being truncated or escaping as numpy's TypeError.
+"""
+
+import dataclasses
+import math
+import re
+
+import numpy as np
+import pytest
+
+from btdfuse import (
+    NoiseSpec,
+    RankSpec,
+    UsageError,
+    add_noise,
+    check_btd_identifiability,
+    check_coupled_identifiability,
+    downsample_matrix,
+    fold,
+    gaussian_blur_matrix,
+    init_factors,
+    make_degradation_ops,
+    pw_khatri_rao,
+    uniform_srf,
+    unvec,
+)
+
+_RNG = np.random.default_rng(0)
+_T = _RNG.uniform(size=(3, 4, 5))
+_MSI = _RNG.uniform(size=(2, 3, 2))
+
+
+def _ops(**kw):
+    args = dict(I_M=6, J_M=6, K_H=5, K_M=2, kernel_size=3, d=2, offset=0)
+    args.update(kw)
+    return make_degradation_ops(**args)
+
+
+# (entry point, the parameter's name, a whole value it accepts, the call)
+CASES = [
+    ("gaussian_blur_matrix", "n", 2, lambda v: gaussian_blur_matrix(v, 3, 1.0)),
+    ("gaussian_blur_matrix", "kernel_size", 3, lambda v: gaussian_blur_matrix(5, v, 1.0)),
+    ("downsample_matrix", "n", 2, lambda v: downsample_matrix(v, 1)),
+    ("downsample_matrix", "d", 2, lambda v: downsample_matrix(6, v)),
+    ("downsample_matrix", "offset", 2, lambda v: downsample_matrix(6, 3, v)),
+    ("uniform_srf", "K_H", 2, lambda v: uniform_srf(v, 1)),
+    ("uniform_srf", "K_M", 2, lambda v: uniform_srf(5, v)),
+    ("make_degradation_ops", "I_M", 2, lambda v: _ops(I_M=v)),
+    ("make_degradation_ops", "J_M", 2, lambda v: _ops(J_M=v)),
+    ("make_degradation_ops", "K_H", 2, lambda v: _ops(K_H=v)),
+    ("make_degradation_ops", "K_M", 2, lambda v: _ops(K_M=v)),
+    ("make_degradation_ops", "K_M", 2, lambda v: _ops(K_M=v, srf=uniform_srf(5, 2))),
+    ("make_degradation_ops", "kernel_size", 3, lambda v: _ops(kernel_size=v)),
+    ("make_degradation_ops", "d", 2, lambda v: _ops(d=v)),
+    ("make_degradation_ops", "offset", 1, lambda v: _ops(offset=v)),
+    ("NoiseSpec", "seed", 2, lambda v: (NoiseSpec(30.0, v), add_noise(_T, NoiseSpec(30.0, v)))),
+    ("init_factors", "dims", 2,
+     lambda v: init_factors((v, 3, 4), RankSpec(2, 1), 0, "random_uniform", msi=_MSI)),
+    ("init_factors", "seed", 2, lambda v: init_factors((2, 3, 4), RankSpec(2, 1), v,
+                                                       "random_uniform")),
+    ("init_factors/svd_warm", "dims", 2,
+     lambda v: init_factors((v, 3, 4), RankSpec(1, 1), 0, "svd_warm", msi=_MSI)),
+    ("fold", "dims", 2, lambda v: fold(np.arange(24.0).reshape(12, 2), 1, (v, 3, 4))),
+    ("pw_khatri_rao", "block_widths", 2,
+     lambda v: pw_khatri_rao(np.ones((2, 2)), np.arange(6.0).reshape(2, 3), (v, 1))),
+    ("unvec", "rows", 2, lambda v: unvec(np.arange(6.0), v, 3)),
+    ("unvec", "cols", 2, lambda v: unvec(np.arange(6.0), 3, v)),
+    ("check_btd_identifiability", "I", 2,
+     lambda v: vars(check_btd_identifiability(v, 6, 6, RankSpec(2, 2)))),
+    ("check_btd_identifiability", "K", 2,
+     lambda v: vars(check_btd_identifiability(6, 6, v, RankSpec(2, 2)))),
+    ("check_coupled_identifiability", "I_M", 2,
+     lambda v: vars(check_coupled_identifiability(v, 6, 4, 2, 2, RankSpec(2, 2)))),
+    ("check_coupled_identifiability", "J_H", 2,
+     lambda v: vars(check_coupled_identifiability(6, 6, 4, 2, v, RankSpec(2, 2)))),
+    ("RankSpec", "R", 2, lambda v: RankSpec(v, 1)),
+    ("RankSpec", "L", 2, lambda v: RankSpec(2, v)),
+    ("RankSpec", "L", 2, lambda v: RankSpec(2, (1, v))),
+]
+IDS = [f"{where}-{name}-{i}" for i, (where, name, _, _) in enumerate(CASES)]
+
+
+def same(a, b) -> bool:
+    """Equal values of equal types, through arrays, dataclasses, tuples and dicts."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_non_integral_value_is_refused_by_name(case):
+    _, name, _, call = case
+    for bad in (2.5, math.nan, math.inf, -math.inf, None, "2", True):
+        with pytest.raises(UsageError, match=rf"^{re.escape(name)} must be an integer"):
+            call(bad)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_integral_float_and_numpy_integer_act_as_int(case):
+    _, _, good, call = case
+    expected = call(good)
+    for value in (float(good), np.int64(good)):
+        assert same(call(value), expected), value
