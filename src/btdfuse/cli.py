@@ -31,7 +31,7 @@ from .errors import FormatError, NumericalError, UsageError
 from .metrics import compute_report
 from .model import RankSpec, btd_reconstruct, check_coupled_identifiability
 from .solver import INIT_STRATEGIES, METHODS, FusionConfig, _validate_config, bcd_fuse, init_factors
-from .tensor_ops import _check_dims, _check_int
+from .tensor_ops import _check_dims, _check_int, _check_real
 from .tensorfile import read_tensor, write_tensor
 
 __all__ = ["main", "entry", "build_parser"]
@@ -89,6 +89,7 @@ def _settings(keys, values: dict) -> dict:
     """``values[k]`` for each of ``keys`` by its row's type; missing or None takes the default."""
     return {k: _SETTINGS[k].default if values.get(k) is None
             else _check_int(values[k], k) if _SETTINGS[k].type is int
+            else _check_real(values[k], k) if _SETTINGS[k].type is float
             else _SETTINGS[k].type(values[k]) for k in keys}
 
 
@@ -307,11 +308,8 @@ def _bench_config(raw) -> argparse.Namespace:
         raw.get("sri_dims") and isinstance(sri_rank, dict) and "R" in sri_rank
     ):
         raise UsageError("bench config needs 'sri_path' or 'sri_dims' + 'sri_rank'")
-    try:
-        cfg = argparse.Namespace(**{key: raw.get(key) for key in _BENCH_KEYS},
-                                 **_settings(_DEGRADATION_KEYS, raw))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bench config: {exc}") from exc
+    cfg = argparse.Namespace(**{key: raw.get(key) for key in _BENCH_KEYS},
+                             **_settings(_DEGRADATION_KEYS, raw))
     cfg.trials = _check_int(raw.get("trials", 1), "trials")
     cfg.seed_base = _check_int(raw.get("seed_base", 0), "seed_base")
     if not cfg.sri_path:

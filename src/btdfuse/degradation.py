@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, UsageError
-from .tensor_ops import _check_int, frob_norm, mode_product
+from .tensor_ops import _check_int, _check_real, frob_norm, mode_product
 
 __all__ = [
     "DegradationOps",
@@ -58,7 +58,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+        object.__setattr__(self, "snr_db", _check_real(self.snr_db, "snr_db"))
+        if self.snr_db == -math.inf:
             raise UsageError(f"snr_db must be finite or +inf, got {self.snr_db}")
         object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
         if self.seed < 0:
@@ -79,6 +80,7 @@ def gaussian_blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
         raise UsageError(f"kernel_size must be odd and positive, got {kernel_size}")
     if kernel_size > 2 * n - 1:
         raise UsageError(f"kernel_size {kernel_size} exceeds 2n-1 = {2 * n - 1}")
+    sigma = _check_real(sigma, "sigma")
     if not sigma > 0:
         raise UsageError(f"sigma must be > 0, got {sigma}")
     half = (kernel_size - 1) // 2

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UndefinedMetricError, UsageError
 from .model import BtdFactors, spatial_map_matrix
-from .tensor_ops import _check_tensor3
+from .tensor_ops import _check_real, _check_tensor3
 
 __all__ = [
     "MetricsReport",
@@ -228,7 +228,7 @@ def _cc(s: _Sums) -> float:
 
 
 def _ratio(d) -> float:
-    d = float(d)
+    d = _check_real(d, "d")
     if not 0 < d < math.inf:
         raise UsageError(f"d must be finite and > 0, got {d}")
     return d

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .tensor_ops import _check_int, pw_khatri_rao, unvec
+from .tensor_ops import _check_int, _check_mode, pw_khatri_rao, unvec
 
 __all__ = [
     "RankSpec",
@@ -100,11 +100,6 @@ class BtdFactors:
     def dims(self) -> tuple[int, int, int]:
         return (self.A.shape[0], self.B.shape[0], self.C.shape[0])
 
-    def block(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pair ``(A_r, B_r)`` for block r."""
-        s = self.rank.block_slice(r)
-        return self.A[:, s], self.B[:, s]
-
     def is_nonnegative(self) -> bool:
         return bool((self.A >= 0).all() and (self.B >= 0).all() and (self.C >= 0).all())
 
@@ -125,20 +120,15 @@ class AbundanceSet:
         return unvec(self.S[:, r], i, j)
 
 
+@dataclass(frozen=True)
 class CheckResult:
     """Boolean-valued identifiability verdict with the clauses that failed."""
 
-    def __init__(self, ok: bool, failed_clauses: list[str]):
-        self.ok = ok
-        self.failed_clauses = failed_clauses
+    ok: bool
+    failed_clauses: list[str]
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __repr__(self) -> str:
-        if self.ok:
-            return "CheckResult(ok=True)"
-        return f"CheckResult(ok=False, failed={self.failed_clauses!r})"
 
 
 def btd_reconstruct(f: BtdFactors) -> np.ndarray:
@@ -193,13 +183,12 @@ def btd_unfold_direct(f: BtdFactors, mode: int) -> np.ndarray:
     mode 1: ``pw_khatri_rao(C, B) @ A.T``; mode 2: ``pw_khatri_rao(C, A) @ B.T``;
     mode 3: ``[vec(A_r B_r^T)]_r @ C.T``.  Matches ``unfold(btd_reconstruct(f), mode)``.
     """
+    mode = _check_mode(mode)
     if mode == 1:
         return pw_khatri_rao(f.C, f.B, f.rank.L) @ f.A.T
     if mode == 2:
         return pw_khatri_rao(f.C, f.A, f.rank.L) @ f.B.T
-    if mode == 3:
-        return spatial_map_matrix(f) @ f.C.T
-    raise UsageError(f"mode must be 1, 2 or 3, got {mode!r}")
+    return spatial_map_matrix(f) @ f.C.T
 
 
 def degrade_factors(f: BtdFactors, ops) -> tuple[BtdFactors, BtdFactors]:

@@ -51,7 +51,6 @@ retry, it computes the dense ``objective()`` instead.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import time
 import warnings
@@ -70,8 +69,8 @@ from .model import (
     btd_reconstruct,
     degrade_factors,
 )
-from .tensor_ops import _check_dims, _check_int, _check_tensor3, frob_norm, kronecker, pw_khatri_rao
-from .tensor_ops import unfold, unvec, vec
+from .tensor_ops import _check_dims, _check_int, _check_real, _check_tensor3, frob_norm, kronecker
+from .tensor_ops import pw_khatri_rao, unfold, unvec, vec
 
 __all__ = [
     "FusionConfig",
@@ -124,7 +123,7 @@ class FusionConfig:
     seed : int
         Seed for random initialization.
     init : one of ``random_uniform``, ``svd_warm``, ``provided``.
-    init_factors : BtdFactors, required when ``init="provided"``.
+    init_factors : BtdFactors, required when ``init="provided"`` and refused otherwise.
     """
 
     method: str = "cnn_btd"
@@ -424,14 +423,12 @@ def sylvester_solve_dense(h1, h2, h3, h4, h5) -> np.ndarray:
 
 
 def _resolve_rho(rho, gram: np.ndarray, ncols: int) -> float:
-    if isinstance(rho, str):
-        if rho != "auto":
-            raise UsageError(f"rho must be a number or 'auto', got {rho!r}")
+    if isinstance(rho, str) and rho == "auto":
         val = float(np.trace(gram)) / ncols
         # a zero Gram means zero factors; any positive penalty works then
         return val if val > 0 else 1.0
-    val = float(rho)
-    if not math.isfinite(val) or val < 0:
+    val = _check_real(rho, "rho")
+    if not 0 <= val < math.inf:
         raise UsageError(f"rho must be finite and >= 0, got {rho!r}")
     return val
 
@@ -521,7 +518,7 @@ def admm_nn_block(w: AdmmWorkspace, inner_iters: int):
     """
     if inner_iters < 1:
         raise UsageError(f"inner_iters must be >= 1, got {inner_iters}")
-    if not w.rho > 0:
+    if not _check_real(w.rho, "rho") > 0:
         raise UsageError(f"constrained block updates need rho > 0, got {w.rho}")
     system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, w.form)
     for _ in range(inner_iters):
@@ -570,19 +567,19 @@ def _validate_config(cfg: FusionConfig):
         raise UsageError(f"outer_iters must be >= 1, got {cfg.outer_iters}")
     if cfg.method in ("cnn_btd", "cnn_cpd") and cfg.inner_iters < 1:
         raise UsageError(f"inner_iters must be >= 1, got {cfg.inner_iters}")
-    if isinstance(cfg.rho, numbers.Real):
-        if not math.isfinite(cfg.rho) or cfg.rho <= 0:
-            raise UsageError(f"rho must be positive or 'auto', got {cfg.rho!r}")
-    elif not (isinstance(cfg.rho, str) and cfg.rho == "auto"):
-        raise UsageError(f"rho must be a number or 'auto', got {cfg.rho!r}")
-    if not (isinstance(cfg.tol, numbers.Real) and cfg.tol >= 0):
-        raise UsageError(f"tol must be a number >= 0, got {cfg.tol!r}")
+    auto = isinstance(cfg.rho, str) and cfg.rho == "auto"
+    if not (auto or 0 < _check_real(cfg.rho, "rho") < math.inf):
+        raise UsageError(f"rho must be positive and finite or 'auto', got {cfg.rho!r}")
+    if not _check_real(cfg.tol, "tol") >= 0:
+        raise UsageError(f"tol must be >= 0, got {cfg.tol!r}")
     if cfg.seed < 0:
         raise UsageError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.init not in INIT_STRATEGIES:
         raise UsageError(f"unknown init {cfg.init!r}; choose from {INIT_STRATEGIES}")
-    if cfg.init == "provided" and cfg.init_factors is None:
-        raise UsageError("init='provided' requires cfg.init_factors")
+    # _start reads init_factors only for "provided": with any other init they would be ignored
+    if (cfg.init == "provided") != (cfg.init_factors is not None):
+        raise UsageError(f"cfg.init_factors is needed with init='provided' and refused with "
+                         f"any other init, got init={cfg.init!r}")
 
 
 def _normalize_pair(hsi, msi):
@@ -837,6 +834,10 @@ def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> Bt
     seed = _check_int(seed, "seed")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
+    if msi is not None:
+        msi = _check_tensor3(msi, "msi")
+        if msi.shape[:2] != (i, j):
+            raise UsageError(f"msi spatial dims {msi.shape[:2]} do not match {(i, j)}")
     if strategy == "random_uniform":
         rng = np.random.default_rng(seed)
         a = rng.uniform(size=(i, rank.total))
@@ -852,7 +853,6 @@ def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> Bt
     else:
         raise UsageError(f"unknown init strategy {strategy!r}")
     if msi is not None:
-        msi = _check_tensor3(msi, "msi")
         # ||X||^2 = sum((C^T C spread over the blocks) o A^T A o B^T B): no reconstruction
         block = _partition(f.rank)[0]
         norm_sq = float(np.sum((f.C.T @ f.C)[np.ix_(block, block)] * (f.A.T @ f.A) * (f.B.T @ f.B)))
@@ -863,9 +863,6 @@ def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> Bt
 
 def _svd_warm_factors(dims: tuple[int, int, int], rank: RankSpec, msi) -> BtdFactors:
     i, j, k = dims
-    msi = _check_tensor3(msi, "msi")
-    if msi.shape[0] != i or msi.shape[1] != j:
-        raise UsageError(f"msi spatial dims {msi.shape[:2]} do not match {(i, j)}")
     k_m = msi.shape[2]
     if rank.R > min(i * j, k):
         raise UsageError(f"svd_warm needs R <= min(I*J, K) = {min(i * j, k)}, got R={rank.R}")

@@ -19,6 +19,7 @@ Conventions used throughout the package (all arrays are float64 ndarrays):
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from collections.abc import Sequence
@@ -69,6 +70,29 @@ def _check_int(value, name: str) -> int:
     raise UsageError(f"{name} must be an integer or an integral float, got {value!r}")
 
 
+def _check_real(value, name: str) -> float:
+    """``value`` as a float: the package's one rule for real parameters (rho, tol, sigma, SNR, d).
+
+    An int, a float or a numpy integer or floating scalar is accepted; anything
+    else (None, a bool, a string, a complex number, NaN, an int too large for
+    a float) raises UsageError naming ``name``.  Infinities pass: each caller
+    checks its own range.
+    """
+    if isinstance(value, (numbers.Integral, float, np.floating)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            if not math.isnan(real := float(value)):
+                return real
+    raise UsageError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_mode(mode) -> int:
+    """An unfolding or product mode: a whole number, 1, 2 or 3."""
+    mode = _check_int(mode, "mode")
+    if mode not in (1, 2, 3):
+        raise UsageError(f"mode must be 1, 2 or 3, got {mode!r}")
+    return mode
+
+
 def _check_dims(dims, name: str = "dims") -> tuple[int, int, int]:
     """The three sizes of a third-order tensor, each a whole number >= 1."""
     out = tuple(_check_int(d, name) for d in dims) if np.iterable(dims) else ()
@@ -94,22 +118,20 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """
     t = _check_tensor3(t)
     i, j, k = t.shape
+    mode = _check_mode(mode)
     if mode == 1:
         return np.transpose(t, (2, 1, 0)).reshape(k * j, i)
     if mode == 2:
         return np.transpose(t, (2, 0, 1)).reshape(k * i, j)
-    if mode == 3:
-        return np.transpose(t, (1, 0, 2)).reshape(j * i, k)
-    raise UsageError(f"mode must be 1, 2 or 3, got {mode!r}")
+    return np.transpose(t, (1, 0, 2)).reshape(j * i, k)
 
 
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the ``(I, J, K)`` tensor from a mode-n unfolding."""
     m = _check_matrix(m)
     i, j, k = _check_dims(dims)
-    expected = {1: (k * j, i), 2: (k * i, j), 3: (i * j, k)}.get(mode)
-    if expected is None:
-        raise UsageError(f"mode must be 1, 2 or 3, got {mode!r}")
+    mode = _check_mode(mode)
+    expected = {1: (k * j, i), 2: (k * i, j), 3: (i * j, k)}[mode]
     if m.shape != expected:
         raise UsageError(
             f"mode-{mode} unfolding of a {i}x{j}x{k} tensor has shape {expected}, got {m.shape}"
@@ -130,8 +152,7 @@ def mode_product(t: np.ndarray, p: np.ndarray, mode: int) -> np.ndarray:
     """
     t = _check_tensor3(t)
     p = _check_matrix(p, "operator")
-    if mode not in (1, 2, 3):
-        raise UsageError(f"mode must be 1, 2 or 3, got {mode!r}")
+    mode = _check_mode(mode)
     if p.shape[1] != t.shape[mode - 1]:
         raise UsageError(
             f"operator has {p.shape[1]} columns but tensor mode-{mode} has size {t.shape[mode - 1]}"

@@ -245,6 +245,18 @@ def test_tril_inv_matches_inv(n):
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_sylvester_dense_refuses_mismatched_shapes():
+    h = (np.eye(3), np.eye(2), np.eye(3), np.eye(2))
+    for bad, match in (
+        ((*h, np.ones(6)), "h5 must be a matrix"),
+        ((np.ones((3, 2)), *h[1:], np.ones((3, 2))), "h1 must be square"),
+        ((*h[:3], np.eye(3), np.ones((3, 2))), "h4 must be 2x2"),
+        ((*h, np.ones((2, 3))), "h1 must be 2x2"),
+    ):
+        with pytest.raises(UsageError, match=match):
+            sylvester_solve_dense(*bad)
+
+
 def test_sylvester_dense_general_symmetric():
     rng = np.random.default_rng(302)
     h1, h3 = spd(rng, 4), psd(rng, 4)
@@ -365,6 +377,21 @@ def test_build_subproblem_bad_block_name():
     truth, _, ops, hsi, msi = coupled_instance(13)
     with pytest.raises(UsageError):
         build_subproblem("D", truth, hsi, msi, ops, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    objective, lambda f, hsi, msi, ops: build_subproblem("A", f, hsi, msi, ops, 1.0),
+], ids=["objective", "build_subproblem"])
+def test_coupled_data_of_the_wrong_shape_is_refused(call):
+    truth, _, ops, hsi, msi = coupled_instance(13)
+    short = BtdFactors(truth.A, truth.B, truth.C[:5], truth.rank)
+    for args, match in (
+        ((truth, hsi[:, :, :5], msi), "hsi is"),
+        ((truth, hsi, msi[:-1]), "msi is"),
+        ((short, hsi, msi), "operators expect"),
+    ):
+        with pytest.raises(UsageError, match=match):
+            call(*args, ops)
 
 
 def fd_gradient(g, x, h=1e-6):
@@ -644,7 +671,7 @@ def test_exact_solve_jitter_retry_keeps_shared_gram():
 
 
 def test_fuse_config_validation():
-    _, _, ops, hsi, msi = coupled_instance(30)
+    truth, _, ops, hsi, msi = coupled_instance(30)
     rank = RankSpec(2, 2)
     for cfg in (
         FusionConfig(method="nope", rank=rank),
@@ -666,6 +693,14 @@ def test_fuse_config_validation():
         # float() of these used to escape as a bare TypeError
         FusionConfig(rank=rank, rho=None),
         FusionConfig(rank=rank, rho=[1.0]),
+        # provided factors that do not fit the data or the rank
+        FusionConfig(rank=rank, init="provided",
+                     init_factors=init_factors((12, 12, 5), rank, 0, "random_uniform")),
+        FusionConfig(rank=rank, init="provided",
+                     init_factors=init_factors((12, 12, 8), RankSpec(2, 1), 0, "random_uniform")),
+        # factors given with another init used to be ignored without a word
+        FusionConfig(rank=rank, init_factors=truth),
+        FusionConfig(rank=rank, init="svd_warm", init_factors=truth),
     ):
         with pytest.raises(UsageError):
             bcd_fuse(hsi, msi, ops, cfg)
@@ -1192,6 +1227,14 @@ def test_init_svd_warm_matches_block_loop():
         f = init_factors((12, 12, 8), rank, seed=0, strategy="svd_warm", msi=msi)
         for name, got, want in zip("ABC", (f.A, f.B, f.C), oracle_svd_warm((12, 12, 8), rank, msi)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"{rank} {name}")
+
+
+@pytest.mark.parametrize("strategy", ["random_uniform", "svd_warm"])
+def test_init_refuses_an_msi_of_other_spatial_dims(strategy):
+    # random_uniform used to scale C by the norm of any MSI it was given
+    msi = np.ones((5, 7, 3))
+    with pytest.raises(UsageError, match="msi spatial dims"):
+        init_factors((12, 12, 8), RankSpec(2, 2), seed=0, strategy=strategy, msi=msi)
 
 
 def test_init_svd_warm_needs_msi():

@@ -154,6 +154,14 @@ def test_tensorfile_overwrite_is_clean(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.btf"]
 
 
+def test_tensorfile_failed_write_removes_its_temp_file(tmp_path):
+    # the rename onto a directory fails after the payload is written
+    (tmp_path / "dir.btf").mkdir()
+    with pytest.raises(OSError):
+        write_tensor(tmp_path / "dir.btf", np.ones((2, 2, 2)))
+    assert [p.name for p in tmp_path.iterdir()] == ["dir.btf"]
+
+
 def test_tensorfile_write_missing_directory(tmp_path):
     with pytest.raises(OSError):
         write_tensor(tmp_path / "no" / "such" / "dir.btf", np.ones((1, 1, 1)))
@@ -617,6 +625,8 @@ def test_bench_malformed_json_exit_2(tmp_path, capsys):
 def test_bench_config_validation_exit_1(tmp_path, capsys):
     path, _ = bench_config(tmp_path, output=None)
     assert run_cli(capsys, "bench", "--config", str(path))[0] == 1
+    path.write_text("[1, 2]")
+    assert run_cli(capsys, "bench", "--config", str(path))[0] == 1
     path, _ = bench_config(tmp_path, methods=[{"method": "mystery", "R": 2}])
     assert run_cli(capsys, "bench", "--config", str(path))[0] == 1
     path, _ = bench_config(tmp_path, methods=[{"method": "stereo"}])
@@ -645,6 +655,15 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
         {"seed_base": -1},
         # json.load reads NaN, and a NaN tol used to pass the tol >= 0 check
         {"methods": [{"method": "stereo", "R": 2, "tol": float("nan")}]},
+        # neither an image file nor the dims and rank to make one
+        {"sri_dims": None},
+        {"sri_rank": {"L": 2}},
+        {"trials": 0},
+        {"methods": []},
+        # real settings take no bool or string: these used to run as 1.0 and 30.0
+        {"sigma": True},
+        {"snr_db": "30"},
+        {"methods": [{"method": "stereo", "R": 2, "tol": True}]},
     ):
         path, _ = bench_config(tmp_path, **overrides)
         code, out, err = run_cli(capsys, "bench", "--config", str(path))

@@ -1,4 +1,4 @@
-"""One rule for every size, rank, ratio, count and seed a caller passes.
+"""One rule for every size, rank, ratio, count, seed and mode a caller passes.
 
 Each entry point takes an int, a numpy integer or an integral float and gives
 the same result for all three; any other value raises UsageError naming the
@@ -17,6 +17,7 @@ from btdfuse import (
     RankSpec,
     UsageError,
     add_noise,
+    btd_unfold_direct,
     check_btd_identifiability,
     check_coupled_identifiability,
     downsample_matrix,
@@ -24,7 +25,9 @@ from btdfuse import (
     gaussian_blur_matrix,
     init_factors,
     make_degradation_ops,
+    mode_product,
     pw_khatri_rao,
+    unfold,
     uniform_srf,
     unvec,
 )
@@ -32,6 +35,7 @@ from btdfuse import (
 _RNG = np.random.default_rng(0)
 _T = _RNG.uniform(size=(3, 4, 5))
 _MSI = _RNG.uniform(size=(2, 3, 2))
+_F = init_factors((3, 4, 5), RankSpec(2, (1, 2)), 0, "random_uniform")
 
 
 def _ops(**kw):
@@ -80,6 +84,13 @@ CASES = [
     ("RankSpec", "R", 2, lambda v: RankSpec(v, 1)),
     ("RankSpec", "L", 2, lambda v: RankSpec(2, v)),
     ("RankSpec", "L", 2, lambda v: RankSpec(2, (1, v))),
+    # a mode is a whole number too: True used to pass as mode 1, 2.0 as an index
+    ("unfold", "mode", 1, lambda v: unfold(_T, v)),
+    ("fold", "mode", 2, lambda v: fold(np.arange(24.0).reshape(8, 3), v, (2, 3, 4))),
+    ("mode_product", "mode", 1, lambda v: mode_product(_T, np.ones((2, 3)), v)),
+    ("mode_product", "mode", 2,
+     lambda v: mode_product(np.asfortranarray(_T), np.ones((2, 4)), v)),
+    ("btd_unfold_direct", "mode", 2, lambda v: btd_unfold_direct(_F, v)),
 ]
 IDS = [f"{where}-{name}-{i}" for i, (where, name, _, _) in enumerate(CASES)]
 

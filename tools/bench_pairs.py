@@ -109,6 +109,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed-base", type=int, required=True)
     ap.add_argument("--label", required=True)
     args = ap.parse_args(argv)
+    # the quartiles of each side need two runs
+    if args.pairs < 2:
+        ap.error(f"--pairs must be at least 2, got {args.pairs}")
+    if not args.seconds > 0:
+        ap.error(f"--seconds must be positive, got {args.seconds}")
     roots = {"parent": os.path.abspath(args.parent_root),
              "change": os.path.abspath(args.change_root)}
 
