@@ -242,7 +242,9 @@ def _fusion_config(entry: dict, seed: int) -> FusionConfig:
         if s["outer_iters"] is None:
             s["outer_iters"] = 100 if method == "stereo" else _FUSION.outer_iters
         if s["rho"] != "auto":
-            s["rho"] = float(s["rho"])
+            # a number, which may be written as a string, as the --rho flag gives it
+            rho = entry["rho"]
+            s["rho"] = _check_real(float(rho) if isinstance(rho, str) else rho, "rho")
         cfg = FusionConfig(method=method, rank=RankSpec(entry["R"], s.pop("L")), seed=seed, **s)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {method} settings: {exc}") from exc

@@ -102,15 +102,17 @@ class _Sums:
 
 
 def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
-    """Every pixel's norm, then one walk over ``ref``/``est`` in chunks.
+    """Every pixel's norm, then one walk over ``ref``/``est`` in chunks of whole bands.
 
-    A column-major pair (the layout of the tensor file, ``btd_reconstruct``
-    and ``mode_product``) is read in chunks of whole bands, each band one
-    contiguous vector; a row-major pair in chunks of whole fibers.  A pair in
-    any other layout is first copied to column-major.  Each chunk adds to its
-    pixels' squared chords between the unit fibers of ``ref`` and ``est`` and
-    to its bands' error energy and centred sums, which are merged across
-    chunks by the pairwise update of Chan, Golub & LeVeque (1983).  The data
+    The pair is read as (pixels, bands) views in ``ref``'s own order: in
+    place for a column-major pair (the layout of the tensor file,
+    ``btd_reconstruct`` and ``mode_product``), each band one contiguous
+    vector, and for a row-major pair, each band one strided vector.  A pair
+    in any other layout, or whose ``est`` is not in ``ref``'s order, is first
+    copied to that order (column-major unless ``ref`` is row-major).  Each
+    chunk adds to its pixels' squared chords between the unit fibers of
+    ``ref`` and ``est``, and gives its bands' error energy, means and
+    mean-centred sums in one pass, since no band spans two chunks.  The data
     are first shifted by the first pixel's spectrum, so that a constant band
     gives exactly zero.
 
@@ -130,9 +132,7 @@ def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
         raise UsageError(f"shape mismatch: ref {ref.shape} vs est {est.shape}")
     i, j, k = ref.shape
     n = i * j
-    by_pixel = ref.flags.c_contiguous and est.flags.c_contiguous and not ref.flags.f_contiguous
-    order = "C" if by_pixel else "F"
-    # (pixels, bands) views; column-major bands are read in place
+    order = "C" if ref.flags.c_contiguous and not ref.flags.f_contiguous else "F"
     xs, ys = (np.asarray(t, order=order).reshape(n, k, order=order) for t in (ref, est))
     nx2, ny2 = np.einsum("pk,pk->p", xs, xs), np.einsum("pk,pk->p", ys, ys)
     lo, hi = _NORM_SQ_RANGE
@@ -153,45 +153,36 @@ def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
     # rounds twice, which costs digits near an angle of pi
     keep = (nx2 > 0) & (ny2 > 0)
     nx, ny = np.sqrt(np.where(keep, nx2, 1.0)), np.sqrt(np.where(keep, ny2, 1.0))
-    total, width = (n, k) if by_pixel else (k, n)
-    step = min(total, max(1, _CHUNK_BYTES // (8 * width)))
-    # temporaries in the chunks' memory order
-    s_buf, t_buf = (np.empty((step, width)) for _ in range(2))
+    step = min(k, max(1, _CHUNK_BYTES // (8 * n)))
+    s_buf, t_buf = (np.empty((step, n)) for _ in range(2))
     x0, y0 = xs[0][:, None], ys[0][:, None]
-    count, mx, my, err_sq, sxx, syy, sxy = (np.zeros(k) for _ in range(7))
+    mean, err_sq, sxx, syy, sxy = (np.empty(k) for _ in range(5))
     chord = np.zeros(n)
-    for c0 in range(0, total, step):
-        c = slice(c0, min(c0 + step, total))
-        ps, bs = (c, slice(None)) if by_pixel else (slice(None), c)
-        x, y = xs[ps, bs].T, ys[ps, bs].T  # (bands, pixels)
-        s, t = (b[: c.stop - c0].T if by_pixel else b[: c.stop - c0] for b in (s_buf, t_buf))
-
+    for b0 in range(0, k, step):
+        bs = slice(b0, min(b0 + step, k))
+        x, y = xs[:, bs].T, ys[:, bs].T  # (bands, pixels)
+        s, t = s_buf[: bs.stop - b0], t_buf[: bs.stop - b0]
         if any(err_exps):
             np.ldexp(x, err_exps[0], out=s)
             s -= np.ldexp(y, err_exps[1], out=t)
         else:
             np.subtract(x, y, out=s)
-        err_sq[bs] += np.einsum("kp,kp->k", s, s)
-        np.divide(x, nx[ps], out=s)
-        s -= np.divide(y, ny[ps], out=t)
-        chord[ps] += np.einsum("kp,kp->p", s, s)
+        err_sq[bs] = np.einsum("kp,kp->k", s, s)
+        np.divide(x, nx, out=s)
+        s -= np.divide(y, ny, out=t)
+        chord += np.einsum("kp,kp->p", s, s)
 
-        p, m = x.shape[1], count[bs]
         np.subtract(x, x0[bs], out=s)
         np.subtract(y, y0[bs], out=t)
-        bx, by = s.sum(axis=1) / p, t.sum(axis=1) / p
-        s -= bx[:, None]
-        t -= by[:, None]
-        dx, dy, w = bx - mx[bs], by - my[bs], m * p / (m + p)
-        sxx[bs] += np.einsum("kp,kp->k", s, s) + w * dx * dx
-        syy[bs] += np.einsum("kp,kp->k", t, t) + w * dy * dy
-        sxy[bs] += np.einsum("kp,kp->k", s, t) + w * dx * dy
-        mx[bs] += dx * (p / (m + p))
-        my[bs] += dy * (p / (m + p))
-        count[bs] += p
+        mean[bs] = s.sum(axis=1) / n
+        s -= mean[bs, None]
+        t -= (t.sum(axis=1) / n)[:, None]
+        sxx[bs] = np.einsum("kp,kp->k", s, s)
+        syy[bs] = np.einsum("kp,kp->k", t, t)
+        sxy[bs] = np.einsum("kp,kp->k", s, t)
     half_chord = 0.5 * np.sqrt(chord[keep])
     return _Sums(
-        pixels=n, ref_sq=float(nx2.sum()), ref_mean=x0[:, 0] + mx, err_sq=err_sq,
+        pixels=n, ref_sq=float(nx2.sum()), ref_mean=x0[:, 0] + mean, err_sq=err_sq,
         sxx=sxx, syy=syy, sxy=sxy,
         angle_sum=float(np.sum(2.0 * np.arcsin(np.minimum(half_chord, 1.0)))),
         angle_count=int(np.count_nonzero(keep)), err_exp=-err_exps[0],

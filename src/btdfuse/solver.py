@@ -537,9 +537,9 @@ def _solve_block_exact(w: AdmmWorkspace, block: str) -> np.ndarray:
             raise
         # the jitter goes on the pencil's c (H4 in the row form, H1 in the
         # column form), never on the P^T P of the form, and into a new array
-        # because the caller may share the old one
-        transposed = (w.form or _detect_form(w.H1, w.H2, w.H3, w.H4))[0]
-        name = "H1" if transposed else "H4"
+        # because the caller may share the old one; a workspace without a
+        # stated form is taken to be in the row form
+        name = "H1" if w.form and w.form[0] else "H4"
         target = getattr(w, name)
         n = target.shape[0]
         jitter = 1e-12 * float(np.trace(target)) / n
@@ -598,10 +598,6 @@ def _normalize_pair(hsi, msi):
     return e, *(np.ldexp(t, -e, out=np.empty(t.shape, order="F")) for t in (hsi, msi))
 
 
-def _unscaled_trace(trace, e: int) -> list:
-    return [math.ldexp(j, 2 * e) for j in trace]
-
-
 def _start(hsi, msi, ops: DegradationOps, cfg: FusionConfig, rank: RankSpec):
     """Checked and normalized ``(e, hsi, msi)`` and the initial factors for them."""
     hsi = _check_tensor3(hsi, "hsi")
@@ -640,50 +636,53 @@ def _block_score(w: AdmmWorkspace, z, data_sq: float) -> float:
     return float(data_sq - 2.0 * np.vdot(z, w.H5_base) + quad - w.rho * np.vdot(z, z))
 
 
-def _sweeps(cfg: FusionConfig, e: int, update):
-    """Run up to ``cfg.outer_iters`` sweeps of ``update(block)`` over A -> B -> C.
+def _run(cfg: FusionConfig, method: str, start: float, e: int, update, finish,
+         floor: float = -math.inf) -> FusionResult:
+    """Sweeps of ``update(block)`` over A -> B -> C, then ``finish()``: every run's one exit.
 
-    ``update`` returns ``(value, done)``: the objective after that block
-    update and whether the run cannot improve further.  Returns the trace and
-    the number of sweeps run.  Iteration stops early when the relative change
-    between sweeps drops below ``cfg.tol`` or a sweep ends with ``done``.  A
-    non-finite value, or a ``LinAlgError`` or NumericalError from ``update``,
-    raises NumericalError naming the block and sweep and carrying the trace so
-    far, scaled back by ``4^e``.
+    ``update`` returns the objective after that block update, and
+    ``finish()`` the factors and the values that end the trace (stage 2 of
+    ``two_stage`` and its coupled objective).  Every stop is decided here:
+    after ``cfg.outer_iters`` sweeps, or earlier when a sweep's last value
+    moved by less than ``cfg.tol`` relative to the previous sweep's, or is at
+    or below ``floor``.  A non-finite value, or a ``LinAlgError`` or
+    NumericalError from ``update`` or ``finish``, raises NumericalError naming
+    where it happened and carrying the trace so far.  The factors and the
+    trace are those of the pair normalized by ``2^-e``; C is scaled back by
+    ``2^e`` and the trace by ``4^e`` here.
     """
-    trace = []
-    prev_sweep = None
-    iters_run = 0
-    for sweep in range(cfg.outer_iters):
-        for block in ("A", "B", "C"):
-            try:
-                j, done = update(block)
-                if not math.isfinite(j):
-                    raise NumericalError("the objective became non-finite")
-            except (np.linalg.LinAlgError, NumericalError) as exc:
-                raise NumericalError(
-                    f"block {block} update failed at sweep {sweep + 1}: {exc}",
-                    trace=_unscaled_trace(trace, e),
-                ) from exc
-            trace.append(j)
-        iters_run = sweep + 1
-        if cfg.tol > 0 and prev_sweep is not None:
-            if abs(prev_sweep - j) / max(abs(prev_sweep), 1e-30) < cfg.tol:
+    trace, failure, block = [], None, None
+
+    def record(j):
+        if not math.isfinite(j):
+            raise NumericalError("the objective became non-finite")
+        trace.append(j)
+
+    try:
+        for sweep in range(1, cfg.outer_iters + 1):
+            for block in "ABC":
+                record(update(block))
+            j, prev = trace[-1], trace[-4] if sweep > 1 else None
+            if j <= floor or (cfg.tol > 0 and prev is not None
+                              and abs(prev - j) / max(abs(prev), 1e-30) < cfg.tol):
                 break
-        prev_sweep = j
-        if done:
-            break
-    return trace, iters_run
-
-
-def _result(f: BtdFactors, trace, iters_run: int, e: int, start: float, method: str):
-    """The FusionResult of normalized factors and trace, scaled back by ``2^e``."""
+        block = None
+        f, tail = finish()
+        for j in tail:
+            record(j)
+    except (np.linalg.LinAlgError, NumericalError) as exc:
+        failure = exc
+    trace = [math.ldexp(j, 2 * e) for j in trace]
+    if failure is not None:
+        place = (f"block {block} update failed at sweep {sweep}" if block
+                 else f"spectral recovery from the HSI failed after sweep {sweep}")
+        raise NumericalError(f"{place}: {failure}", trace=trace) from failure
     f.C = np.ldexp(f.C, e)
     return FusionResult(
         factors=f,
         sri_estimate=btd_reconstruct(f),
-        objective_trace=tuple(_unscaled_trace(trace, e)),
-        iters_run=iters_run,
+        objective_trace=tuple(trace),
+        iters_run=sweep,
         wall_time=time.perf_counter() - start,
         method=method,
     )
@@ -729,11 +728,10 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
         if not jittered:
             j = _block_score(w, new_value, data_sq)
             if j >= DENSE_SCORE_SHARE * data_sq:
-                return j, False
-        return objective(f, hsi, msi, ops), False
+                return j
+        return objective(f, hsi, msi, ops)
 
-    trace, iters_run = _sweeps(cfg, e, update)
-    return _result(f, trace, iters_run, e, start, cfg.method)
+    return _run(cfg, cfg.method, start, e, update, lambda: (f, ()))
 
 
 def _min_norm_lstsq(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
@@ -784,7 +782,8 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     condition number; stage 2 recovers the full spectral factor from the HSI
     the same way.  The objective trace holds the stage-1 MSI residual after
     each block update, taken in the unfolding the update solved, then the
-    final coupled objective of the assembled factors.
+    final coupled objective of the assembled factors; a failed stage 2
+    raises NumericalError carrying the stage-1 trace.
     """
     start = time.perf_counter()
     _validate_config(cfg)
@@ -802,22 +801,16 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
         sol = _min_norm_lstsq(w, y[block])[0]
         x[block] = sol.T
         # ||Y_M - X_M||^2 in the unfolding just solved: no block maps rebuilt
-        j = frob_norm(y[block] - w @ sol) ** 2
-        # a perfect MSI fit cannot improve further; stop regardless of tol
-        return j, block == "C" and j <= 1e-28 * max(msi_sq, 1.0)
+        return frob_norm(y[block] - w @ sol) ** 2
 
-    trace, iters_run = _sweeps(cfg, e, update)
-    c = recover_spectral_factor(hsi, ops, x["A"], x["B"], rank)
-    f = BtdFactors(x["A"], x["B"], c, rank)
-    j = objective(f, hsi, msi, ops)
-    if not (math.isfinite(j) and np.isfinite(c).all()):
-        raise NumericalError(
-            "spectral recovery from the HSI gave a non-finite spectral factor or "
-            "coupled objective",
-            trace=_unscaled_trace(trace, e),
-        )
-    trace.append(j)
-    return _result(f, trace, iters_run, e, start, "two_stage")
+    def finish():
+        # a non-finite spectral factor gives a non-finite coupled objective
+        c = recover_spectral_factor(hsi, ops, x["A"], x["B"], rank)
+        f = BtdFactors(x["A"], x["B"], c, rank)
+        return f, (objective(f, hsi, msi, ops),)
+
+    # a perfect MSI fit cannot improve further: stop there whatever tol says
+    return _run(cfg, "two_stage", start, e, update, finish, floor=1e-28 * max(msi_sq, 1.0))
 
 
 def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> BtdFactors:

@@ -272,8 +272,8 @@ def metric_pairs(draw):
 @given(metric_pairs())
 def test_blocked_metrics_match_dense_formulas(case):
     ref, est, chunk_bytes = case
-    # a chunk holds chunk_bytes // (8 K) fibers or chunk_bytes // (8 I J) bands
-    # (at least 1), so neither count need divide the chunk
+    # a chunk holds chunk_bytes // (8 I J) bands (at least 1), so that count
+    # need not divide K
     with mock.patch.object(btdfuse.metrics, "_CHUNK_BYTES", chunk_bytes):
         rep = compute_report(ref, est, 3)
     if np.array_equal(ref, est):

@@ -798,6 +798,15 @@ def test_fuse_dense_objective_calls(monkeypatch):
     res = bcd_fuse(hsi, msi, ops, cfg)
     assert len(calls) == len(res.objective_trace) == 9
     assert min(res.objective_trace) >= 0.0
+    # from the truth of a 42 dB pair the scores stay at 5.2e-5 to 5.7e-5 of
+    # ||Y_H||^2 + ||Y_M||^2, below DENSE_SCORE_SHARE: all 9 are dense (a share
+    # of 1e-5 used to pass with none)
+    calls.clear()
+    truth, _, ops, hsi, msi = coupled_instance(32, snr=42.0)
+    cfg = FusionConfig(method="cnn_btd", rank=truth.rank, outer_iters=3, inner_iters=5,
+                       init="provided", init_factors=truth)
+    res = bcd_fuse(hsi, msi, ops, cfg)
+    assert len(calls) == len(res.objective_trace) == 9
     # a jitter retry puts a new H1 or H4 in the workspace; that system is no
     # longer the objective's quadratic, so the update is scored densely
     solve = solver._solve_block_exact
@@ -909,6 +918,11 @@ def test_fuse_tol_stops_early(method, tol, extra):
     res = bcd_fuse(hsi, msi, ops, cfg)
     assert res.iters_run < 200
     assert len(res.objective_trace) == 3 * res.iters_run + extra
+    # the run stops at the first sweep whose last entry moved by less than
+    # tol relative to the previous sweep's (a stop at 10 tol used to pass)
+    ends = res.objective_trace[2:3 * res.iters_run:3]
+    moved = [abs(a - b) / max(abs(a), 1e-30) for a, b in zip(ends, ends[1:])]
+    assert res.iters_run == next((sweep for sweep, m in enumerate(moved, 2) if m < tol), None)
 
 
 def test_fuse_cpd_equals_btd_with_unit_blocks():
@@ -1118,6 +1132,25 @@ def test_stereo_failed_retry_names_block_and_sweep():
     assert head, str(info.value)
     block, sweep = "ABC".index(head.group(1)), int(head.group(2))
     assert len(info.value.trace) == 3 * (sweep - 1) + block
+
+
+@pytest.mark.parametrize("snr, sweeps", [(None, 1), (30.0, 4)], ids=["noiseless", "30dB"])
+def test_two_stage_spectral_failure_carries_the_trace(snr, sweeps):
+    # five blocks on 2x2 coarse pixels, the numerical-3 case of the process
+    # tests: stage 2's rank-deficiency error used to carry no trace.  The
+    # noiseless MSI is fit exactly in one sweep, which stops stage 1
+    sri = btd_reconstruct(init_factors((6, 6, 5), RankSpec(2, 1), 0, "random_uniform"))
+    ops = make_degradation_ops(6, 6, 5, K_M=2, kernel_size=3, sigma=1.5, d=3)
+    hsi, msi = apply_degradation(sri, ops)
+    if snr is not None:
+        hsi, msi = add_noise(hsi, NoiseSpec(snr, 1)), add_noise(msi, NoiseSpec(snr, 2))
+    cfg = FusionConfig(method="two_stage", rank=RankSpec(5, 1), outer_iters=4)
+    with pytest.raises(NumericalError, match="rank-deficient") as info:
+        bcd_fuse(hsi, msi, ops, cfg)
+    assert str(info.value).startswith(f"spectral recovery from the HSI failed after sweep "
+                                      f"{sweeps}: ")
+    assert len(info.value.trace) == 3 * sweeps
+    assert np.isfinite(info.value.trace).all()
 
 
 def test_two_stage_stops_at_perfect_msi_fit():

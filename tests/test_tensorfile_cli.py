@@ -670,6 +670,17 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
         assert code == 1, overrides
         assert out == "" and err.startswith("error: "), overrides
         assert not (tmp_path / "table.csv").exists()
+    # rho went through str() and float(): True was refused as the string "True"
+    for rho in (True, [1]):
+        path, _ = bench_config(tmp_path, methods=[{"method": "cnn_btd", "R": 2, "rho": rho}])
+        code, out, err = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 1 and out == "", rho
+        assert err.startswith("error: ") and f"rho must be a real number, got {rho!r}" in err
+        assert not (tmp_path / "table.csv").exists()
+    # "auto" and a number written as a string still run, as the README documents
+    for rho in ("auto", "1.5"):
+        path, _ = bench_config(tmp_path, methods=[{"method": "cnn_btd", "R": 2, "rho": rho}])
+        assert run_cli(capsys, "bench", "--config", str(path))[0] == 0, rho
 
 
 def test_bench_refuses_non_integral_counts(tmp_path, capsys):

@@ -17,7 +17,11 @@ starting ``cli/`` it saves each manifest's numeric fields as arrays and the
 rest as one JSON string (without ``wall_time_s``), the float64 payload of
 every tensor file in its dims, and each column of the bench table but its
 runtime, as floats where every cell is a number.  So ``compare`` sizes a
-numeric change on the command line as it does on the solver.
+numeric change on the command line as it does on the solver.  Last, it saves
+``compute_report`` of the command line's ``sri``/``est_cnn_btd`` pair (ratio
+3) with the pair in C, F and transposed-view layouts, under
+``metrics/LAYOUT/FIELD``, so that ``compare`` also covers every layout the
+metrics read.
 
 Usage::
 
@@ -28,10 +32,10 @@ Usage::
 checkout of the parent commit) and runs the command line with it on
 ``PYTHONPATH``.  ``compare`` lists every array that is not equal under
 ``np.array_equal`` with its largest relative difference, counts the solver
-arrays and the command-line outputs apart, and exits 1 when any differs by
-more than ``X`` relative (default 0: every array must be equal).  An array
-missing on one side, or differing in shape or in a non-numeric value,
-always fails.
+arrays, the command-line outputs and the metric report fields apart, and
+exits 1 when any differs by more than ``X`` relative (default 0: every array
+must be equal).  An array missing on one side, or differing in shape or in a
+non-numeric value, always fails.
 """
 
 import csv
@@ -58,6 +62,13 @@ BENCH = {
     "kernel_size": 5, "sigma": 1.5, "ratio": 3, "offset": 1, "bands": 4,
     "methods": [{"method": "stereo", "R": 3, "outer_iters": 15},
                 {"method": "cnn_btd", "R": 3, "L": 2, "outer_iters": 5, "init": "svd_warm"}],
+}
+# the layouts compute_report is given the command line's image pair in
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    # neither C nor F: pixel columns slowest, each spectral fiber contiguous
+    "view": lambda t: np.ascontiguousarray(t.transpose(1, 0, 2)).transpose(1, 0, 2),
 }
 # (name, argv) of each command, run in one scratch directory in this order
 CLI_SCRIPT = (
@@ -149,6 +160,15 @@ def dump_cli(src: str) -> dict:
     return arrays
 
 
+def dump_metrics(ref: np.ndarray, est: np.ndarray) -> dict:
+    """``compute_report(ref, est, 3)``'s fields with the pair in each of ``LAYOUTS``."""
+    from btdfuse import compute_report
+
+    return {f"metrics/{name}/{field}": np.asarray(value)
+            for name, layout in LAYOUTS.items()
+            for field, value in compute_report(layout(ref), layout(est), 3).as_dict().items()}
+
+
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import btdfuse as bf
@@ -173,6 +193,7 @@ def dump(src: str, out: str) -> None:
             for name, value in zip(FIELDS, values):
                 arrays[f"{method}/{label}/{name}"] = value
     arrays.update(dump_cli(src))
+    arrays.update(dump_metrics(arrays["cli/sri.btf"], arrays["cli/est_cnn_btd.btf"]))
     np.savez(out, **arrays)
     print(f"{out}: {len(arrays)} arrays from {src}")
 
@@ -196,8 +217,9 @@ def compare(base: str, new: str, rtol: float = 0.0) -> int:
     for name, rel in differ:
         print(f"differs: {name}  max |diff| / max |base| = {rel:.3e}")
     worst = max((rel for _, rel in differ), default=0.0)
-    for kind, test in (("solver arrays", lambda n: not n.startswith("cli/")),
-                       ("command-line outputs", lambda n: n.startswith("cli/"))):
+    for kind, test in (("solver arrays", lambda n: not n.startswith(("cli/", "metrics/"))),
+                       ("command-line outputs", lambda n: n.startswith("cli/")),
+                       ("metric report fields", lambda n: n.startswith("metrics/"))):
         total = sum(map(test, names))
         equal = total - sum(test(n) for n, _ in differ)
         print(f"{equal} of {total} {kind} equal")
