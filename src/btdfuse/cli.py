@@ -30,7 +30,7 @@ from .degradation import (
 from .errors import FormatError, NumericalError, UsageError
 from .metrics import compute_report
 from .model import RankSpec, btd_reconstruct, check_coupled_identifiability
-from .solver import INIT_STRATEGIES, METHODS, FusionConfig, _validate_config, bcd_fuse, init_factors
+from .solver import INIT_STRATEGIES, METHODS, FusionConfig, bcd_fuse, init_factors
 from .tensor_ops import _check_dims, _check_int, _check_real
 from .tensorfile import read_tensor, write_tensor
 
@@ -224,14 +224,12 @@ def _read_finite(path, purpose: str):
 
 
 def _fusion_config(entry: dict, seed: int) -> FusionConfig:
-    """The checked FusionConfig of a method entry.
+    """The FusionConfig of a method entry; a bad entry raises UsageError.
 
     ``entry`` holds "method", "R" and optionally "label" and the fusion
     settings; a setting that is missing or None takes its default.
     """
     method = entry.get("method")
-    if method not in METHODS:
-        raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
     if entry.get("R") is None:
         raise UsageError(f"method entry {method} needs 'R'")
     unknown = set(entry) - {"method", "R", "label", *_FUSION_KEYS}
@@ -244,12 +242,10 @@ def _fusion_config(entry: dict, seed: int) -> FusionConfig:
         if s["rho"] != "auto":
             # a number, which may be written as a string, as the --rho flag gives it
             rho = entry["rho"]
-            s["rho"] = _check_real(float(rho) if isinstance(rho, str) else rho, "rho")
-        cfg = FusionConfig(method=method, rank=RankSpec(entry["R"], s.pop("L")), seed=seed, **s)
+            s["rho"] = float(rho) if isinstance(rho, str) else rho
+        return FusionConfig(method=method, rank=RankSpec(entry["R"], s.pop("L")), seed=seed, **s)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {method} settings: {exc}") from exc
-    _validate_config(cfg)
-    return cfg
 
 
 def cmd_fuse(args) -> int:

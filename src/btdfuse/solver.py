@@ -51,7 +51,6 @@ retry, it computes the dense ``objective()`` instead.
 from __future__ import annotations
 
 import math
-import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -100,16 +99,22 @@ SYLVESTER_RESIDUAL_RTOL = 1e-8
 DENSE_SCORE_SHARE = 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionConfig:
     """Everything a fusion run needs besides the data.
+
+    A config is checked when it is made: a bad value raises UsageError
+    naming it.  The counts and the seed follow the whole-number rule and are
+    stored as int, ``tol`` and a numeric ``rho`` the real-number rule and are
+    stored as float.  It is frozen; vary one with ``dataclasses.replace``,
+    which checks the new config too.
 
     Parameters
     ----------
     method : one of ``cnn_btd``, ``cnn_cpd``, ``stereo``, ``two_stage``.
     rank : RankSpec
-        Block count and per-block spatial ranks.  ``cnn_cpd`` coerces all
-        block ranks to 1.
+        Block count and per-block spatial ranks.  A ``cnn_cpd`` config stores
+        ``RankSpec(rank.R, 1)``, the rank its run fits.
     outer_iters : int
         Number of block-coordinate sweeps (cap; always enforced).
     inner_iters : int
@@ -135,6 +140,35 @@ class FusionConfig:
     seed: int = 0
     init: str = "random_uniform"
     init_factors: BtdFactors | None = None
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise UsageError(f"unknown method {self.method!r}; choose from {METHODS}")
+        if not isinstance(self.rank, RankSpec):
+            raise UsageError("cfg.rank must be a RankSpec")
+        for name in ("outer_iters", "inner_iters", "seed"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name))
+        if self.outer_iters < 1:
+            raise UsageError(f"outer_iters must be >= 1, got {self.outer_iters}")
+        if self.method in ("cnn_btd", "cnn_cpd") and self.inner_iters < 1:
+            raise UsageError(f"inner_iters must be >= 1, got {self.inner_iters}")
+        if not (isinstance(self.rho, str) and self.rho == "auto"):
+            object.__setattr__(self, "rho", _check_real(self.rho, "rho"))
+            if not 0 < self.rho < math.inf:
+                raise UsageError(f"rho must be positive and finite or 'auto', got {self.rho!r}")
+        object.__setattr__(self, "tol", _check_real(self.tol, "tol"))
+        if not self.tol >= 0:
+            raise UsageError(f"tol must be >= 0, got {self.tol!r}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        if self.init not in INIT_STRATEGIES:
+            raise UsageError(f"unknown init {self.init!r}; choose from {INIT_STRATEGIES}")
+        # _start reads init_factors only for "provided": with any other init they would be ignored
+        if (self.init == "provided") != (self.init_factors is not None):
+            raise UsageError(f"cfg.init_factors is needed with init='provided' and refused with "
+                             f"any other init, got init={self.init!r}")
+        if self.method == "cnn_cpd":
+            object.__setattr__(self, "rank", RankSpec(self.rank.R, 1))
 
 
 @dataclass
@@ -516,6 +550,7 @@ def admm_nn_block(w: AdmmWorkspace, inner_iters: int):
     Returns the feasible iterate Z (this is what gets stored as the
     factor) together with the updated workspace.
     """
+    inner_iters = _check_int(inner_iters, "inner_iters")
     if inner_iters < 1:
         raise UsageError(f"inner_iters must be >= 1, got {inner_iters}")
     if not _check_real(w.rho, "rho") > 0:
@@ -553,35 +588,6 @@ def _solve_block_exact(w: AdmmWorkspace, block: str) -> np.ndarray:
         return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, w.form).solve(w.H5_base)
 
 
-def _validate_config(cfg: FusionConfig):
-    if cfg.method not in METHODS:
-        raise UsageError(f"unknown method {cfg.method!r}; choose from {METHODS}")
-    if not isinstance(cfg.rank, RankSpec):
-        raise UsageError("cfg.rank must be a RankSpec")
-    for name in ("outer_iters", "inner_iters", "seed"):
-        try:
-            operator.index(getattr(cfg, name))
-        except TypeError:
-            raise UsageError(f"{name} must be an integer, got {getattr(cfg, name)!r}") from None
-    if cfg.outer_iters < 1:
-        raise UsageError(f"outer_iters must be >= 1, got {cfg.outer_iters}")
-    if cfg.method in ("cnn_btd", "cnn_cpd") and cfg.inner_iters < 1:
-        raise UsageError(f"inner_iters must be >= 1, got {cfg.inner_iters}")
-    auto = isinstance(cfg.rho, str) and cfg.rho == "auto"
-    if not (auto or 0 < _check_real(cfg.rho, "rho") < math.inf):
-        raise UsageError(f"rho must be positive and finite or 'auto', got {cfg.rho!r}")
-    if not _check_real(cfg.tol, "tol") >= 0:
-        raise UsageError(f"tol must be >= 0, got {cfg.tol!r}")
-    if cfg.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.init not in INIT_STRATEGIES:
-        raise UsageError(f"unknown init {cfg.init!r}; choose from {INIT_STRATEGIES}")
-    # _start reads init_factors only for "provided": with any other init they would be ignored
-    if (cfg.init == "provided") != (cfg.init_factors is not None):
-        raise UsageError(f"cfg.init_factors is needed with init='provided' and refused with "
-                         f"any other init, got init={cfg.init!r}")
-
-
 def _normalize_pair(hsi, msi):
     """``(e, hsi / 2^e, msi / 2^e)`` with 2^e the power of two just above the largest entry.
 
@@ -598,7 +604,7 @@ def _normalize_pair(hsi, msi):
     return e, *(np.ldexp(t, -e, out=np.empty(t.shape, order="F")) for t in (hsi, msi))
 
 
-def _start(hsi, msi, ops: DegradationOps, cfg: FusionConfig, rank: RankSpec):
+def _start(hsi, msi, ops: DegradationOps, cfg: FusionConfig):
     """Checked and normalized ``(e, hsi, msi)`` and the initial factors for them."""
     hsi = _check_tensor3(hsi, "hsi")
     msi = _check_tensor3(msi, "msi")
@@ -608,11 +614,11 @@ def _start(hsi, msi, ops: DegradationOps, cfg: FusionConfig, rank: RankSpec):
         f = cfg.init_factors.copy()
         if f.dims != dims:
             raise UsageError(f"provided factors give dims {f.dims}, data needs {dims}")
-        if f.rank != rank:
-            raise UsageError(f"provided factors have rank {f.rank}, config wants {rank}")
+        if f.rank != cfg.rank:
+            raise UsageError(f"provided factors have rank {f.rank}, config wants {cfg.rank}")
         f.C = np.ldexp(f.C, -e)
     else:
-        f = init_factors(dims, rank, cfg.seed, cfg.init, msi=msi)
+        f = init_factors(dims, cfg.rank, cfg.seed, cfg.init, msi=msi)
     _require_coupled_dims(f, hsi, msi, ops)
     return e, hsi, msi, f
 
@@ -696,12 +702,10 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     block update; iteration stops at ``outer_iters`` sweeps or earlier when
     the relative objective change between sweeps drops below ``tol``.
     """
-    if cfg.method == "two_stage":  # two_stage_recover validates cfg
+    if cfg.method == "two_stage":
         return two_stage_recover(hsi, msi, ops, cfg)
     start = time.perf_counter()
-    _validate_config(cfg)
-    rank = cfg.rank if cfg.method != "cnn_cpd" else RankSpec(cfg.rank.R, 1)
-    e, hsi, msi, f = _start(hsi, msi, ops, cfg, rank)
+    e, hsi, msi, f = _start(hsi, msi, ops, cfg)
     constrained = cfg.method in ("cnn_btd", "cnn_cpd")
     data_sq = frob_norm(hsi) ** 2 + frob_norm(msi) ** 2
     dual_state = {}
@@ -786,9 +790,8 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     raises NumericalError carrying the stage-1 trace.
     """
     start = time.perf_counter()
-    _validate_config(cfg)
     rank = cfg.rank
-    e, hsi, msi, f0 = _start(hsi, msi, ops, cfg, rank)
+    e, hsi, msi, f0 = _start(hsi, msi, ops, cfg)
     # stage-1 factors, C holding the reduced spectral factor, and the MSI's unfoldings
     x = {"A": f0.A, "B": f0.B, "C": ops.P3 @ f0.C}
     y = {block: unfold(msi, mode) for mode, block in enumerate("ABC", 1)}

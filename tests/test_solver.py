@@ -1,5 +1,6 @@
 """Sylvester solves, ADMM blocks, and the coupled fusion drivers."""
 
+import dataclasses
 import re
 import warnings
 
@@ -671,56 +672,62 @@ def test_exact_solve_jitter_retry_keeps_shared_gram():
 
 
 def test_fuse_config_validation():
+    # a config is checked when it is made, and refused there
     truth, _, ops, hsi, msi = coupled_instance(30)
     rank = RankSpec(2, 2)
-    for cfg in (
-        FusionConfig(method="nope", rank=rank),
-        FusionConfig(rank=rank, outer_iters=0),
-        FusionConfig(rank=rank, inner_iters=0),
-        FusionConfig(rank=rank, rho=-1.0),
-        FusionConfig(rank=rank, rho="fast"),
-        FusionConfig(rank=rank, tol=-1e-3),
+    for bad in (
+        {"method": "nope"},
+        {"outer_iters": 0},
+        {"inner_iters": 0},
+        {"rho": -1.0},
+        {"rho": "fast"},
+        {"tol": -1e-3},
         # NaN >= 0 is false: a NaN tol used to pass and never stop a run early
-        FusionConfig(rank=rank, tol=float("nan")),
-        FusionConfig(rank=rank, seed=-1),
-        FusionConfig(rank=rank, init="lucky"),
-        FusionConfig(rank=rank, init="provided"),
+        {"tol": float("nan")},
+        {"seed": -1},
+        {"init": "lucky"},
+        {"init": "provided"},
         # these used to escape as a bare TypeError
-        FusionConfig(rank=rank, outer_iters=2.5),
-        FusionConfig(rank=rank, inner_iters=2.5),
-        FusionConfig(rank=rank, seed=1.5),
-        FusionConfig(rank=rank, tol="x"),
+        {"outer_iters": 2.5},
+        {"inner_iters": 2.5},
+        {"seed": 1.5},
+        {"tol": "x"},
         # float() of these used to escape as a bare TypeError
-        FusionConfig(rank=rank, rho=None),
-        FusionConfig(rank=rank, rho=[1.0]),
-        # provided factors that do not fit the data or the rank
-        FusionConfig(rank=rank, init="provided",
-                     init_factors=init_factors((12, 12, 5), rank, 0, "random_uniform")),
-        FusionConfig(rank=rank, init="provided",
-                     init_factors=init_factors((12, 12, 8), RankSpec(2, 1), 0, "random_uniform")),
+        {"rho": None},
+        {"rho": [1.0]},
         # factors given with another init used to be ignored without a word
-        FusionConfig(rank=rank, init_factors=truth),
-        FusionConfig(rank=rank, init="svd_warm", init_factors=truth),
+        {"init_factors": truth},
+        {"init": "svd_warm", "init_factors": truth},
     ):
         with pytest.raises(UsageError):
+            FusionConfig(rank=rank, **bad)
+    # provided factors that do not fit the data or the rank are refused by the run
+    for provided in (init_factors((12, 12, 5), rank, 0, "random_uniform"),
+                     init_factors((12, 12, 8), RankSpec(2, 1), 0, "random_uniform")):
+        cfg = FusionConfig(rank=rank, init="provided", init_factors=provided)
+        with pytest.raises(UsageError):
             bcd_fuse(hsi, msi, ops, cfg)
-    counts = {"outer_iters": np.int64(1), "inner_iters": np.int64(2), "seed": np.int64(3)}
-    assert bcd_fuse(hsi, msi, ops, FusionConfig(rank=rank, **counts)).iters_run == 1
 
 
-def test_fuse_validates_each_config_once(monkeypatch):
-    # bcd_fuse used to validate a two_stage config and then hand it to
-    # two_stage_recover, which validated it again
-    import btdfuse.solver as solver
+def test_fuse_config_is_frozen_and_replace_checks_again():
+    cfg = FusionConfig(rank=RankSpec(2, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 1
+    assert dataclasses.replace(cfg, seed=np.int64(4)).seed == 4
+    with pytest.raises(UsageError, match="seed must be >= 0"):
+        dataclasses.replace(cfg, seed=-1)
 
-    calls = []
-    validate = solver._validate_config
-    monkeypatch.setattr(solver, "_validate_config", lambda cfg: calls.append(validate(cfg)))
+
+def test_fuse_integral_settings_run_as_int():
     _, _, ops, hsi, msi = coupled_instance(30)
-    for method in ("cnn_btd", "cnn_cpd", "stereo", "two_stage"):
-        calls.clear()
-        bcd_fuse(hsi, msi, ops, FusionConfig(method=method, rank=RankSpec(2, 2), outer_iters=1))
-        assert len(calls) == 1, method
+    rank = RankSpec(2, 2)
+    cfg = FusionConfig(rank=rank, outer_iters=2.0, inner_iters=np.int64(5), seed=np.float64(3))
+    assert [type(v) for v in (cfg.outer_iters, cfg.inner_iters, cfg.seed)] == [int, int, int]
+    got = bcd_fuse(hsi, msi, ops, cfg)
+    want = bcd_fuse(hsi, msi, ops, FusionConfig(rank=rank, outer_iters=2, inner_iters=5, seed=3))
+    assert got.objective_trace == want.objective_trace
+    for name in "ABC":
+        np.testing.assert_array_equal(getattr(got.factors, name), getattr(want.factors, name))
 
 
 def test_fuse_geometry_mismatch():
@@ -940,6 +947,8 @@ def test_fuse_cpd_coerces_block_width():
     # a cnn_cpd request with L > 1 runs with L = 1 blocks of the same R
     _, _, ops, hsi, msi = coupled_instance(53, snr=25.0)
     cfg = FusionConfig(method="cnn_cpd", rank=RankSpec(3, 2), outer_iters=2, seed=4)
+    # the config stores the rank its run fits
+    assert cfg.rank == RankSpec(3, 1)
     res = bcd_fuse(hsi, msi, ops, cfg)
     assert res.factors.rank == RankSpec(3, 1)
 

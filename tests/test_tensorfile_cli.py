@@ -475,6 +475,25 @@ def test_fuse_warns_when_uniqueness_unsupported(tmp_path, capsys):
     assert "WARNING" in err
 
 
+def test_fuse_reports_the_rank_cnn_cpd_fits(tmp_path, capsys):
+    # cnn_cpd fits L = 1 whatever -L says; the manifest and the identifiability
+    # check used to read L = 20, which fails the condition on this pair
+    sri, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(15, 15, 6), ratio=3,
+                                 sigma=1.5, bands=3, snr="30", seed=5)
+    outs = {}
+    for block_rank in ("20", "1"):
+        est = tmp_path / f"est_{block_rank}.btf"
+        code, out, err = run_cli(
+            capsys, "fuse", "--hsi", str(hsi), "--msi", str(msi), "--out", str(est),
+            "--method", "cnn_cpd", "-R", "2", "-L", block_rank, "--kernel", "3",
+            "--sigma", "1.5", "--ratio", "3", "--outer-iters", "2",
+        )
+        assert code == 0 and err == "", block_rank
+        assert last_json(out)["block_rank"] == 1
+        outs[block_rank] = read_tensor(est)
+    np.testing.assert_array_equal(outs["20"], outs["1"])
+
+
 def test_fuse_geometry_flag_mismatch_exit_1(tmp_path, capsys):
     sri, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(12, 12, 8), ratio=2,
                                  sigma=1.0, bands=2)
@@ -664,6 +683,8 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
         {"sigma": True},
         {"snr_db": "30"},
         {"methods": [{"method": "stereo", "R": 2, "tol": True}]},
+        # a block count too large for an index used to escape as an OverflowError
+        {"sri_rank": {"R": 1e20}},
     ):
         path, _ = bench_config(tmp_path, **overrides)
         code, out, err = run_cli(capsys, "bench", "--config", str(path))
@@ -681,6 +702,25 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
     for rho in ("auto", "1.5"):
         path, _ = bench_config(tmp_path, methods=[{"method": "cnn_btd", "R": 2, "rho": rho}])
         assert run_cli(capsys, "bench", "--config", str(path))[0] == 0, rho
+
+
+def test_bench_labels_the_rank_cnn_cpd_fits(tmp_path, capsys):
+    path, cfg = bench_config(tmp_path, methods=[{"method": "cnn_cpd", "R": 2, "L": 3,
+                                                  "outer_iters": 2}])
+    code, out, _ = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 0
+    assert last_json(out)["methods"] == ["cnn_cpd(R=2,L=1)"]
+    with open(cfg["output"], newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["method", "cnn_cpd(R=2,L=1)"]
+
+
+def test_make_sri_rank_too_large_exit_1(tmp_path, capsys):
+    # a block count too large for an index used to escape as an OverflowError
+    code, out, err = run_cli(capsys, "make-sri", "--out", str(tmp_path / "s.btf"),
+                             "--dims", "6", "5", "4", "-R", str(10**20))
+    assert code == 1
+    assert out == "" and err.startswith("error: R is too large")
+    assert not (tmp_path / "s.btf").exists()
 
 
 def test_bench_refuses_non_integral_counts(tmp_path, capsys):

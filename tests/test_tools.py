@@ -1,4 +1,5 @@
-"""The scripts under tools/ refuse arguments they cannot use before they run anything."""
+"""The scripts under tools/: bench_pairs refuses arguments it cannot use before it runs
+anything, and count_code counts the lines that hold code and no others."""
 
 import importlib.util
 import pathlib
@@ -28,3 +29,38 @@ def test_bench_pairs_refuses_before_any_run(refused, flags, monkeypatch, capsys)
                           "--label", "x", *flags])
     assert exc.value.code == 2
     assert f"{refused} must be" in capsys.readouterr().err
+
+
+COUNTED = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+
+class Box:
+    """Class docstring."""
+
+    # a comment on its own line
+    def size(self):
+        """Function docstring,
+
+        over three lines."""
+        text = """a string that is not a docstring
+spans two lines"""
+        return len(text) + os.sep.count(
+            "/")
+'''
+
+
+def test_count_code_counts_code_and_leaves_out_docstrings_and_comments():
+    count_code = _load("count_code")
+    assert count_code.code_lines(COUNTED) == [
+        "import os  # a comment after code",
+        "class Box:",
+        "def size(self):",
+        'text = """a string that is not a docstring',
+        'spans two lines"""',
+        "return len(text) + os.sep.count(",
+        '"/")',
+    ]
+    assert count_code.code_lines("") == []

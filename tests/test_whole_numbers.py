@@ -13,11 +13,16 @@ import numpy as np
 import pytest
 
 from btdfuse import (
+    FusionConfig,
     NoiseSpec,
     RankSpec,
     UsageError,
     add_noise,
+    admm_nn_block,
+    apply_degradation,
+    btd_reconstruct,
     btd_unfold_direct,
+    build_subproblem,
     check_btd_identifiability,
     check_coupled_identifiability,
     downsample_matrix,
@@ -42,6 +47,13 @@ def _ops(**kw):
     args = dict(I_M=6, J_M=6, K_H=5, K_M=2, kernel_size=3, d=2, offset=0)
     args.update(kw)
     return make_degradation_ops(**args)
+
+
+def _admm(inner_iters):
+    """``admm_nn_block`` on block A of a fresh 6x6x5 instance."""
+    f, ops = init_factors((6, 6, 5), RankSpec(2, 1), 0, "random_uniform"), _ops()
+    hsi, msi = apply_degradation(btd_reconstruct(f), ops)
+    return admm_nn_block(build_subproblem("A", f, hsi, msi, ops, "auto"), inner_iters)
 
 
 # (entry point, the parameter's name, a whole value it accepts, the call)
@@ -91,6 +103,12 @@ CASES = [
     ("mode_product", "mode", 2,
      lambda v: mode_product(np.asfortranarray(_T), np.ones((2, 4)), v)),
     ("btd_unfold_direct", "mode", 2, lambda v: btd_unfold_direct(_F, v)),
+    # True used to run one ADMM step, 2.0 and None to escape as a TypeError
+    ("admm_nn_block", "inner_iters", 2, _admm),
+    # a config is checked, and its counts stored as int, when it is made
+    ("FusionConfig", "outer_iters", 2, lambda v: FusionConfig(outer_iters=v)),
+    ("FusionConfig", "inner_iters", 2, lambda v: FusionConfig(inner_iters=v)),
+    ("FusionConfig", "seed", 2, lambda v: FusionConfig(seed=v)),
 ]
 IDS = [f"{where}-{name}-{i}" for i, (where, name, _, _) in enumerate(CASES)]
 
