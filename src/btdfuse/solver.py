@@ -44,8 +44,9 @@ by the identity: ``||P^T ((P Y) b) + Y c - rhs||``, against the same
 quadratic the update solved (the Gram form, ``_block_score``): for the new
 value Z it is ``||Y_H||^2 + ||Y_M||^2 - 2 <Z, H5> + <Z, H1 Z H2 + H3 Z H4>``
 less the penalty's ``rho ||Z||^2``, with no degraded tensor rebuilt.  Below
-``DENSE_SCORE_SHARE`` (1e-4) of ``||Y_H||^2 + ||Y_M||^2``, and after a jitter
-retry, it computes the dense ``objective()`` instead.
+``DENSE_SCORE_SHARE`` (1e-4) of ``||Y_H||^2 + ||Y_M||^2`` or of the
+quadratic's mass (its terms by magnitude, which bound the Grams' rounding),
+and after a jitter retry, it computes the dense ``objective()`` instead.
 """
 
 from __future__ import annotations
@@ -93,9 +94,10 @@ INIT_STRATEGIES = ("random_uniform", "svd_warm", "provided")
 SYLVESTER_RESIDUAL_RTOL = 1e-8
 
 # bcd_fuse scores a block update from its quadratic, as ||Y||^2 minus terms of
-# about that size.  Below this share of ||Y||^2 the difference has lost
-# digits to cancellation (noiseless data and ground-truth starts drive the
-# objective toward 0), and the update is scored by the dense objective().
+# about that size, or larger where the factors' columns nearly cancel.  Below
+# this share of the larger of ||Y||^2 and the terms' mass the difference has
+# lost digits to cancellation (noiseless data and ground-truth starts drive
+# the objective toward 0), and the update is scored by the dense objective().
 DENSE_SCORE_SHARE = 1e-4
 
 
@@ -623,7 +625,7 @@ def _start(hsi, msi, ops: DegradationOps, cfg: FusionConfig):
     return e, hsi, msi, f
 
 
-def _block_score(w: AdmmWorkspace, z, data_sq: float) -> float:
+def _block_score(w: AdmmWorkspace, z, data_sq: float) -> float | None:
     """The coupled objective at block value z, from the quadratic it was solved from.
 
     With the other blocks fixed the objective is ``data_sq - 2 <z, H5_base> +
@@ -631,15 +633,27 @@ def _block_score(w: AdmmWorkspace, z, data_sq: float) -> float:
     The quadratic is formed through the P of ``w.form`` and never multiplies by
     the identity: ``<P z, (P z) H2> + <z, z H4>`` in the row form,
     ``<z, H1 z> + <z P^T, H3 z P^T>`` in the column form.
+
+    Returns None where the difference has lost digits to cancellation: below
+    ``DENSE_SCORE_SHARE`` of the larger of ``data_sq`` and the quadratic's
+    mass, the quadratic with every entry of z's side taken by magnitude and
+    each Gram G by its Cauchy-Schwarz bound ``sqrt(G_ii G_jj)``.  The mass
+    bounds the rounding of the Grams, which reaches far past ``data_sq``
+    where the factors' columns nearly cancel.
     """
     transposed, p = w.form
     if transposed:
         zp = z @ p.T
         quad = np.vdot(z, w.H1 @ z) + np.vdot(zp, w.H3 @ zp)
+        mass = (frob_norm(np.sqrt(np.diag(w.H1)) @ np.abs(z)) ** 2
+                + frob_norm(np.sqrt(np.diag(w.H3)) @ np.abs(zp)) ** 2)
     else:
         pz = p @ z
         quad = np.vdot(pz, pz @ w.H2) + np.vdot(z, z @ w.H4)
-    return float(data_sq - 2.0 * np.vdot(z, w.H5_base) + quad - w.rho * np.vdot(z, z))
+        mass = (frob_norm(np.abs(pz) @ np.sqrt(np.diag(w.H2))) ** 2
+                + frob_norm(np.abs(z) @ np.sqrt(np.diag(w.H4))) ** 2)
+    j = float(data_sq - 2.0 * np.vdot(z, w.H5_base) + quad - w.rho * np.vdot(z, z))
+    return j if j >= DENSE_SCORE_SHARE * max(data_sq, mass) else None
 
 
 def _run(cfg: FusionConfig, method: str, start: float, e: int, update, finish,
@@ -729,11 +743,8 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
             f.C = new_value.T.copy()
         else:
             setattr(f, block, new_value)
-        if not jittered:
-            j = _block_score(w, new_value, data_sq)
-            if j >= DENSE_SCORE_SHARE * data_sq:
-                return j
-        return objective(f, hsi, msi, ops)
+        j = None if jittered else _block_score(w, new_value, data_sq)
+        return objective(f, hsi, msi, ops) if j is None else j
 
     return _run(cfg, cfg.method, start, e, update, lambda: (f, ()))
 

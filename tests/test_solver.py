@@ -762,6 +762,10 @@ def test_fuse_ground_truth_is_fixed_point():
     outer_iters=st.integers(1, 3),
     square=st.booleans(),
 )
+# nearly cancelling factors: the Grams' rounding put the Gram-form score
+# 1.4e-10 off at 3.2e-4 of ||Y_H||^2 + ||Y_M||^2, above DENSE_SCORE_SHARE
+@example(seed=2, method="stereo", rank=RankSpec(3, (1, 2, 3)), snr=38.13325437286805,
+         outer_iters=2, square=True)
 def test_fuse_trace_is_the_objective(seed, method, rank, snr, outer_iters, square):
     # each block update is scored from the quadratic it solved; the score must
     # be the coupled objective, and scoring must not touch the iterates.
