@@ -151,11 +151,23 @@ def _finite_or_str(x: float):
     return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
+def _log10_norm(x) -> float:
+    """``log10 ||x||`` of a nonzero array, from its norm scaled by the largest entry."""
+    big = float(np.abs(x).max())
+    return math.log10(big) + math.log10(float(np.linalg.norm(x / big)))
+
+
 def _noisy_entry(path, clean, noisy) -> dict:
     """Manifest entry of a written noisy tensor; its realized SNR is None without noise."""
-    err = float(np.linalg.norm((clean - noisy).ravel()))
-    sig = float(np.linalg.norm(clean.ravel()))
-    snr = None if err == 0.0 else 10.0 * math.log10((sig / err) ** 2)
+    diff = (clean - noisy).ravel()
+    with np.errstate(over="ignore"):
+        err = float(np.linalg.norm(diff))
+        sig = float(np.linalg.norm(clean.ravel()))
+    try:
+        snr = None if err == 0.0 else 10.0 * math.log10((sig / err) ** 2)
+    except (ValueError, OverflowError):
+        # a squared norm or their ratio left the float range
+        snr = 20.0 * (_log10_norm(clean) - _log10_norm(diff))
     return {"path": path, "dims": list(noisy.shape), "realized_snr_db": snr}
 
 

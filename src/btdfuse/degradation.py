@@ -213,6 +213,8 @@ def add_noise(t: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     package-wide fixed RNG, so results are reproducible for a given seed.
     ``snr_db = inf`` returns the input unchanged.  Either way the result keeps
     the input's memory layout, so a column-major tensor stays column-major.
+    An ``snr_db`` whose noise level or noisy entries leave the float range
+    raises UsageError.
     """
     t = np.asarray(t, dtype=np.float64)
     if spec.snr_db == math.inf:
@@ -220,9 +222,19 @@ def add_noise(t: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     norm = frob_norm(t)
     if norm == 0.0:
         raise UsageError("cannot set an SNR on an all-zero tensor")
-    sigma = norm / math.sqrt(t.size * 10.0 ** (spec.snr_db / 10.0))
+    out_of_range = f"snr_db {spec.snr_db:g} puts the noise of this tensor outside the float range"
+    try:
+        sigma = norm / math.sqrt(t.size * 10.0 ** (spec.snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        # 10^(snr/10) overflows above about 3082 dB, and its product with the
+        # entry count underflows to 0 near -3240 dB
+        raise UsageError(out_of_range) from None
     rng = np.random.default_rng(spec.seed)
     # the draw is copied to t's layout first: arithmetic over two layouts is slow
     noisy = np.empty_like(t)
     noisy[...] = rng.standard_normal(t.shape)
-    return np.add(t, np.multiply(sigma, noisy, out=noisy), out=noisy)
+    with np.errstate(over="ignore"):
+        np.add(t, np.multiply(sigma, noisy, out=noisy), out=noisy)
+    if math.isfinite(norm) and not np.isfinite(noisy).all():
+        raise UsageError(out_of_range)
+    return noisy

@@ -45,8 +45,8 @@ quadratic the update solved (the Gram form, ``_block_score``): for the new
 value Z it is ``||Y_H||^2 + ||Y_M||^2 - 2 <Z, H5> + <Z, H1 Z H2 + H3 Z H4>``
 less the penalty's ``rho ||Z||^2``, with no degraded tensor rebuilt.  Below
 ``DENSE_SCORE_SHARE`` (1e-4) of ``||Y_H||^2 + ||Y_M||^2`` or of the
-quadratic's mass (its terms by magnitude, which bound the Grams' rounding),
-and after a jitter retry, it computes the dense ``objective()`` instead.
+quadratic's mass (its terms by magnitude, which bound the Grams' rounding)
+it computes the dense ``objective()`` instead.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .model import (
     _partition,
     _stack,
     btd_reconstruct,
+    check_coupled_identifiability,
     degrade_factors,
 )
 from .tensor_ops import _check_dims, _check_int, _check_real, _check_tensor3, frob_norm, kronecker
@@ -566,28 +567,30 @@ def admm_nn_block(w: AdmmWorkspace, inner_iters: int):
 
 
 def _solve_block_exact(w: AdmmWorkspace, block: str) -> np.ndarray:
-    """Unconstrained exact block solve; one jitter retry on a finite, singular system."""
+    """Unconstrained exact block solve; one jitter retry on a finite, singular system.
+
+    The retry factors a local copy of H1..H4 with the pencil's c jittered
+    (H4 in the row form, H1 in the column form, never the P^T P of the form;
+    a workspace without a stated form is taken to be in the row form).  The
+    workspace keeps the system the objective's quadratic is read from.
+    """
+    h = [w.H1, w.H2, w.H3, w.H4]
     try:
-        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, w.form).solve(w.H5_base)
+        return _SylvesterFactor(*h, w.form).solve(w.H5_base)
     except NumericalError:
-        if not all(np.isfinite(h).all() for h in (w.H1, w.H2, w.H3, w.H4, w.H5_base)):
+        if not all(np.isfinite(m).all() for m in (*h, w.H5_base)):
             raise
-        # the jitter goes on the pencil's c (H4 in the row form, H1 in the
-        # column form), never on the P^T P of the form, and into a new array
-        # because the caller may share the old one; a workspace without a
-        # stated form is taken to be in the row form
-        name = "H1" if w.form and w.form[0] else "H4"
-        target = getattr(w, name)
-        n = target.shape[0]
-        jitter = 1e-12 * float(np.trace(target)) / n
+        i = 0 if w.form and w.form[0] else 3
+        n = h[i].shape[0]
+        jitter = 1e-12 * float(np.trace(h[i])) / n
         warnings.warn(
             f"block {block} system is numerically singular; retrying with "
-            f"diagonal jitter {jitter:.3e} on {name}",
+            f"diagonal jitter {jitter:.3e} on H{i + 1}",
             RuntimeWarning,
             stacklevel=2,
         )
-        setattr(w, name, target + jitter * np.eye(n))
-        return _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, w.form).solve(w.H5_base)
+        h[i] = h[i] + jitter * np.eye(n)
+        return _SylvesterFactor(*h, w.form).solve(w.H5_base)
 
 
 def _normalize_pair(hsi, msi):
@@ -657,7 +660,7 @@ def _block_score(w: AdmmWorkspace, z, data_sq: float) -> float | None:
 
 
 def _run(cfg: FusionConfig, method: str, start: float, e: int, update, finish,
-         floor: float = -math.inf) -> FusionResult:
+         floor: float = -math.inf, broken=()) -> FusionResult:
     """Sweeps of ``update(block)`` over A -> B -> C, then ``finish()``: every run's one exit.
 
     ``update`` returns the objective after that block update, and
@@ -667,9 +670,10 @@ def _run(cfg: FusionConfig, method: str, start: float, e: int, update, finish,
     moved by less than ``cfg.tol`` relative to the previous sweep's, or is at
     or below ``floor``.  A non-finite value, or a ``LinAlgError`` or
     NumericalError from ``update`` or ``finish``, raises NumericalError naming
-    where it happened and carrying the trace so far.  The factors and the
-    trace are those of the pair normalized by ``2^-e``; C is scaled back by
-    ``2^e`` and the trace by ``4^e`` here.
+    where it happened and carrying the trace so far; a failed block update's
+    message ends with the recovery conditions ``broken`` names.  The factors
+    and the trace are those of the pair normalized by ``2^-e``; C is scaled
+    back by ``2^e`` and the trace by ``4^e`` here.
     """
     trace, failure, block = [], None, None
 
@@ -696,7 +700,8 @@ def _run(cfg: FusionConfig, method: str, start: float, e: int, update, finish,
     if failure is not None:
         place = (f"block {block} update failed at sweep {sweep}" if block
                  else f"spectral recovery from the HSI failed after sweep {sweep}")
-        raise NumericalError(f"{place}: {failure}", trace=trace) from failure
+        why = f"; failed recovery conditions: {'; '.join(broken)}" if block and broken else ""
+        raise NumericalError(f"{place}: {failure}{why}", trace=trace) from failure
     f.C = np.ldexp(f.C, e)
     return FusionResult(
         factors=f,
@@ -721,32 +726,27 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     start = time.perf_counter()
     e, hsi, msi, f = _start(hsi, msi, ops, cfg)
     constrained = cfg.method in ("cnn_btd", "cnn_cpd")
+    broken = (() if cfg.rank.uniform_L is None else check_coupled_identifiability(
+        *msi.shape, *hsi.shape[:2], cfg.rank).failed_clauses)
     data_sq = frob_norm(hsi) ** 2 + frob_norm(msi) ** 2
     dual_state = {}
 
     def update(block):
+        w = build_subproblem(block, f, hsi, msi, ops, cfg.rho if constrained else 0.0)
+        w.U = dual_state.get(block, w.U)
         if constrained:
-            w = build_subproblem(block, f, hsi, msi, ops, cfg.rho)
-            if block in dual_state:
-                w.U = dual_state[block]
             new_value, w = admm_nn_block(w, cfg.inner_iters)
             dual_state[block] = w.U
-            jittered = False
         else:
-            w = build_subproblem(block, f, hsi, msi, ops, 0.0)
-            system = (w.H1, w.H4)
             new_value = _solve_block_exact(w, block)
-            # a jitter retry replaces H1 or H4, and its system is no longer
-            # the objective's quadratic
-            jittered = w.H1 is not system[0] or w.H4 is not system[1]
         if block == "C":
             f.C = new_value.T.copy()
         else:
             setattr(f, block, new_value)
-        j = None if jittered else _block_score(w, new_value, data_sq)
+        j = _block_score(w, new_value, data_sq)
         return objective(f, hsi, msi, ops) if j is None else j
 
-    return _run(cfg, cfg.method, start, e, update, lambda: (f, ()))
+    return _run(cfg, cfg.method, start, e, update, lambda: (f, ()), broken=broken)
 
 
 def _min_norm_lstsq(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:

@@ -274,6 +274,17 @@ def test_add_noise_keeps_layout():
             assert out is not t
 
 
+@pytest.mark.parametrize("scale, snr_db", [(1.0, 3083.0), (1.0, 3100.0), (1.0, -3240.0),
+                                           (1.0, -3300.0), (1e148, -3200.0)])
+def test_add_noise_refuses_an_snr_past_the_float_range(scale, snr_db):
+    # 10^(snr/10) used to overflow (OverflowError), or its product with the
+    # entry count to underflow to 0 (ZeroDivisionError); at 1e148 the noise
+    # level is a float, but some noisy entries are not
+    t = scale * np.random.default_rng(4).uniform(size=(40, 40, 30))
+    with pytest.raises(UsageError, match=f"snr_db {snr_db:g} "):
+        add_noise(t, NoiseSpec(snr_db, 1))
+
+
 def test_add_noise_zero_tensor_rejected():
     with pytest.raises(UsageError):
         add_noise(np.zeros((3, 3, 3)), NoiseSpec(20.0, 0))

@@ -649,22 +649,49 @@ def test_sylvester_factor_singular_pencil_falls_back_to_dense_solves():
 
 def test_exact_solve_jitter_retry_keeps_shared_gram():
     # H1 and H4 singular: the first exact solve fails, the retry jitters H4.
-    # bcd_fuse hands every build the same operator-Gram arrays, so the retry
-    # must put the jittered matrix in a new array.
+    # bcd_fuse hands every build the same operator-Gram arrays and scores the
+    # update from the workspace, so the retry must leave the workspace's very
+    # arrays as they were and jitter a copy
     from btdfuse.solver import _solve_block_exact
 
-    h4 = np.diag([1.0, 0.0])
-    w = AdmmWorkspace(
-        H1=np.diag([2.0, 0.0]), H2=np.eye(2), H3=np.eye(2), H4=h4,
-        H5_base=np.array([[1.0, 0.0], [2.0, 0.0]]),
-        Z=np.zeros((2, 2)), U=np.zeros((2, 2)), rho=0.0,
-    )
-    with pytest.warns(RuntimeWarning, match="jitter"):
+    def workspace(h1, h3, h4, h5, form=None):
+        return AdmmWorkspace(H1=h1, H2=np.eye(2), H3=h3, H4=h4, H5_base=h5,
+                             Z=np.zeros((2, 2)), U=np.zeros((2, 2)), rho=0.0, form=form)
+
+    def kept(w):
+        arrays = [w.H1, w.H2, w.H3, w.H4, w.H5_base]
+        return arrays, [a.copy() for a in arrays]
+
+    def assert_kept(w, held):
+        arrays, values = held
+        for name, a, v in zip(("H1", "H2", "H3", "H4", "H5_base"), arrays, values):
+            assert getattr(w, name) is a, name
+            np.testing.assert_array_equal(a, v)
+
+    w = workspace(np.diag([2.0, 0.0]), np.eye(2), np.diag([1.0, 0.0]),
+                  np.array([[1.0, 0.0], [2.0, 0.0]]))
+    held = kept(w)
+    with pytest.warns(RuntimeWarning) as caught:
         x = _solve_block_exact(w, "A")
-    np.testing.assert_array_equal(h4, np.diag([1.0, 0.0]))
-    assert w.H4[1, 1] > 0.0
-    res = np.linalg.norm(w.H1 @ x @ w.H2 + w.H3 @ x @ w.H4 - w.H5_base)
+    assert [str(c.message) for c in caught] == [
+        "block A system is numerically singular; retrying with diagonal jitter 5.000e-13 on H4"]
+    assert_kept(w, held)
+    # x solves the jittered system, not the workspace's singular one
+    h4 = w.H4 + 5e-13 * np.eye(2)
+    res = np.linalg.norm(w.H1 @ x @ w.H2 + w.H3 @ x @ h4 - w.H5_base)
     assert res <= 1e-8 * np.linalg.norm(w.H5_base)
+    # the column form stated by P jitters H1, and a retry that fails too
+    # leaves the workspace as it was
+    p = np.array([[1.0, 1.0]])
+    u = np.array([1.0, -1.0]) / np.sqrt(2)
+    h5 = (np.outer(u, [1.0, 0.0]) + np.outer([1.0, 1.0], [0.3, 0.7])).T
+    w = workspace(np.diag([1.0, 0.0]), np.array([[2.0, 0.5], [0.5, 1.0]]), p.T @ p, h5,
+                  form=(True, p))
+    held = kept(w)
+    with pytest.warns(RuntimeWarning, match="jitter 5.000e-13 on H1"):
+        with pytest.raises(NumericalError):
+            _solve_block_exact(w, "C")
+    assert_kept(w, held)
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +763,14 @@ def test_fuse_geometry_mismatch():
         bcd_fuse(hsi[:, :, :5], msi, ops, FusionConfig(rank=RankSpec(2, 2)))
 
 
-def test_fuse_ground_truth_is_fixed_point():
-    truth, sri, ops, hsi, msi = coupled_instance(32)
+@pytest.mark.parametrize("method", ["cnn_btd", "cnn_cpd", "stereo", "two_stage"])
+def test_fuse_ground_truth_is_fixed_point(method):
+    # cnn_cpd fits unit blocks, so its truth has them too
+    rank = RankSpec(2, 1) if method == "cnn_cpd" else RankSpec(2, 2)
+    truth, sri, ops, hsi, msi = coupled_instance(32, rank=rank)
     scale = frob_norm(hsi) ** 2 + frob_norm(msi) ** 2
     cfg = FusionConfig(
-        method="cnn_btd",
+        method=method,
         rank=truth.rank,
         outer_iters=3,
         inner_iters=5,
@@ -748,9 +778,44 @@ def test_fuse_ground_truth_is_fixed_point():
         init_factors=truth,
     )
     res = bcd_fuse(hsi, msi, ops, cfg)
+    # two_stage fits the noiseless MSI exactly in its first sweep and stops
+    assert res.iters_run == (1 if method == "two_stage" else 3)
     assert max(res.objective_trace) <= 1e-10 * scale
     assert np.linalg.norm(res.factors.A - truth.A) / np.linalg.norm(truth.A) <= 1e-6
     assert np.linalg.norm(res.factors.C - truth.C) / np.linalg.norm(truth.C) <= 1e-6
+
+
+def _permute_blocks(f, order):
+    """The factors of f with block ``order[r]`` in place r."""
+    starts = np.cumsum((0, *f.rank.L))
+    cols = np.concatenate([np.arange(starts[r], starts[r + 1]) for r in order])
+    rank = RankSpec(f.rank.R, tuple(f.rank.L[r] for r in order))
+    return BtdFactors(f.A[:, cols], f.B[:, cols], f.C[:, list(order)], rank)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    method=st.sampled_from(("cnn_btd", "cnn_cpd", "stereo", "two_stage")),
+    uneven=st.booleans(),
+    order=st.permutations(range(3)),
+)
+def test_fuse_permuting_start_blocks_permutes_the_run(seed, method, uneven, order):
+    # the model is a sum over blocks: fusing from a start whose blocks are
+    # permuted gives the permuted factors, the same estimate and the same trace
+    rank = RankSpec(3, 1 if method == "cnn_cpd" else (1, 2, 3) if uneven else 2)
+    _, _, ops, hsi, msi = coupled_instance(seed, snr=30.0)
+    start = init_factors((12, 12, 8), rank, seed + 1, "random_uniform", msi=msi)
+    moved = _permute_blocks(start, order)
+    cfg = FusionConfig(method=method, rank=rank, outer_iters=5, init="provided",
+                       init_factors=start)
+    res = bcd_fuse(hsi, msi, ops, cfg)
+    got = bcd_fuse(hsi, msi, ops, dataclasses.replace(cfg, rank=moved.rank, init_factors=moved))
+    want = _permute_blocks(res.factors, order)
+    for mine, theirs in ((got.factors.A, want.A), (got.factors.B, want.B),
+                         (got.factors.C, want.C), (got.sri_estimate, res.sri_estimate)):
+        assert np.linalg.norm(mine - theirs) <= 1e-10 * np.linalg.norm(theirs)
+    np.testing.assert_allclose(got.objective_trace, res.objective_trace, rtol=1e-10, atol=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -818,20 +883,29 @@ def test_fuse_dense_objective_calls(monkeypatch):
                        init="provided", init_factors=truth)
     res = bcd_fuse(hsi, msi, ops, cfg)
     assert len(calls) == len(res.objective_trace) == 9
-    # a jitter retry puts a new H1 or H4 in the workspace; that system is no
-    # longer the objective's quadratic, so the update is scored densely
-    solve = solver._solve_block_exact
+    # an update whose first solve fails is retried with a jittered copy of its
+    # system; the workspace keeps the objective's own quadratic, so that
+    # update is scored by the Gram form like any other
+    factor, made = solver._SylvesterFactor, []
 
-    def jittered(w, block):
-        w.H4 = w.H4.copy()
-        return solve(w, block)
+    def failing_last_update(*args):
+        made.append(1)
+        system = factor(*args)
+        if len(made) == 6:
+            def fail(h5):
+                raise NumericalError("forced")
+            system.solve = fail
+        return system
 
-    monkeypatch.setattr(solver, "_solve_block_exact", jittered)
+    monkeypatch.setattr(solver, "_SylvesterFactor", failing_last_update)
     calls.clear()
     _, _, ops, hsi, msi = coupled_instance(34, snr=30.0)
-    res = bcd_fuse(hsi, msi, ops, FusionConfig(method="stereo", rank=RankSpec(2, 2),
-                                               outer_iters=2, seed=2))
-    assert len(calls) == len(res.objective_trace) == 6
+    with pytest.warns(RuntimeWarning, match="block C system is numerically singular"):
+        res = bcd_fuse(hsi, msi, ops, FusionConfig(method="stereo", rank=RankSpec(2, 2),
+                                                   outer_iters=2, seed=2))
+    assert len(made) == 7 and len(res.objective_trace) == 6 and calls == []
+    dense = objective(res.factors, hsi, msi, ops)
+    assert abs(res.objective_trace[-1] - dense) <= 1e-10 * dense
 
 
 def test_fuse_independent_of_memory_layout():
@@ -1145,6 +1219,35 @@ def test_stereo_failed_retry_names_block_and_sweep():
     assert head, str(info.value)
     block, sweep = "ABC".index(head.group(1)), int(head.group(2))
     assert len(info.value.trace) == 3 * (sweep - 1) + block
+    # 6x6 coarse pixels cannot determine 40 spectra: the message says so
+    assert str(info.value).endswith("I_H*J_H = 36 < R = 40"), str(info.value)
+
+
+@pytest.mark.parametrize("method", ["cnn_btd", "cnn_cpd", "stereo"])
+@pytest.mark.parametrize("rank, clauses", [
+    (RankSpec(40, 1), "; failed recovery conditions: "
+                      "min(I/L,R)+min(J/L,R)+min(K,R) = 27 < 2R+2 = 82; I_H*J_H = 36 < R = 40"),
+    (RankSpec(2, 2), ""),
+    (RankSpec(3, (1, 2, 3)), ""),
+], ids=["R40", "identifiable", "uneven-L"])
+def test_failed_block_update_names_failed_recovery_conditions(method, rank, clauses, monkeypatch):
+    # a failed block update ends its message with the coupled identifiability
+    # clauses its geometry fails (12x12 MSI of 3 bands, 6x6 HSI pixels); an
+    # identifiable geometry or an uneven L, which the conditions do not cover,
+    # leaves the message as it was
+    import btdfuse.solver as solver
+
+    def failing(*args):
+        raise NumericalError("forced")
+
+    monkeypatch.setattr(solver, "_SylvesterFactor", failing)
+    _, _, ops, hsi, msi = coupled_instance(63)
+    with warnings.catch_warnings():
+        # stereo warns of its jitter retry, which fails too
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericalError) as info:
+            bcd_fuse(hsi, msi, ops, FusionConfig(method=method, rank=rank, seed=1))
+    assert str(info.value) == "block A update failed at sweep 1: forced" + clauses
 
 
 @pytest.mark.parametrize("snr, sweeps", [(None, 1), (30.0, 4)], ids=["noiseless", "30dB"])

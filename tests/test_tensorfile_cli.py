@@ -296,6 +296,29 @@ def test_simulate_hsi_msi_noise_streams_differ(tmp_path, capsys):
     assert np.linalg.norm(noise_h - noise_m) > 1e-6
 
 
+@pytest.mark.parametrize("snr", ["3100", "-3300"])
+def test_simulate_refuses_an_snr_past_the_float_range(tmp_path, capsys, snr):
+    # both used to end in a traceback from add_noise
+    sri = tmp_path / "sri.btf"
+    assert run_cli(capsys, "make-sri", "--out", str(sri), "--dims", "40", "40", "30",
+                   "-R", "2", "-L", "2")[0] == 0
+    hsi, msi = tmp_path / "hsi.btf", tmp_path / "msi.btf"
+    code, out, err = run_cli(capsys, "simulate", "--sri", str(sri), "--out-hsi", str(hsi),
+                             "--out-msi", str(msi), "--snr-db", snr)
+    assert code == 1 and out == ""
+    assert err.startswith("error: snr_db "), err
+    assert not hsi.exists() and not msi.exists()
+
+
+def test_simulate_reports_the_realized_snr_of_overflowing_noise(tmp_path, capsys):
+    # at -3230 dB the noise is finite but its squared norm is not; the manifest
+    # used to fail with "math domain error" from log10(0)
+    _, _, _, manifest = make_pair(tmp_path, capsys, dims=(40, 40, 30), blocks=2, ratio=4,
+                                  snr="-3230")
+    for name in ("hsi", "msi"):
+        assert abs(manifest[name]["realized_snr_db"] + 3230.0) < 0.5
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -817,6 +840,16 @@ def test_bench_non_finite_sri_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bench", "--config", str(path))
     assert code == 2
     assert out == "" and "1 non-finite" in err
+    assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("snr_db", [3100.0, -3300.0])
+def test_bench_refuses_an_snr_past_the_float_range(tmp_path, capsys, snr_db):
+    # add_noise's OverflowError or ZeroDivisionError used to escape as a traceback
+    path, _ = bench_config(tmp_path, snr_db=snr_db)
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: snr_db "), err
     assert not (tmp_path / "table.csv").exists()
 
 

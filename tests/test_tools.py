@@ -1,9 +1,11 @@
 """The scripts under tools/: bench_pairs refuses arguments it cannot use before it runs
-anything, and count_code counts the lines that hold code and no others."""
+anything, count_code counts the lines that hold code and no others, and
+parity_matrix's compare fails on any array that differs past its tolerance."""
 
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 
@@ -64,3 +66,42 @@ def test_count_code_counts_code_and_leaves_out_docstrings_and_comments():
         '"/")',
     ]
     assert count_code.code_lines("") == []
+
+
+@pytest.fixture
+def parity(monkeypatch):
+    # loading the script pins the BLAS thread counts in os.environ; the
+    # fixture's own setenv puts the session's values back afterwards
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    return _load("parity_matrix")
+
+
+def _dump(path, **arrays):
+    np.savez(path, **arrays)
+    return str(path)
+
+
+def test_parity_compare_gates_on_rtol(parity, tmp_path, capsys):
+    x = np.array([1.0, 2.0, 3.0])
+    base = _dump(tmp_path / "base.npz", trace=x, **{"cli/out": x})
+    assert parity.main(["compare", base, _dump(tmp_path / "same.npz", trace=x.copy(),
+                                               **{"cli/out": x})]) == 0
+    assert "1 of 1 solver arrays equal" in capsys.readouterr().out
+    near = _dump(tmp_path / "near.npz", trace=x * (1 + 1e-13), **{"cli/out": x})
+    assert parity.main(["compare", base, near]) == 1
+    assert "0 of 1 solver arrays equal" in capsys.readouterr().out
+    assert parity.main(["compare", base, near, "--rtol", "1e-12"]) == 0
+    assert parity.main(["compare", base, _dump(tmp_path / "short.npz", trace=x)]) == 1
+    assert "0 of 1 command-line outputs equal" in capsys.readouterr().out
+    nan = _dump(tmp_path / "nan.npz", trace=np.array([1.0, np.nan, 3.0]), **{"cli/out": x})
+    for rtol in ("0", "1e300", "inf"):
+        assert parity.main(["compare", base, nan, "--rtol", rtol]) == 1
+        assert parity.main(["compare", nan, base, "--rtol", rtol]) == 1
+
+
+@pytest.mark.parametrize("rtol", ["-1", "nan"])
+def test_parity_compare_refuses_a_bad_rtol(parity, tmp_path, capsys, rtol):
+    base = _dump(tmp_path / "base.npz", trace=np.ones(2))
+    assert parity.main(["compare", base, base, "--rtol", rtol]) == 1
+    assert "Usage::" in capsys.readouterr().err
