@@ -222,19 +222,17 @@ def add_noise(t: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     norm = frob_norm(t)
     if norm == 0.0:
         raise UsageError("cannot set an SNR on an all-zero tensor")
-    out_of_range = f"snr_db {spec.snr_db:g} puts the noise of this tensor outside the float range"
-    try:
-        sigma = norm / math.sqrt(t.size * 10.0 ** (spec.snr_db / 10.0))
-    except (OverflowError, ZeroDivisionError):
-        # 10^(snr/10) overflows above about 3082 dB, and its product with the
-        # entry count underflows to 0 near -3240 dB
-        raise UsageError(out_of_range) from None
     rng = np.random.default_rng(spec.seed)
     # the draw is copied to t's layout first: arithmetic over two layouts is slow
     noisy = np.empty_like(t)
     noisy[...] = rng.standard_normal(t.shape)
-    with np.errstate(over="ignore"):
-        np.add(t, np.multiply(sigma, noisy, out=noisy), out=noisy)
-    if math.isfinite(norm) and not np.isfinite(noisy).all():
-        raise UsageError(out_of_range)
-    return noisy
+    try:
+        sigma = norm / math.sqrt(t.size * 10.0 ** (spec.snr_db / 10.0))
+        with np.errstate(over="raise"):
+            return np.add(t, np.multiply(sigma, noisy, out=noisy), out=noisy)
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        # 10^(snr/10) overflows above about 3082 dB, its product with the
+        # entry count underflows to 0 near -3240 dB, and short of those the
+        # noise or the noisy entries can still overflow
+        raise UsageError(f"snr_db {spec.snr_db:g} puts the noise of this tensor "
+                         "outside the float range") from None

@@ -100,7 +100,7 @@ def test_parity_compare_gates_on_rtol(parity, tmp_path, capsys):
         assert parity.main(["compare", nan, base, "--rtol", rtol]) == 1
 
 
-@pytest.mark.parametrize("rtol", ["-1", "nan"])
+@pytest.mark.parametrize("rtol", ["-1", "nan", "abc"])
 def test_parity_compare_refuses_a_bad_rtol(parity, tmp_path, capsys, rtol):
     base = _dump(tmp_path / "base.npz", trace=np.ones(2))
     assert parity.main(["compare", base, base, "--rtol", rtol]) == 1

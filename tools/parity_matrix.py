@@ -40,6 +40,7 @@ non-numeric value, always fails.
 
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -232,7 +233,10 @@ def main(argv) -> int:
         dump(argv[1], argv[2])
         return 0
     if argv[:1] == ["compare"] and (len(argv) == 3 or len(argv) == 5 and argv[3] == "--rtol"):
-        rtol = float(argv[4]) if len(argv) == 5 else 0.0
+        try:
+            rtol = float(argv[4]) if len(argv) == 5 else 0.0
+        except ValueError:
+            rtol = math.nan
         if rtol >= 0:
             return compare(argv[1], argv[2], rtol)
     print(__doc__, file=sys.stderr)
