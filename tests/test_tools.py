@@ -71,7 +71,7 @@ def test_count_code_counts_code_and_leaves_out_docstrings_and_comments():
 @pytest.fixture
 def parity(monkeypatch):
     # loading the script pins the BLAS thread counts in os.environ; the
-    # fixture's own setenv puts the session's values back afterwards
+    # fixture's own setenv puts the earlier values back afterwards
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     return _load("parity_matrix")
