@@ -31,7 +31,7 @@ from .errors import FormatError, NumericalError, UsageError
 from .metrics import compute_report
 from .model import RankSpec, btd_reconstruct, check_coupled_identifiability
 from .solver import INIT_STRATEGIES, METHODS, FusionConfig, bcd_fuse, init_factors
-from .tensor_ops import _check_dims, _check_int, _check_real
+from .tensor_ops import _check_dims, _check_int, _check_real, frob_norm
 from .tensorfile import read_tensor, write_tensor
 
 __all__ = ["main", "entry", "build_parser"]
@@ -147,33 +147,30 @@ def _emit(manifest: dict):
     print(json.dumps(manifest, indent=2))
 
 
-def _finite_or_str(x: float):
-    return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
-
-
-def _log10_norm(x) -> float:
-    """``log10 ||x||`` of a nonzero array, from its norm scaled by the largest entry."""
-    big = float(np.abs(x).max())
-    return math.log10(big) + math.log10(float(np.linalg.norm(x / big)))
-
-
 def _noisy_entry(path, clean, noisy) -> dict:
     """Manifest entry of a written noisy tensor; its realized SNR is None without noise."""
-    diff = (clean - noisy).ravel()
-    with np.errstate(over="ignore"):
-        err = float(np.linalg.norm(diff))
-        sig = float(np.linalg.norm(clean.ravel()))
-    try:
-        snr = None if err == 0.0 else 10.0 * math.log10((sig / err) ** 2)
-    except (ValueError, OverflowError):
-        # a squared norm or their ratio left the float range
-        snr = 20.0 * (_log10_norm(clean) - _log10_norm(diff))
+    err = frob_norm(clean - noisy)
+    snr = None if err == 0.0 else 20.0 * math.log10(frob_norm(clean) / err)
     return {"path": path, "dims": list(noisy.shape), "realized_snr_db": snr}
 
 
+def _rank(R, L, shape) -> RankSpec:
+    """``RankSpec(R, L)`` for an image of ``shape``; R is checked before L is broadcast to R blocks.
+
+    No I x J x K tensor has a rank above min(IJ, IK, JK), so a larger R is
+    refused as too large for the image.
+    """
+    i, j, k = shape
+    most = min(i * j, i * k, j * k)
+    if (R := _check_int(R, "R", 1)) > most:
+        raise UsageError(f"R is too large for a {i}x{j}x{k} image, whose rank is at most "
+                         f"{most}, got {R}")
+    return RankSpec(R, L)
+
+
 def cmd_make_sri(args) -> int:
-    rank = RankSpec(args.blocks, args.block_rank)
-    f = init_factors(tuple(args.dims), rank, args.seed, "random_uniform")
+    dims = _check_dims(args.dims)
+    f = init_factors(dims, _rank(args.blocks, args.block_rank, dims), args.seed, "random_uniform")
     sri = btd_reconstruct(f)
     write_tensor(args.out, sri)
     _emit({
@@ -217,7 +214,7 @@ def cmd_simulate(args) -> int:
         "parameters": {
             **{key: ops.params[key] for key in ("kernel_size", "sigma", "ratio", "offset")},
             "bands": ops.P3.shape[0],
-            "snr_db": _finite_or_str(args.snr_db),
+            "snr_db": args.snr_db if args.snr_db < math.inf else "inf",  # NoiseSpec refuses -inf
             "seed": args.seed,
         },
     })
@@ -235,8 +232,8 @@ def _read_finite(path, purpose: str):
     return t
 
 
-def _fusion_config(entry: dict, seed: int) -> FusionConfig:
-    """The FusionConfig of a method entry; a bad entry raises UsageError.
+def _fusion_config(entry: dict, seed: int, shape) -> FusionConfig:
+    """The FusionConfig of a method entry for an image of ``shape``; a bad entry raises UsageError.
 
     ``entry`` holds "method", "R" and optionally "label" and the fusion
     settings; a setting that is missing or None takes its default.
@@ -255,18 +252,21 @@ def _fusion_config(entry: dict, seed: int) -> FusionConfig:
             # a number, which may be written as a string, as the --rho flag gives it
             rho = entry["rho"]
             s["rho"] = float(rho) if isinstance(rho, str) else rho
-        return FusionConfig(method=method, rank=RankSpec(entry["R"], s.pop("L")), seed=seed, **s)
+        return FusionConfig(method=method, rank=_rank(entry["R"], s.pop("L"), shape), seed=seed,
+                            **s)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {method} settings: {exc}") from exc
 
 
 def cmd_fuse(args) -> int:
-    fusion = {key: getattr(args, key) for key in _FUSION_KEYS}
-    cfg = _fusion_config(dict(fusion, method=args.method, R=args.blocks), args.seed)
+    entry = {key: getattr(args, key) for key in ("method", *_FUSION_KEYS)} | {"R": args.blocks}
+    # every setting is checked before the images are read, and R against their size after
+    _fusion_config(dict(entry, R=min(args.blocks, 1)), args.seed, (1, 1, 1))
     hsi = _read_finite(args.hsi, "fusion")
     msi = _read_finite(args.msi, "fusion")
     i_m, j_m, k_m = msi.shape
     i_h, j_h, k_h = hsi.shape
+    cfg = _fusion_config(entry, args.seed, (i_m, j_m, k_h))
     ops = _degradation_ops((i_m, j_m, k_h), args, k_m)
     if ops.P1.shape[0] != i_h or ops.P2.shape[0] != j_h:
         raise UsageError(
@@ -307,7 +307,10 @@ def cmd_evaluate(args) -> int:
 
 
 def _bench_config(raw) -> argparse.Namespace:
-    """Checked bench settings; ``runs`` maps each method entry's label to its FusionConfig."""
+    """Checked bench settings and the reference image ``sri``.
+
+    ``runs`` maps each method entry's label to its FusionConfig.
+    """
     if not isinstance(raw, dict):
         raise UsageError("bench config must be a JSON object")
     unknown = set(raw) - {*_BENCH_KEYS, *_DEGRADATION_KEYS}
@@ -320,23 +323,23 @@ def _bench_config(raw) -> argparse.Namespace:
         raise UsageError("bench config needs 'sri_path' or 'sri_dims' + 'sri_rank'")
     cfg = argparse.Namespace(**{key: raw.get(key) for key in _BENCH_KEYS},
                              **_settings(_DEGRADATION_KEYS, raw))
-    cfg.trials = _check_int(raw.get("trials", 1), "trials")
+    cfg.trials = _check_int(raw.get("trials", 1), "trials", 1)
     cfg.seed_base = _check_int(raw.get("seed_base", 0), "seed_base")
     if not cfg.sri_path:
         cfg.sri_dims = _check_dims(cfg.sri_dims, "sri_dims")
-        cfg.sri_rank = RankSpec(sri_rank["R"], sri_rank.get("L", 1))
-    if cfg.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {cfg.trials}")
+        cfg.sri_rank = _rank(sri_rank["R"], sri_rank.get("L", 1), cfg.sri_dims)
     if not cfg.output:
         raise UsageError("bench config needs an 'output' table path")
     methods = raw.get("methods")
     if not methods or not isinstance(methods, list):
         raise UsageError("bench config needs a nonempty 'methods' list")
+    cfg.sri = _read_finite(cfg.sri_path, "bench") if cfg.sri_path else btd_reconstruct(
+        init_factors(cfg.sri_dims, cfg.sri_rank, cfg.seed_base, "random_uniform"))
     cfg.runs = {}
     for m in methods:
         if not isinstance(m, dict):
             raise UsageError(f"method entry {m!r} must be a JSON object")
-        run = _fusion_config(m, cfg.seed_base)
+        run = _fusion_config(m, cfg.seed_base, cfg.sri.shape)
         label = str(m.get("label", f"{run.method}(R={run.rank.R},L={run.rank.L[0]})"))
         if label in cfg.runs:
             raise UsageError(f"two method entries are labelled {label!r}; give each a 'label'")
@@ -366,14 +369,8 @@ def cmd_bench(args) -> int:
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed bench config {args.config}: {exc}") from exc
     cfg = _bench_config(raw)
-
-    if cfg.sri_path:
-        sri = _read_finite(cfg.sri_path, "bench")
-    else:
-        sri = btd_reconstruct(init_factors(cfg.sri_dims, cfg.sri_rank, cfg.seed_base,
-                                           "random_uniform"))
-    ops = _degradation_ops(sri.shape, cfg)
-    hsi_clean, msi_clean = apply_degradation(sri, ops)
+    ops = _degradation_ops(cfg.sri.shape, cfg)
+    hsi_clean, msi_clean = apply_degradation(cfg.sri, ops)
 
     trials = cfg.trials
     # per label, one (r_snr_db, cc, sam_rad, ergas, runtime_s) row per completed trial
@@ -386,7 +383,7 @@ def cmd_bench(args) -> int:
             start = time.perf_counter()
             try:
                 result = bcd_fuse(hsi, msi, ops, dataclasses.replace(run_cfg, seed=seed))
-                report = compute_report(sri, result.sri_estimate, cfg.ratio)
+                report = compute_report(cfg.sri, result.sri_estimate, cfg.ratio)
             except (UsageError, NumericalError) as exc:
                 print(f"trial {trial} {label}: failed: {exc}", file=sys.stderr)
                 continue

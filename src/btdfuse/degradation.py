@@ -61,9 +61,7 @@ class NoiseSpec:
         object.__setattr__(self, "snr_db", _check_real(self.snr_db, "snr_db"))
         if self.snr_db == -math.inf:
             raise UsageError(f"snr_db must be finite or +inf, got {self.snr_db}")
-        object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
 
 
 def gaussian_blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
@@ -73,9 +71,7 @@ def gaussian_blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
     centered at i; weights falling outside the domain are dropped and each row
     is renormalized to sum to 1.
     """
-    n, kernel_size = _check_int(n, "n"), _check_int(kernel_size, "kernel_size")
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n}")
+    n, kernel_size = _check_int(n, "n", 1), _check_int(kernel_size, "kernel_size")
     if kernel_size % 2 == 0 or kernel_size < 1:
         raise UsageError(f"kernel_size must be odd and positive, got {kernel_size}")
     if kernel_size > 2 * n - 1:
@@ -138,9 +134,7 @@ def uniform_srf(K_H: int, K_M: int) -> np.ndarray:
     The first ``K_H mod K_M`` groups get one extra band; each row averages its
     group uniformly, so rows sum to 1.
     """
-    K_H, K_M = _check_int(K_H, "K_H"), _check_int(K_M, "K_M")
-    if K_M < 1 or K_H < 1:
-        raise UsageError(f"band counts must be >= 1, got K_H={K_H}, K_M={K_M}")
+    K_H, K_M = _check_int(K_H, "K_H", 1), _check_int(K_M, "K_M", 1)
     if K_M > K_H:
         raise UsageError(f"need K_M <= K_H, got K_M={K_M} > K_H={K_H}")
     base, extra = divmod(K_H, K_M)
@@ -213,8 +207,9 @@ def add_noise(t: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     package-wide fixed RNG, so results are reproducible for a given seed.
     ``snr_db = inf`` returns the input unchanged.  Either way the result keeps
     the input's memory layout, so a column-major tensor stays column-major.
-    An ``snr_db`` whose noise level or noisy entries leave the float range
-    raises UsageError.
+    Any finite tensor gets a finite noise level (``frob_norm`` is finite for
+    every finite tensor whose norm is a float); an ``snr_db`` whose noise
+    level or noisy entries still leave the float range raises UsageError.
     """
     t = np.asarray(t, dtype=np.float64)
     if spec.snr_db == math.inf:

@@ -45,18 +45,14 @@ class RankSpec:
     L: tuple[int, ...] = field(default=(1,))
 
     def __init__(self, R: int, L=1):
-        object.__setattr__(self, "R", _check_int(R, "R"))
-        if self.R < 1:
-            raise UsageError(f"R must be >= 1, got {self.R}")
+        object.__setattr__(self, "R", _check_int(R, "R", 1))
         try:
             widths = L if np.iterable(L) else (L,) * self.R  # a scalar L is every block's
         except OverflowError:
             raise UsageError(f"R is too large to give each block a rank, got {self.R}") from None
-        object.__setattr__(self, "L", tuple(_check_int(w, "L") for w in widths))
+        object.__setattr__(self, "L", tuple(_check_int(w, "L", 1) for w in widths))
         if len(self.L) != self.R:
             raise UsageError(f"need {self.R} block ranks, got {len(self.L)}")
-        if any(w < 1 for w in self.L):
-            raise UsageError(f"all block ranks must be >= 1, got {self.L}")
 
     @property
     def total(self) -> int:

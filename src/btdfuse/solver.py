@@ -149,10 +149,8 @@ class FusionConfig:
             raise UsageError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not isinstance(self.rank, RankSpec):
             raise UsageError("cfg.rank must be a RankSpec")
-        for name in ("outer_iters", "inner_iters", "seed"):
-            object.__setattr__(self, name, _check_int(getattr(self, name), name))
-        if self.outer_iters < 1:
-            raise UsageError(f"outer_iters must be >= 1, got {self.outer_iters}")
+        for name, least in (("outer_iters", 1), ("inner_iters", None), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, least))
         if self.method in ("cnn_btd", "cnn_cpd") and self.inner_iters < 1:
             raise UsageError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if not (isinstance(self.rho, str) and self.rho == "auto"):
@@ -162,8 +160,6 @@ class FusionConfig:
         object.__setattr__(self, "tol", _check_real(self.tol, "tol"))
         if not self.tol >= 0:
             raise UsageError(f"tol must be >= 0, got {self.tol!r}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.init not in INIT_STRATEGIES:
             raise UsageError(f"unknown init {self.init!r}; choose from {INIT_STRATEGIES}")
         # _start reads init_factors only for "provided": with any other init they would be ignored
@@ -250,9 +246,7 @@ def _identity_scale(m: np.ndarray) -> float | None:
     """c such that m == c*I (within 1e-12 |c|), else None."""
     n = m.shape[0]
     c = float(np.trace(m)) / n
-    if c == 0.0:
-        return None
-    if np.abs(m - c * np.eye(n)).max() <= 1e-12 * abs(c):
+    if c != 0.0 and np.abs(m - c * np.eye(n)).max() <= 1e-12 * abs(c):
         return c
     return None
 
@@ -553,9 +547,7 @@ def admm_nn_block(w: AdmmWorkspace, inner_iters: int):
     Returns the feasible iterate Z (this is what gets stored as the
     factor) together with the updated workspace.
     """
-    inner_iters = _check_int(inner_iters, "inner_iters")
-    if inner_iters < 1:
-        raise UsageError(f"inner_iters must be >= 1, got {inner_iters}")
+    inner_iters = _check_int(inner_iters, "inner_iters", 1)
     if not _check_real(w.rho, "rho") > 0:
         raise UsageError(f"constrained block updates need rho > 0, got {w.rho}")
     system = _SylvesterFactor(w.H1, w.H2, w.H3, w.H4, w.form)
@@ -838,9 +830,7 @@ def init_factors(dims, rank: RankSpec, seed: int, strategy: str, msi=None) -> Bt
     truncated components; no randomness involved.
     """
     i, j, k = dims = _check_dims(dims)
-    seed = _check_int(seed, "seed")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    seed = _check_int(seed, "seed", 0)
     if msi is not None:
         msi = _check_tensor3(msi, "msi")
         if msi.shape[:2] != (i, j):

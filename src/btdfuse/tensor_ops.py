@@ -57,15 +57,18 @@ def _check_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _check_int(value, name: str) -> int:
+def _check_int(value, name: str, least: int | None = None) -> int:
     """``value`` as an int: the package's one rule for sizes, ranks, ratios, counts and seeds.
 
     An int, a numpy integer or a float with an integral value is accepted;
     anything else (2.5, NaN, an infinity, None, a bool, a string) raises
-    UsageError naming ``name``, so nothing is truncated on the way.
+    UsageError naming ``name``, so nothing is truncated on the way.  With
+    ``least`` given, a whole number below it raises UsageError too.
     """
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) or (
             isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        if least is not None and value < least:
+            raise UsageError(f"{name} must be >= {least}, got {int(value)}")
         return int(value)
     raise UsageError(f"{name} must be an integer or an integral float, got {value!r}")
 
@@ -204,9 +207,7 @@ def pw_khatri_rao(c: np.ndarray, a: np.ndarray, block_widths: Sequence[int]) -> 
     """
     c = _check_matrix(c, "c")
     a = _check_matrix(a, "a")
-    widths = [_check_int(w, "block_widths") for w in block_widths]
-    if any(w < 1 for w in widths):
-        raise UsageError(f"block widths must be positive, got {widths}")
+    widths = [_check_int(w, "block_widths", 1) for w in block_widths]
     if c.shape[1] != len(widths):
         raise UsageError(
             f"c has {c.shape[1]} columns but the partition has {len(widths)} blocks"
@@ -220,8 +221,20 @@ def pw_khatri_rao(c: np.ndarray, a: np.ndarray, block_widths: Sequence[int]) -> 
 
 
 def frob_norm(t: np.ndarray) -> float:
-    """Frobenius norm (square root of the sum of squared entries, any shape)."""
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+    """Frobenius norm (square root of the sum of squared entries, any shape).
+
+    Finite for every finite ``t`` whose norm is below the float maximum:
+    where the plain norm leaves the range in which its square is a normal
+    float, ``t`` is scaled by the power of two of its largest entry, which is
+    exact, and the norm is scaled back.
+    """
+    t = np.asarray(t, dtype=np.float64).ravel()
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(t))
+        if not 2.0 ** -511 <= norm < math.inf:  # its square is not a normal float
+            e = math.frexp(float(np.abs(t).max(initial=0.0)))[1]
+            norm = float(np.ldexp(np.linalg.norm(np.ldexp(t, -e)), e))
+    return norm
 
 
 def vec(m: np.ndarray) -> np.ndarray:

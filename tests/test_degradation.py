@@ -257,6 +257,22 @@ def test_add_noise_realized_snr():
         assert abs(realized - target) <= 0.05
 
 
+@pytest.mark.parametrize("shape, spread_db", [((4, 4, 4), 1.5), ((40, 40, 30), 0.05)])
+def test_add_noise_sets_a_finite_noise_level_on_huge_entries(shape, spread_db):
+    # the norm's square used to overflow above about 1e154, so sigma was inf
+    # and no noisy entry was finite.  The draw is the same at every scale, so
+    # the realized SNR is the unscaled tensor's: 31.3 dB for the 64 entries,
+    # whose draw is short of its mean power, and near 30 dB for 48000
+    u = np.random.default_rng(4).uniform(size=shape)
+    realized = []
+    for t in (u, 1e160 * u):
+        noisy = add_noise(t, NoiseSpec(30.0, 1))
+        assert np.isfinite(noisy).all()
+        realized.append(20.0 * np.log10(frob_norm(t) / frob_norm(noisy - t)))
+    assert realized[1] == pytest.approx(realized[0], abs=1e-9)
+    assert abs(realized[0] - 30.0) <= spread_db
+
+
 def test_add_noise_keeps_layout():
     # both paths return the input's layout, with the values of the row-major sum
     base = np.random.default_rng(5).uniform(size=(4, 5, 6))

@@ -395,11 +395,13 @@ def test_match_blocks_rank_mismatch():
 
 
 def test_import_loads_no_scipy():
-    # scipy.optimize is only needed by match_blocks and imported there
+    # scipy.optimize is only needed by match_blocks and imported there, and
+    # numpy.random (10-14 ms) only by the commands that draw, on first use
     src = os.path.dirname(os.path.dirname(os.path.abspath(btdfuse.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, btdfuse; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, btdfuse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "== 'scipy' or m.startswith('numpy.random')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

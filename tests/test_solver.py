@@ -818,6 +818,36 @@ def test_fuse_permuting_start_blocks_permutes_the_run(seed, method, uneven, orde
     np.testing.assert_allclose(got.objective_trace, res.objective_trace, rtol=1e-10, atol=0)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    method=st.sampled_from(("cnn_btd", "cnn_cpd", "stereo", "two_stage")),
+    uneven=st.booleans(),
+    order=st.permutations(range(8)),
+)
+def test_fuse_permuting_bands_permutes_the_estimate(seed, method, uneven, order):
+    # the bands enter the model through C's rows, the HSI's mode 3 and P3's
+    # columns.  Permuting the SRI's bands and P3's columns together permutes
+    # the HSI's bands (noise included) and leaves the MSI as it is; fused from
+    # a start whose C rows are permuted the same way, the estimate's bands are
+    # permuted, and A, B and the trace stay
+    rank = RankSpec(3, 1 if method == "cnn_cpd" else (1, 2, 3) if uneven else 2)
+    _, _, ops, hsi, msi = coupled_instance(seed, snr=30.0)
+    start = init_factors((12, 12, 8), rank, seed + 1, "random_uniform", msi=msi)
+    cfg = FusionConfig(method=method, rank=rank, outer_iters=5, init="provided",
+                       init_factors=start)
+    res = bcd_fuse(hsi, msi, ops, cfg)
+    order = list(order)
+    moved = BtdFactors(start.A, start.B, start.C[order], rank)
+    got = bcd_fuse(hsi[:, :, order], msi, dataclasses.replace(ops, P3=ops.P3[:, order]),
+                   dataclasses.replace(cfg, init_factors=moved))
+    for mine, theirs in ((got.sri_estimate, res.sri_estimate[:, :, order]),
+                         (got.factors.A, res.factors.A), (got.factors.B, res.factors.B),
+                         (got.factors.C, res.factors.C[order])):
+        assert np.linalg.norm(mine - theirs) <= 1e-10 * np.linalg.norm(theirs)
+    np.testing.assert_allclose(got.objective_trace, res.objective_trace, rtol=1e-10, atol=0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 50),

@@ -1,5 +1,8 @@
 """Unfold/fold layout, mode products, and structured matrix products."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -361,6 +364,21 @@ def test_frob_norm_values():
     assert frob_norm(np.zeros((2, 3, 4))) == 0.0
     assert frob_norm(np.full((1, 1, 1), 3.0)) == 3.0
     assert frob_norm(seq_tensor(2, 2, 2)) == pytest.approx(np.sqrt(204.0), rel=1e-15)
+
+
+def test_frob_norm_is_finite_where_its_square_is_not_a_normal_float():
+    # the plain norm's square overflowed above about 1e154 and lost digits
+    # below about 1e-154; a power-of-two scaling is exact, so each norm is 2^e
+    # times the norm of the unscaled tensor, and an in-range norm is the plain one
+    t = np.random.default_rng(11).uniform(size=(4, 5, 6))
+    assert frob_norm(t) == float(np.linalg.norm(t.ravel()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (530, 1000, -530, -1000):
+            assert frob_norm(np.ldexp(t, e)) == math.ldexp(frob_norm(t), e), e
+        assert frob_norm(np.full(3, 1e300)) == pytest.approx(math.sqrt(3) * 1e300, rel=1e-15)
+        # a norm past the float maximum is the one that is not finite
+        assert frob_norm(np.full(4, 1e308)) == math.inf
 
 
 def test_frob_norm_matches_unfoldings():

@@ -746,6 +746,66 @@ def test_make_sri_rank_too_large_exit_1(tmp_path, capsys):
     assert not (tmp_path / "s.btf").exists()
 
 
+# a scalar L used to be broadcast to an R-long tuple before any size check,
+# so R = 10**12 asked for 8 TB and escaped as a MemoryError; R is now bounded
+# by the largest rank of the image, min(IJ, IK, JK), before L is broadcast
+
+
+def test_make_sri_rank_past_the_image_exit_1(tmp_path, capsys):
+    out = tmp_path / "s.btf"
+    for blocks in (10**12, 21):
+        code, stdout, err = run_cli(capsys, "make-sri", "--out", str(out),
+                                    "--dims", "6", "5", "4", "-R", str(blocks))
+        assert code == 1 and stdout == ""
+        assert err == (f"error: R is too large for a 6x5x4 image, whose rank is at most 20, "
+                       f"got {blocks}\n")
+        assert not out.exists()
+    assert run_cli(capsys, "make-sri", "--out", str(out), "--dims", "6", "5", "4",
+                   "-R", "20")[0] == 0
+
+
+def test_fuse_rank_past_the_image_exit_1(tmp_path, capsys):
+    _, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(12, 12, 8), blocks=2, block_rank=1)
+    est = tmp_path / "est.btf"
+    code, out, err = run_cli(capsys, "fuse", "--hsi", str(hsi), "--msi", str(msi),
+                             "--out", str(est), "-R", str(10**12), "--kernel", "3",
+                             "--sigma", "1.5", "--ratio", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad cnn_btd settings: R is too large for a 12x12x8 "
+                          "image, whose rank is at most 96, got 1000000000000"), err
+    assert not est.exists()
+
+
+def test_bench_rank_past_the_image_exit_1(tmp_path, capsys):
+    path, _ = bench_config(tmp_path, methods=[{"method": "stereo", "R": 10**12}])
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad stereo settings: R is too large for a 15x15x8 "
+                          "image, whose rank is at most 120, got 1000000000000"), err
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_simulate_writes_finite_files_for_huge_entries(tmp_path, capsys):
+    # the norm's square used to overflow above about 1e154, so the noisy pair
+    # was all inf.  Every step scales exactly by a power of two, so the pair
+    # of the SRI scaled by 2^530 is the unscaled pair scaled by 2^530
+    sri, hsi, msi, small = make_pair(tmp_path, capsys, dims=(12, 12, 8), snr="30")
+    big_sri = tmp_path / "big_sri.btf"
+    write_tensor(big_sri, np.ldexp(read_tensor(sri), 530))
+    code, out, _ = run_cli(capsys, "simulate", "--sri", str(big_sri),
+                           "--out-hsi", str(tmp_path / "big_hsi.btf"),
+                           "--out-msi", str(tmp_path / "big_msi.btf"),
+                           "--kernel", "3", "--sigma", "1.5", "--ratio", "3",
+                           "--bands", "4", "--snr-db", "30", "--seed", "0")
+    assert code == 0
+    big = last_json(out)
+    for key, path in (("hsi", hsi), ("msi", msi)):
+        scaled = read_tensor(tmp_path / f"big_{key}.btf")
+        assert np.isfinite(scaled).all()
+        np.testing.assert_array_equal(scaled, np.ldexp(read_tensor(path), 530))
+        assert big[key]["realized_snr_db"] == small[key]["realized_snr_db"]
+
+
 def test_bench_refuses_non_integral_counts(tmp_path, capsys):
     # int() used to truncate these: R=2.9, L=1.5, outer_iters=2.5 ran R=2,
     # L=(1, 1) and 2 sweeps

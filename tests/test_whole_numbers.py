@@ -36,6 +36,7 @@ from btdfuse import (
     uniform_srf,
     unvec,
 )
+from btdfuse.cli import _bench_config
 
 _RNG = np.random.default_rng(0)
 _T = _RNG.uniform(size=(3, 4, 5))
@@ -141,3 +142,40 @@ def test_integral_float_and_numpy_integer_act_as_int(case):
     expected = call(good)
     for value in (float(good), np.int64(good)):
         assert same(call(value), expected), value
+
+
+def _bench_trials(v):
+    return _bench_config({"trials": v, "output": "table.csv", "sri_dims": [4, 4, 3],
+                          "sri_rank": {"R": 1}, "methods": [{"method": "stereo", "R": 1}]})
+
+
+# (entry point, the parameter's name, the least value it accepts, the call)
+LEAST = [
+    ("bench", "trials", 1, _bench_trials),
+    ("NoiseSpec", "seed", 0, lambda v: NoiseSpec(30.0, v)),
+    ("gaussian_blur_matrix", "n", 1, lambda v: gaussian_blur_matrix(v, 1, 1.0)),
+    ("uniform_srf", "K_H", 1, lambda v: uniform_srf(v, 1)),
+    ("uniform_srf", "K_M", 1, lambda v: uniform_srf(5, v)),
+    ("RankSpec", "R", 1, lambda v: RankSpec(v, 1)),
+    ("RankSpec", "L", 1, lambda v: RankSpec(2, v)),
+    ("RankSpec", "L", 1, lambda v: RankSpec(2, (1, v))),
+    ("FusionConfig", "outer_iters", 1, lambda v: FusionConfig(outer_iters=v)),
+    ("FusionConfig", "inner_iters", 1, lambda v: FusionConfig(inner_iters=v)),
+    ("FusionConfig", "seed", 0, lambda v: FusionConfig(seed=v)),
+    ("admm_nn_block", "inner_iters", 1, _admm),
+    ("init_factors", "seed", 0,
+     lambda v: init_factors((2, 3, 4), RankSpec(2, 1), v, "random_uniform")),
+    ("pw_khatri_rao", "block_widths", 1,
+     lambda v: pw_khatri_rao(np.ones((2, 2)), np.ones((2, 2)), (v, 2 - v))),
+]
+
+
+@pytest.mark.parametrize("case", LEAST,
+                         ids=[f"{w}-{n}-{i}" for i, (w, n, _, _) in enumerate(LEAST)])
+def test_whole_number_below_its_bound_is_refused_by_name(case):
+    _, name, least, call = case
+    call(least)
+    for below in (least - 1, float(least - 1), np.int64(least - 1), least - 7):
+        with pytest.raises(UsageError, match=rf"^{re.escape(name)} must be >= {least}, "
+                                             rf"got {int(below)}$"):
+            call(below)
