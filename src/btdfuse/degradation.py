@@ -123,9 +123,8 @@ def build_spatial_ops(
     I_M, J_M, d = _check_int(I_M, "I_M"), _check_int(J_M, "J_M"), _check_int(d, "d")
     if sigma is None:
         sigma = d / 2.0
-    p1 = downsample_matrix(I_M, d, offset) @ gaussian_blur_matrix(I_M, kernel_size, sigma)
-    p2 = downsample_matrix(J_M, d, offset) @ gaussian_blur_matrix(J_M, kernel_size, sigma)
-    return p1, p2
+    return tuple(downsample_matrix(n, d, offset) @ gaussian_blur_matrix(n, kernel_size, sigma)
+                 for n in (I_M, J_M))
 
 
 def uniform_srf(K_H: int, K_M: int) -> np.ndarray:
@@ -148,6 +147,9 @@ def load_srf_csv(path, K_H: int | None = None, K_M: int | None = None) -> np.nda
         srf = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise FormatError(f"malformed SRF CSV {path}: {exc}") from exc
+    bad = srf.size - int(np.count_nonzero(np.isfinite(srf)))
+    if bad:
+        raise FormatError(f"SRF CSV {path} has {bad} non-finite entries (NaN or Inf)")
     if K_M is not None and srf.shape[0] != K_M:
         raise FormatError(f"SRF CSV {path} has {srf.shape[0]} rows, expected {K_M}")
     if K_H is not None and srf.shape[1] != K_H:
@@ -175,6 +177,8 @@ def make_degradation_ops(
         p3 = np.asarray(srf, dtype=np.float64)
         if p3.shape != (_check_int(K_M, "K_M"), _check_int(K_H, "K_H")):
             raise UsageError(f"SRF must be {K_M}x{K_H}, got {p3.shape}")
+        if not np.isfinite(p3).all():
+            raise UsageError("SRF has non-finite entries (NaN or Inf)")
     return DegradationOps(
         P1=p1,
         P2=p2,

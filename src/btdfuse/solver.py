@@ -10,14 +10,15 @@ A, B, C of the block-term model:
 * ``two_stage``: fits the spatial factors to the MSI alone, then recovers the
   spectral factor from the HSI by linear least squares.
 
-Every block subproblem reduces to a generalized Sylvester equation
-``H1 @ X @ H2 + H3 @ X @ H4 = H5``, and its form is fixed by the model:
-blocks A and B are in the row form (H3 = I, H1 = P^T P for P1 or P2), block
-C in the column form (H2 = I, H4 = P3^T P3).  Both are ``P^T P Y b + Y c =
-rhs``, with ``Y = X`` and ``(b, c) = (H2, H4)`` in the row form and
-``Y = X^T``, ``(b, c) = (H3, H1)``, ``rhs = H5^T`` in the column form.
-``build_subproblem`` records each block's form in the workspace it returns
-(``AdmmWorkspace.form = (transposed, P)``); only the public
+Every block subproblem is the same least squares problem, ``P^T P Y b + Y c
+= rhs`` for Y = A, B or C: the operator P (P1, P2 or P3) acts on the unknown
+in one data term, whose Gram is b, and c is the other term's Gram plus the
+penalty.  Written as a generalized Sylvester equation ``H1 @ X @ H2 + H3 @ X
+@ H4 = H5``, blocks A and B hold it as it stands, the row form (X = Y, H1 =
+P^T P, H2 = b, H3 = I, H4 = c), and block C, whose unknown is X = C^T, holds
+it transposed, the column form (H1 = c, H2 = I, H3 = b, H4 = P^T P, H5 =
+rhs^T).  ``build_subproblem`` records each block's form in the workspace it
+returns (``AdmmWorkspace.form = (transposed, P)``); only the public
 ``sylvester_solve`` and a workspace built by hand detect it from H1..H4.
 Within one block update only H5 changes between ADMM steps, so each update
 factors H1..H4 once (``_SylvesterFactor``, as in AO-ADMM) and every step is
@@ -178,10 +179,12 @@ class AdmmWorkspace:
     H5_base the data part of its right-hand side; Z is the feasible split
     variable (what gets stored back into the factors), U the scaled dual, and
     X the most recent unconstrained solve.  Z and U persist across sweeps as
-    warm starts.  ``form = (transposed, P)`` states the Sylvester form, as
-    ``build_subproblem`` records it: ``(False, P1)`` for A, ``(False, P2)``
-    for B (H1 = P^T P, H3 = I) and ``(True, P3)`` for C (H4 = P^T P,
-    H2 = I).  A workspace without it has its form detected from H1..H4.
+    warm starts.  Every block's system is ``P^T P Y b + Y c = rhs``;
+    ``form = (transposed, P)`` states how the workspace holds it, as
+    ``build_subproblem`` records it: as it stands for A, ``(False, P1)``, and
+    B, ``(False, P2)`` (X = Y, H1 = P^T P, H2 = b, H3 = I, H4 = c), and
+    transposed for C, ``(True, P3)`` (X = C^T, H1 = c, H2 = I, H3 = b,
+    H4 = P^T P).  A workspace without it has its form detected from H1..H4.
     """
 
     H1: np.ndarray
@@ -453,9 +456,9 @@ def sylvester_solve_dense(h1, h2, h3, h4, h5) -> np.ndarray:
     return _check_residual(h1, h2, h3, h4, h5, unvec(sol, m, n))
 
 
-def _resolve_rho(rho, gram: np.ndarray, ncols: int) -> float:
+def _resolve_rho(rho, gram: np.ndarray) -> float:
     if isinstance(rho, str) and rho == "auto":
-        val = float(np.trace(gram)) / ncols
+        val = float(np.trace(gram)) / len(gram)
         # a zero Gram means zero factors; any positive penalty works then
         return val if val > 0 else 1.0
     val = _check_real(rho, "rho")
@@ -490,50 +493,42 @@ def _normal_equations(y, u, v, rank: RankSpec, mode: int):
 def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -> AdmmWorkspace:
     """Assemble one block's quadratic subproblem as an AdmmWorkspace.
 
-    The unknown is A for block "A", B for block "B", and C^T for block "C";
-    the penalty ``rho`` lands on the identity-adjacent Gram so the system
-    stays a supported Sylvester form, which the workspace records as
-    ``form``: ``(False, P1)`` for A, ``(False, P2)`` for B and ``(True, P3)``
-    for C.  Z starts at the current factor value and U at zero; callers that
-    warm-start replace them afterwards.
+    Every block solves ``P^T P Y b + Y c = rhs`` for its factor Y: b and the
+    right-hand side ``r_p`` come from the data term whose operator P acts on
+    Y (the HSI term with P1 or P2 for A and B, the MSI term with P3 for C), c
+    and ``r_c`` from the other term, with the penalty ``rho`` added to c's
+    diagonal, and ``rhs = P^T r_p + r_c``.  A and B are stored as they stand,
+    ``form = (False, P1)`` or ``(False, P2)``: H1 = P^T P, H2 = b, H3 = I,
+    H4 = c.  Block C's unknown is C^T and its system is stored transposed,
+    ``form = (True, P3)``: H1 = c, H2 = I, H3 = b, H4 = P^T P, H5 = rhs^T.
+    Z starts at the current factor value (C^T for block C) and U at zero;
+    callers that warm-start replace them afterwards.
     """
     hsi = _check_tensor3(hsi, "hsi")
     msi = _check_tensor3(msi, "msi")
     _require_coupled_dims(f, hsi, msi, ops)
     rank = f.rank
-    total = rank.total
     p1, p2, p3 = ops.P1, ops.P2, ops.P3
-    if block in ("A", "B"):
+    # each data term as the (y, u, v) of _normal_equations
+    if block == "C":
+        p, mode, on_p, other = p3, 3, (msi, f.A, f.B), (hsi, p1 @ f.A, p2 @ f.B)
+    elif block in ("A", "B"):
         # the HSI term pairs C with the degraded partner factor q @ partner,
         # the MSI term P3 C with the partner itself
         p, q, partner, mode = (p1, p2, f.B, 1) if block == "A" else (p2, p1, f.A, 2)
-        h2, r_h = _normal_equations(hsi, f.C, q @ partner, rank, mode)
-        gram_m, r_m = _normal_equations(msi, p3 @ f.C, partner, rank, mode)
-        rho_val = _resolve_rho(rho, gram_m, total)
-        h1 = p.T @ p
-        h3 = np.eye(p.shape[1])
-        h4 = gram_m + rho_val * np.eye(total)
-        h5 = p.T @ r_h + r_m
-        z = getattr(f, block).copy()
-        form = (False, p)
-    elif block == "C":
-        gram_h, r_h = _normal_equations(hsi, p1 @ f.A, p2 @ f.B, rank, 3)
-        h3, r_m = _normal_equations(msi, f.A, f.B, rank, 3)
-        rho_val = _resolve_rho(rho, gram_h, rank.R)
-        h1 = gram_h + rho_val * np.eye(rank.R)
-        h2 = np.eye(f.C.shape[0])
-        h4 = p3.T @ p3
-        # (Wm^T Y3) P3, not Wm^T (Y3 P3): no (I*J, K) temporary
-        h5 = r_h + r_m @ p3
-        z = f.C.T.copy()
-        form = (True, p3)
+        on_p, other = (hsi, f.C, q @ partner), (msi, p3 @ f.C, partner)
     else:
         raise UsageError(f"block must be 'A', 'B' or 'C', got {block!r}")
-
-    return AdmmWorkspace(
-        H1=h1, H2=h2, H3=h3, H4=h4, H5_base=h5,
-        Z=z, U=np.zeros_like(z), rho=rho_val, form=form,
-    )
+    b, r_p = _normal_equations(*on_p, rank, mode)
+    c, r_c = _normal_equations(*other, rank, mode)
+    rho_val = _resolve_rho(rho, c)
+    c = c + rho_val * np.eye(len(c))
+    transposed = block == "C"
+    ptp, eye = p.T @ p, np.eye(p.shape[1])
+    # for C, (Wm^T Y3) P3 and not Wm^T (Y3 P3): no (I*J, K) temporary
+    h = (c, eye, b, ptp, r_c + r_p @ p) if transposed else (ptp, b, eye, c, p.T @ r_p + r_c)
+    z = (f.C.T if transposed else getattr(f, block)).copy()
+    return AdmmWorkspace(*h, Z=z, U=np.zeros_like(z), rho=rho_val, form=(transposed, p))
 
 
 def admm_nn_block(w: AdmmWorkspace, inner_iters: int):
@@ -609,8 +604,6 @@ def _start(hsi, msi, ops: DegradationOps, cfg: FusionConfig):
     e, hsi, msi = _normalize_pair(hsi, msi)
     if cfg.init == "provided":
         f = cfg.init_factors.copy()
-        if f.dims != dims:
-            raise UsageError(f"provided factors give dims {f.dims}, data needs {dims}")
         if f.rank != cfg.rank:
             raise UsageError(f"provided factors have rank {f.rank}, config wants {cfg.rank}")
         f.C = np.ldexp(f.C, -e)
@@ -625,9 +618,10 @@ def _block_score(w: AdmmWorkspace, z, data_sq: float) -> float | None:
 
     With the other blocks fixed the objective is ``data_sq - 2 <z, H5_base> +
     <z, H1 z H2 + H3 z H4> - rho ||z||^2``, ``data_sq = ||Y_H||^2 + ||Y_M||^2``.
-    The quadratic is formed through the P of ``w.form`` and never multiplies by
-    the identity: ``<P z, (P z) H2> + <z, z H4>`` in the row form,
-    ``<z, H1 z> + <z P^T, H3 z P^T>`` in the column form.
+    The quadratic is formed in every block's row form ``P^T P Y b + Y c``,
+    through the P of ``w.form`` and never multiplying by the identity:
+    ``<P y, (P y) b> + <y, y c>`` with ``(y, b, c) = (z, H2, H4)``, or
+    ``(z^T, H3, H1)`` for a workspace that holds its system transposed.
 
     Returns None where the difference has lost digits to cancellation: below
     ``DENSE_SCORE_SHARE`` of the larger of ``data_sq`` and the quadratic's
@@ -637,16 +631,11 @@ def _block_score(w: AdmmWorkspace, z, data_sq: float) -> float | None:
     where the factors' columns nearly cancel.
     """
     transposed, p = w.form
-    if transposed:
-        zp = z @ p.T
-        quad = np.vdot(z, w.H1 @ z) + np.vdot(zp, w.H3 @ zp)
-        mass = (frob_norm(np.sqrt(np.diag(w.H1)) @ np.abs(z)) ** 2
-                + frob_norm(np.sqrt(np.diag(w.H3)) @ np.abs(zp)) ** 2)
-    else:
-        pz = p @ z
-        quad = np.vdot(pz, pz @ w.H2) + np.vdot(z, z @ w.H4)
-        mass = (frob_norm(np.abs(pz) @ np.sqrt(np.diag(w.H2))) ** 2
-                + frob_norm(np.abs(z) @ np.sqrt(np.diag(w.H4))) ** 2)
+    y, b, c = (z.T, w.H3, w.H1) if transposed else (z, w.H2, w.H4)
+    py = p @ y
+    quad = np.vdot(py, py @ b) + np.vdot(y, y @ c)
+    mass = (frob_norm(np.abs(py) @ np.sqrt(np.diag(b))) ** 2
+            + frob_norm(np.abs(y) @ np.sqrt(np.diag(c))) ** 2)
     j = float(data_sq - 2.0 * np.vdot(z, w.H5_base) + quad - w.rho * np.vdot(z, z))
     return j if j >= DENSE_SCORE_SHARE * max(data_sq, mass) else None
 
@@ -731,10 +720,7 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
             dual_state[block] = w.U
         else:
             new_value = _solve_block_exact(w, block)
-        if block == "C":
-            f.C = new_value.T.copy()
-        else:
-            setattr(f, block, new_value)
+        setattr(f, block, new_value.T.copy() if block == "C" else new_value)
         j = _block_score(w, new_value, data_sq)
         return objective(f, hsi, msi, ops) if j is None else j
 

@@ -104,6 +104,11 @@ def _check_dims(dims, name: str = "dims") -> tuple[int, int, int]:
     return out
 
 
+# the axes of (I, J, K) in the order each mode's unfolding reads them: the two
+# remaining ones, slower first, then the mode's own as the column index
+_UNFOLD_AXES = {1: (2, 1, 0), 2: (2, 0, 1), 3: (1, 0, 2)}
+
+
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Matricize ``t`` along ``mode`` (1, 2 or 3).
 
@@ -120,30 +125,22 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
         with the row orders documented in the module docstring.
     """
     t = _check_tensor3(t)
-    i, j, k = t.shape
-    mode = _check_mode(mode)
-    if mode == 1:
-        return np.transpose(t, (2, 1, 0)).reshape(k * j, i)
-    if mode == 2:
-        return np.transpose(t, (2, 0, 1)).reshape(k * i, j)
-    return np.transpose(t, (1, 0, 2)).reshape(j * i, k)
+    axes = _UNFOLD_AXES[_check_mode(mode)]
+    return t.transpose(axes).reshape(-1, t.shape[axes[2]])
 
 
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the ``(I, J, K)`` tensor from a mode-n unfolding."""
     m = _check_matrix(m)
-    i, j, k = _check_dims(dims)
+    i, j, k = dims = _check_dims(dims)
     mode = _check_mode(mode)
-    expected = {1: (k * j, i), 2: (k * i, j), 3: (i * j, k)}[mode]
+    axes = _UNFOLD_AXES[mode]
+    expected = (math.prod(dims) // dims[axes[2]], dims[axes[2]])
     if m.shape != expected:
         raise UsageError(
             f"mode-{mode} unfolding of a {i}x{j}x{k} tensor has shape {expected}, got {m.shape}"
         )
-    if mode == 1:
-        return np.transpose(m.reshape(k, j, i), (2, 1, 0))
-    if mode == 2:
-        return np.transpose(m.reshape(k, i, j), (1, 2, 0))
-    return np.transpose(m.reshape(j, i, k), (1, 0, 2))
+    return m.reshape([dims[a] for a in axes]).transpose(np.argsort(axes))
 
 
 def mode_product(t: np.ndarray, p: np.ndarray, mode: int) -> np.ndarray:

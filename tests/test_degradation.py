@@ -169,6 +169,16 @@ def test_make_degradation_ops_srf_override_shape_checked():
         make_degradation_ops(20, 20, 10, K_M=3, kernel_size=3, d=4, srf=srf)
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_degradation_ops_refuses_a_non_finite_srf(bad):
+    # a NaN in P3 used to be accepted and gave an MSI with NaN bands
+    srf = uniform_srf(10, 2)
+    srf[1, 7] = bad
+    with pytest.raises(UsageError, match="non-finite"):
+        make_degradation_ops(20, 20, 10, K_M=2, kernel_size=3, d=4, srf=srf)
+
+
 # ---------------------------------------------------------------------------
 # apply_degradation
 
@@ -332,3 +342,14 @@ def test_load_srf_csv_shape_mismatch(tmp_path):
         load_srf_csv(path, K_H=12, K_M=3)
     with pytest.raises(FormatError):
         load_srf_csv(path, K_H=10, K_M=4)
+
+
+def test_load_srf_csv_refuses_non_finite_entries(tmp_path):
+    # "nan" and "inf" parse as floats, so such a file used to load
+    srf = uniform_srf(10, 3)
+    srf[0, 2], srf[2, 9] = np.nan, -np.inf
+    path = tmp_path / "srf.csv"
+    np.savetxt(path, srf, delimiter=",")
+    with pytest.raises(FormatError, match="2 non-finite") as exc:
+        load_srf_csv(path, K_H=10, K_M=3)
+    assert str(path) in str(exc.value)

@@ -882,6 +882,43 @@ def test_fuse_trace_is_the_objective(seed, method, rank, snr, outer_iters, squar
         np.testing.assert_array_equal(mine, theirs)
 
 
+@pytest.mark.parametrize("block", ["A", "B", "C"])
+def test_block_score_mass_holds_both_terms_each_by_its_own_gram(block):
+    # the score gives way to the dense objective below DENSE_SCORE_SHARE of
+    # the quadratic's mass: the P-side term <|P y|, |P y| b> plus the other
+    # term <|y|, |y| c>, each Gram by its own diagonal (y, b, c = z, H2, H4 in
+    # the row form, z^T, H3, H1 for block C).  With data_sq an argument the
+    # score is placed between the share of the mass less one term and the
+    # share of the full mass (None), just below the full mass's share (None)
+    # and just past it (the score).
+    import btdfuse.solver as solver
+
+    truth, _, ops, hsi, msi = coupled_instance(31, snr=30.0)
+    f = init_factors((12, 12, 8), truth.rank, seed=3, strategy="random_uniform", msi=msi)
+    w = build_subproblem(block, f, hsi, msi, ops, rho=0.0)
+    # at twice the minimizer the quadratic's part of the score is 0 (up to rounding)
+    z = 2.0 * sylvester_solve(w.H1, w.H2, w.H3, w.H4, w.H5_base)
+    part = float(-2.0 * np.vdot(z, w.H5_base) + np.vdot(z, w.H1 @ z @ w.H2 + w.H3 @ z @ w.H4))
+    transposed, p = w.form
+    y, b, c = (z.T, w.H3, w.H1) if transposed else (z, w.H2, w.H4)
+
+    def bound(v, g):
+        return float(np.sum((np.abs(v) @ np.sqrt(np.diag(g))) ** 2))
+
+    terms = (bound(p @ y, b), bound(y, c))
+    mass = sum(terms)
+    share = solver.DENSE_SCORE_SHARE
+    for level, scored in ([(mass - t / 2, False) for t in terms]
+                          + [(mass * (1 - 1e-3), False), (mass * (1 + 1e-3), True)]):
+        data_sq = share * level - part
+        assert 0 < data_sq < min(terms)  # the mass, not data_sq, sets the bar
+        got = solver._block_score(w, z, data_sq)
+        if scored:
+            assert got == pytest.approx(share * level, rel=1e-6)
+        else:
+            assert got is None, (level, mass)
+
+
 def test_fuse_dense_objective_calls(monkeypatch):
     import btdfuse.solver as solver
 

@@ -1,6 +1,7 @@
 """Unfold/fold layout, mode products, and structured matrix products."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -77,12 +78,23 @@ def test_unfold_singleton():
 
 
 def test_fold_inverts_unfold():
+    # in C and F order and as a transposed view (neither C nor F: the second axis slowest)
+    layouts = (np.ascontiguousarray, np.asfortranarray,
+               lambda t: np.ascontiguousarray(t.transpose(1, 0, 2)).transpose(1, 0, 2))
     rng = np.random.default_rng(0)
     for _ in range(10):
         dims = tuple(rng.integers(1, 7, size=3))
-        t = rng.standard_normal(dims)
-        for mode in (1, 2, 3):
-            np.testing.assert_array_equal(fold(unfold(t, mode), mode, dims), t)
+        for layout in layouts:
+            t = layout(rng.standard_normal(dims))
+            for mode in (1, 2, 3):
+                np.testing.assert_array_equal(fold(unfold(t, mode), mode, dims), t)
+
+
+def test_unfold_mode3_of_a_column_major_tensor_is_a_view():
+    # the solver copies its data pair column-major so that every mode-3
+    # unfolding of it reads the pair in place
+    t = np.asfortranarray(seq_tensor(3, 4, 5))
+    assert np.shares_memory(unfold(t, 3), t)
 
 
 def test_fold_frozen_example():
@@ -106,6 +118,10 @@ def test_unfold_rejects_non_3d():
 def test_fold_shape_mismatch():
     with pytest.raises(UsageError):
         fold(np.zeros((4, 2)), 1, (3, 2, 2))
+    for mode, expected in ((1, (4, 3)), (2, (6, 2)), (3, (6, 2))):
+        with pytest.raises(UsageError, match=re.escape(
+                f"mode-{mode} unfolding of a 3x2x2 tensor has shape {expected}, got (5, 5)")):
+            fold(np.zeros((5, 5)), mode, (3, 2, 2))
 
 
 # ---------------------------------------------------------------------------

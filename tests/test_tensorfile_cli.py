@@ -548,6 +548,36 @@ def test_fuse_rejects_non_finite_input_exit_2(tmp_path, capsys, bad):
     assert not est.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "fuse", "bench"])
+def test_non_finite_srf_csv_exit_2_and_writes_nothing(tmp_path, capsys, command):
+    # a NaN in --srf-csv used to give simulate an MSI with half its entries
+    # NaN (exit 0), fuse a Sylvester error naming no file and bench an all-NaN
+    # table (both exit 3)
+    sri, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(12, 12, 8), ratio=2,
+                                 sigma=1.0, bands=2)
+    srf = np.repeat(np.eye(2) / 4, 4, axis=1)
+    srf[1, 5] = np.nan
+    srf_csv = tmp_path / "srf.csv"
+    np.savetxt(srf_csv, srf, delimiter=",")
+    out = tmp_path / "out"
+    out.mkdir()
+    deg = ["--kernel", "3", "--sigma", "1.0", "--ratio", "2", "--srf-csv", str(srf_csv)]
+    argv = {
+        "simulate": ["simulate", "--sri", str(sri), "--out-hsi", str(out / "h.btf"),
+                     "--out-msi", str(out / "m.btf"), *deg],
+        "fuse": ["fuse", "--hsi", str(hsi), "--msi", str(msi), "--out", str(out / "est.btf"),
+                 "-R", "2", *deg],
+    }.get(command)
+    if argv is None:
+        config, _ = bench_config(out, sri_path=str(sri), kernel_size=3, sigma=1.0, ratio=2,
+                                 srf_csv=str(srf_csv))
+        argv = ["bench", "--config", str(config)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and str(srf_csv) in err and "1 non-finite" in err
+    assert sorted(os.listdir(out)) == (["bench.json"] if command == "bench" else [])
+
+
 def test_fuse_bad_settings_exit_1_before_reading(tmp_path, capsys):
     # the settings are checked first, so the missing input files never matter
     for flags in (["--rho", "abc"], ["--rho", "-1"], ["--outer-iters", "0"], ["-L", "0"],

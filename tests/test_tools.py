@@ -88,6 +88,12 @@ def test_parity_compare_gates_on_rtol(parity, tmp_path, capsys):
     assert parity.main(["compare", base, _dump(tmp_path / "same.npz", trace=x.copy(),
                                                **{"cli/out": x})]) == 0
     assert "1 of 1 solver arrays equal" in capsys.readouterr().out
+    # a workspace array is counted as one, not as a solver array
+    ws = _dump(tmp_path / "ws.npz", trace=x, **{"workspace/H1": x})
+    assert parity.main(["compare", ws, _dump(tmp_path / "ws_near.npz", trace=x,
+                                             **{"workspace/H1": x * (1 + 1e-13)})]) == 1
+    out = capsys.readouterr().out
+    assert "1 of 1 solver arrays equal" in out and "0 of 1 workspace arrays equal" in out
     near = _dump(tmp_path / "near.npz", trace=x * (1 + 1e-13), **{"cli/out": x})
     assert parity.main(["compare", base, near]) == 1
     assert "0 of 1 solver arrays equal" in capsys.readouterr().out

@@ -23,6 +23,13 @@ numeric change on the command line as it does on the solver.  Last, it saves
 ``metrics/LAYOUT/FIELD``, so that ``compare`` also covers every layout the
 metrics read.
 
+Under ``workspace/RANK/BLOCK/RHO/...`` it saves what ``build_subproblem``
+returns for blocks A, B and C at rho 0, "auto" and 2.5, from
+``init_factors(..., seed 5, "random_uniform", msi=msi)`` at ``RankSpec(3, 2)``
+(``L2``) and ``RankSpec(3, (1, 2, 3))`` (``L123``) on the same noisy pair:
+H1..H4, H5_base, Z, rho and the form's flag and P, 162 arrays.  So
+``compare`` sees a change to the assembly that the runs would hide.
+
 Usage::
 
     python tools/parity_matrix.py dump SRC_DIR OUT.npz
@@ -56,6 +63,7 @@ METHODS = ("cnn_btd", "cnn_cpd", "stereo", "two_stage")
 INITS = ("random_uniform", "svd_warm")
 TOLS = (0.0, 1e-3, 1e-2)
 FIELDS = ("trace", "iters_run", "estimate", "A", "B", "C")
+WORKSPACE_FIELDS = ("H1", "H2", "H3", "H4", "H5_base", "Z", "rho")
 
 DEG = ["--kernel", "5", "--sigma", "1.5", "--ratio", "3", "--offset", "1"]
 BENCH = {
@@ -170,6 +178,23 @@ def dump_metrics(ref: np.ndarray, est: np.ndarray) -> dict:
             for field, value in compute_report(layout(ref), layout(est), 3).as_dict().items()}
 
 
+def dump_workspaces(hsi: np.ndarray, msi: np.ndarray, ops) -> dict:
+    """``build_subproblem``'s workspace arrays for each rank, block and rho of the docstring."""
+    import btdfuse as bf
+
+    arrays = {}
+    for label, rank in (("L2", bf.RankSpec(3, 2)), ("L123", bf.RankSpec(3, (1, 2, 3)))):
+        f = bf.init_factors((30, 30, 24), rank, 5, "random_uniform", msi=msi)
+        for block in "ABC":
+            for rho in (0.0, "auto", 2.5):
+                w = bf.build_subproblem(block, f, hsi, msi, ops, rho)
+                fields = {**{name: getattr(w, name) for name in WORKSPACE_FIELDS},
+                          "transposed": w.form[0], "P": w.form[1]}
+                for name, value in fields.items():
+                    arrays[f"workspace/{label}/{block}/{rho}/{name}"] = np.asarray(value)
+    return arrays
+
+
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import btdfuse as bf
@@ -193,6 +218,7 @@ def dump(src: str, out: str) -> None:
                       res.sri_estimate, res.factors.A, res.factors.B, res.factors.C)
             for name, value in zip(FIELDS, values):
                 arrays[f"{method}/{label}/{name}"] = value
+    arrays.update(dump_workspaces(hsi, msi, ops))
     arrays.update(dump_cli(src))
     arrays.update(dump_metrics(arrays["cli/sri.btf"], arrays["cli/est_cnn_btd.btf"]))
     np.savez(out, **arrays)
@@ -218,7 +244,9 @@ def compare(base: str, new: str, rtol: float = 0.0) -> int:
     for name, rel in differ:
         print(f"differs: {name}  max |diff| / max |base| = {rel:.3e}")
     worst = max((rel for _, rel in differ), default=0.0)
-    for kind, test in (("solver arrays", lambda n: not n.startswith(("cli/", "metrics/"))),
+    for kind, test in (("solver arrays",
+                        lambda n: not n.startswith(("cli/", "metrics/", "workspace/"))),
+                       ("workspace arrays", lambda n: n.startswith("workspace/")),
                        ("command-line outputs", lambda n: n.startswith("cli/")),
                        ("metric report fields", lambda n: n.startswith("metrics/"))):
         total = sum(map(test, names))
