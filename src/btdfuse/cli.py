@@ -324,7 +324,7 @@ def _bench_config(raw) -> argparse.Namespace:
     cfg = argparse.Namespace(**{key: raw.get(key) for key in _BENCH_KEYS},
                              **_settings(_DEGRADATION_KEYS, raw))
     cfg.trials = _check_int(raw.get("trials", 1), "trials", 1)
-    cfg.seed_base = _check_int(raw.get("seed_base", 0), "seed_base")
+    cfg.seed_base = _check_int(raw.get("seed_base", 0), "seed_base", 0)
     if not cfg.sri_path:
         cfg.sri_dims = _check_dims(cfg.sri_dims, "sri_dims")
         cfg.sri_rank = _rank(sri_rank["R"], sri_rank.get("L", 1), cfg.sri_dims)

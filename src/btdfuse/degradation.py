@@ -13,6 +13,7 @@ uniform averaging over contiguous band groups but can be loaded from CSV.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,9 +145,13 @@ def uniform_srf(K_H: int, K_M: int) -> np.ndarray:
 def load_srf_csv(path, K_H: int | None = None, K_M: int | None = None) -> np.ndarray:
     """Read a spectral response matrix from CSV: K_M rows of K_H values, no header."""
     try:
-        srf = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():  # an empty file is refused below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            srf = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise FormatError(f"malformed SRF CSV {path}: {exc}") from exc
+    if srf.size == 0:
+        raise FormatError(f"SRF CSV {path} holds no data")
     bad = srf.size - int(np.count_nonzero(np.isfinite(srf)))
     if bad:
         raise FormatError(f"SRF CSV {path} has {bad} non-finite entries (NaN or Inf)")

@@ -296,6 +296,8 @@ def match_blocks(truth: BtdFactors, est: BtdFactors) -> MatchResult:
 
     if truth.rank.R != est.rank.R:
         raise UsageError(f"block counts differ: {truth.rank.R} vs {est.rank.R}")
+    if truth.dims[:2] != est.dims[:2]:
+        raise UsageError(f"spatial dims differ: {truth.dims[:2]} vs {est.dims[:2]}")
     s_true = spatial_map_matrix(truth)
     s_est = spatial_map_matrix(est)
     r = truth.rank.R

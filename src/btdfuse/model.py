@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .tensor_ops import _check_int, _check_mode, pw_khatri_rao, unvec
+from .tensor_ops import _check_int, _check_matrix, _check_mode, pw_khatri_rao
 
 __all__ = [
     "RankSpec",
@@ -82,12 +82,8 @@ class BtdFactors:
     rank: RankSpec
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.B = np.asarray(self.B, dtype=np.float64)
-        self.C = np.asarray(self.C, dtype=np.float64)
-        for name, m in (("A", self.A), ("B", self.B), ("C", self.C)):
-            if m.ndim != 2:
-                raise UsageError(f"factor {name} must be 2-D, got ndim={m.ndim}")
+        for name in "ABC":
+            setattr(self, name, _check_matrix(getattr(self, name), f"factor {name}"))
         if self.A.shape[1] != self.rank.total or self.B.shape[1] != self.rank.total:
             raise UsageError(
                 f"A and B need {self.rank.total} columns, got {self.A.shape[1]} and {self.B.shape[1]}"
@@ -112,11 +108,6 @@ class AbundanceSet:
 
     S: np.ndarray
     spatial_dims: tuple[int, int]
-
-    def map(self, r: int) -> np.ndarray:
-        """Block r's spatial map as an (I, J) matrix."""
-        i, j = self.spatial_dims
-        return unvec(self.S[:, r], i, j)
 
 
 @dataclass(frozen=True)
@@ -206,26 +197,24 @@ def degrade_factors(f: BtdFactors, ops) -> tuple[BtdFactors, BtdFactors]:
     return hsi_f, msi_f
 
 
-def _require_uniform(rank: RankSpec) -> int:
-    l = rank.uniform_L
-    if l is None:
-        raise UsageError(
-            f"identifiability conditions are stated for a uniform block rank, got L={rank.L}"
-        )
-    return l
-
-
 def check_btd_identifiability(I: int, J: int, K: int, rank: RankSpec) -> CheckResult:
     """Sufficient condition for essential uniqueness of a single-tensor block-term model.
 
     Requires ``I*J >= L^2 R`` and
     ``min(floor(I/L), R) + min(floor(J/L), R) + min(K, R) >= 2R + 2``.
-    The condition is sufficient, not necessary: a False verdict does not rule
-    out recovery, so callers should treat it as advisory.
+    The second clause implies the first: with ``min(K, R) <= R`` it puts
+    both spatial terms in [2, R], so ``floor(I/L) floor(J/L) >= 2R``.  The
+    first is kept as the literature states it, and a failing first clause is
+    always reported with the second.  The condition is sufficient, not
+    necessary: a False verdict does not rule out recovery, so callers should
+    treat it as advisory.
     """
     I, J, K = _check_int(I, "I"), _check_int(J, "J"), _check_int(K, "K")
-    l = _require_uniform(rank)
-    r = rank.R
+    l, r = rank.uniform_L, rank.R
+    if l is None:
+        raise UsageError(
+            f"identifiability conditions are stated for a uniform block rank, got L={rank.L}"
+        )
     failed = []
     if I * J < l * l * r:
         failed.append(f"I*J = {I * J} < L^2*R = {l * l * r}")

@@ -71,8 +71,8 @@ from .model import (
     check_coupled_identifiability,
     degrade_factors,
 )
-from .tensor_ops import _check_dims, _check_int, _check_real, _check_tensor3, frob_norm, kronecker
-from .tensor_ops import pw_khatri_rao, unfold, unvec, vec
+from .tensor_ops import _check_dims, _check_int, _check_matrix, _check_real, _check_tensor3
+from .tensor_ops import frob_norm, kronecker, pw_khatri_rao, unfold, unvec, vec
 
 __all__ = [
     "FusionConfig",
@@ -150,10 +150,10 @@ class FusionConfig:
             raise UsageError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not isinstance(self.rank, RankSpec):
             raise UsageError("cfg.rank must be a RankSpec")
-        for name, least in (("outer_iters", 1), ("inner_iters", None), ("seed", 0)):
+        # only the constrained methods run the ADMM steps that inner_iters counts
+        inner_least = 1 if self.method in ("cnn_btd", "cnn_cpd") else None
+        for name, least in (("outer_iters", 1), ("inner_iters", inner_least), ("seed", 0)):
             object.__setattr__(self, name, _check_int(getattr(self, name), name, least))
-        if self.method in ("cnn_btd", "cnn_cpd") and self.inner_iters < 1:
-            raise UsageError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if not (isinstance(self.rho, str) and self.rho == "auto"):
             object.__setattr__(self, "rho", _check_real(self.rho, "rho"))
             if not 0 < self.rho < math.inf:
@@ -749,8 +749,13 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
     least as many coarse pixels as blocks.
     """
     hsi = _check_tensor3(hsi, "hsi")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _check_matrix(a, "a"), _check_matrix(b, "b")
+    p1, p2 = ops.P1.shape, ops.P2.shape
+    for name, got, want in (("a", a.shape, (p1[1], rank.total)),
+                            ("b", b.shape, (p2[1], rank.total)),
+                            ("hsi's spatial size", hsi.shape[:2], (p1[0], p2[0]))):
+        if got != want:
+            raise UsageError(f"{name} is {got}, the operators and rank need {want}")
     k_mat = _block_maps(ops.P1 @ a, ops.P2 @ b, rank)
     sol, eff_rank = _min_norm_lstsq(k_mat, unfold(hsi, 3))
     if eff_rank < rank.R:

@@ -15,7 +15,8 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError, UsageError
+from .errors import FormatError
+from .tensor_ops import _check_tensor3
 
 __all__ = ["MAGIC", "VERSION", "read_tensor", "write_tensor"]
 
@@ -30,11 +31,7 @@ def write_tensor(path, t) -> None:
     A column-major ``t`` (what ``btd_reconstruct``, ``mode_product`` and
     :func:`read_tensor` give) is written as it is; other layouts are copied.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise UsageError(f"expected a 3-d tensor, got ndim={t.ndim}")
-    if 0 in t.shape:
-        raise UsageError(f"every dimension must be >= 1, got {t.shape}")
+    t = _check_tensor3(t)
     path = os.fspath(path)
     header = _HEADER.pack(MAGIC, VERSION, *t.shape)
     # column-major little-endian doubles, copied only when t is not laid out

@@ -1,5 +1,7 @@
 """Blur/downsample/SRF operators, Wald-protocol simulation, and noise."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,20 @@ def test_load_srf_csv_shape_mismatch(tmp_path):
         load_srf_csv(path, K_H=12, K_M=3)
     with pytest.raises(FormatError):
         load_srf_csv(path, K_H=10, K_M=4)
+
+
+@pytest.mark.parametrize("sizes", [{}, {"K_H": 8, "K_M": 2}], ids=["no-sizes", "sizes"])
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_load_srf_csv_refuses_a_file_with_no_data(tmp_path, sizes, text):
+    # an empty file used to load as a (0, 1) array, or be refused as having
+    # 1 column, after numpy's "input contained no data" warning
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="holds no data") as exc:
+            load_srf_csv(path, **sizes)
+    assert str(path) in str(exc.value)
 
 
 def test_load_srf_csv_refuses_non_finite_entries(tmp_path):

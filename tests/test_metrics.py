@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -169,6 +170,12 @@ def test_ergas_zero_band_mean_undefined():
     ref = np.zeros((3, 3, 1))
     with pytest.raises(UndefinedMetricError):
         ergas(ref, np.ones_like(ref), 2)
+
+
+def test_ergas_past_the_float_range_is_inf():
+    # the error at est's scale over ref's band means is about 2^1063
+    ref = np.random.default_rng(9).uniform(0.5, 1.5, size=(4, 4, 3))
+    assert ergas(1e-20 * ref, 1e300 * ref, 2) == math.inf
 
 
 def test_ergas_requires_positive_ratio():
@@ -388,6 +395,17 @@ def test_match_blocks_unrelated_factors_separate():
 def test_match_blocks_rank_mismatch():
     with pytest.raises(UsageError):
         match_blocks(random_factors(15), random_factors(16, rank=RankSpec(3, 2)))
+
+
+@pytest.mark.parametrize("truth_dims, est_dims", [((12, 12, 4), (12, 10, 4)),
+                                                   ((12, 10, 4), (10, 12, 4))],
+                         ids=["other-J", "I-J-swapped"])
+def test_match_blocks_refuses_other_spatial_dims(truth_dims, est_dims):
+    # the first used to escape from a matmul as a bare ValueError, and the
+    # second, with equal I*J, to be matched without complaint
+    with pytest.raises(UsageError, match=re.escape(
+            f"spatial dims differ: {truth_dims[:2]} vs {est_dims[:2]}")):
+        match_blocks(random_factors(17, dims=truth_dims), random_factors(18, dims=est_dims))
 
 
 # ---------------------------------------------------------------------------

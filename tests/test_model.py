@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btdfuse import (
     BtdFactors,
@@ -85,6 +87,10 @@ def test_btdfactors_validation():
         BtdFactors(a, b[:, :3], c, rank)
     with pytest.raises(UsageError):
         BtdFactors(a, b, c[:, :1], rank)
+    # a factor that is not a matrix is refused by name before any column count
+    for bad in (np.ones(4), np.ones((4, 4, 1))):
+        with pytest.raises(UsageError, match=f"factor B must be 2-D, got ndim={bad.ndim}"):
+            BtdFactors(a, bad, c, rank)
 
 
 def test_btdfactors_copy_is_independent():
@@ -265,6 +271,24 @@ def test_btd_identifiability_reports_failed_clause():
     assert any("2R+2" in cl or "2R + 2" in cl for cl in res.failed_clauses)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 80), st.integers(1, 40), st.integers(1, 12),
+       st.integers(1, 8))
+def test_btd_identifiability_second_clause_implies_the_first(I, J, K, R, L):
+    # min(I/L,R)+min(J/L,R) >= R+2 with both terms <= R puts each term >= 2,
+    # so (I//L)(J//L) >= 2R and I*J >= L^2*2R: the first clause never fails alone
+    x, y = min(I // L, R), min(J // L, R)
+    if x + y >= R + 2:
+        assert (I // L) * (J // L) >= x * y >= 2 * R
+    failed = check_btd_identifiability(I, J, K, RankSpec(R, L)).failed_clauses
+    assert not any(cl.startswith("I*J") for cl in failed) or len(failed) == 2
+
+
+def test_btd_identifiability_lists_both_clauses():
+    assert check_btd_identifiability(4, 4, 3, RankSpec(5, 2)).failed_clauses == [
+        "I*J = 16 < L^2*R = 20", "min(I/L,R)+min(J/L,R)+min(K,R) = 7 < 2R+2 = 12"]
+
+
 def test_btd_identifiability_nonuniform_L():
     with pytest.raises(UsageError):
         check_btd_identifiability(10, 10, 4, RankSpec(2, (1, 2)))
@@ -311,7 +335,8 @@ def test_abundances_maps_match_block_products():
         assert ab.spatial_dims == (5, 6)
         for r in range(rank.R):
             sl = rank.block_slice(r)
-            np.testing.assert_allclose(ab.map(r), f.A[:, sl] @ f.B[:, sl].T, atol=1e-14)
+            np.testing.assert_allclose(ab.S[:, r].reshape(ab.spatial_dims, order="F"),
+                                       f.A[:, sl] @ f.B[:, sl].T, atol=1e-14)
             np.testing.assert_allclose(
                 ab.S[:, r], (f.A[:, sl] @ f.B[:, sl].T).ravel(order="F"), atol=1e-14
             )
@@ -322,7 +347,8 @@ def test_abundances_rank_one_when_L_is_1():
     f = random_factors(rng, dims=(4, 5, 3), rank=RankSpec(2, 1))
     ab = abundances(f)
     for r in range(2):
-        np.testing.assert_allclose(ab.map(r), np.outer(f.A[:, r], f.B[:, r]), atol=1e-14)
+        np.testing.assert_allclose(ab.S[:, r].reshape(ab.spatial_dims, order="F"),
+                                   np.outer(f.A[:, r], f.B[:, r]), atol=1e-14)
 
 
 def test_abundances_reassemble_mode3_unfolding():

@@ -258,6 +258,18 @@ def test_sylvester_dense_refuses_mismatched_shapes():
             sylvester_solve_dense(*bad)
 
 
+def test_sylvester_solve_refuses_an_h5_of_another_shape():
+    h = (np.eye(3), np.eye(2), np.eye(3), np.eye(2))
+    with pytest.raises(UsageError, match=re.escape("h5 must be 3x2, got shape (2, 3)")):
+        sylvester_solve(*h, np.ones((2, 3)))
+
+
+def test_sylvester_dense_singular_pencil_is_a_numerical_error():
+    # I X I + I X (-I) = 0 for every X: the Kronecker system is exactly zero
+    with pytest.raises(NumericalError, match="singular pencil in dense Sylvester solve"):
+        sylvester_solve_dense(np.eye(2), np.eye(2), np.eye(2), -np.eye(2), np.ones((2, 2)))
+
+
 def test_sylvester_dense_general_symmetric():
     rng = np.random.default_rng(302)
     h1, h3 = spd(rng, 4), psd(rng, 4)
@@ -378,6 +390,12 @@ def test_build_subproblem_bad_block_name():
     truth, _, ops, hsi, msi = coupled_instance(13)
     with pytest.raises(UsageError):
         build_subproblem("D", truth, hsi, msi, ops, 1.0)
+
+
+def test_build_subproblem_refuses_a_negative_rho():
+    truth, _, ops, hsi, msi = coupled_instance(13)
+    with pytest.raises(UsageError, match="rho must be finite and >= 0, got -1.0"):
+        build_subproblem("A", truth, hsi, msi, ops, rho=-1.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -728,6 +746,8 @@ def test_fuse_config_validation():
     ):
         with pytest.raises(UsageError):
             FusionConfig(rank=rank, **bad)
+    with pytest.raises(UsageError, match="cfg.rank must be a RankSpec"):
+        FusionConfig(rank=(2, 2))
     # provided factors that do not fit the data or the rank are refused by the run
     for provided in (init_factors((12, 12, 5), rank, 0, "random_uniform"),
                      init_factors((12, 12, 8), RankSpec(2, 1), 0, "random_uniform")):
@@ -1147,6 +1167,22 @@ def test_recover_spectral_factor_identity_ops_pinv_oracle():
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("cut, match", [
+    (lambda t, hsi: (t.A[:10], t.B, hsi), "a is (10, 4), the operators and rank need (12, 4)"),
+    (lambda t, hsi: (t.A[:, :3], t.B, hsi), "a is (12, 3), the operators and rank need (12, 4)"),
+    (lambda t, hsi: (t.A, t.B[:5], hsi), "b is (5, 4), the operators and rank need (12, 4)"),
+    (lambda t, hsi: (t.A, t.B, hsi[:5]),
+     "hsi's spatial size is (5, 6), the operators and rank need (6, 6)"),
+    (lambda t, hsi: (t.A, t.B[0], hsi), "b must be 2-D, got ndim=1"),
+], ids=["rows-of-a", "columns-of-a", "rows-of-b", "hsi", "vector-b"])
+def test_recover_spectral_factor_refuses_shapes_the_operators_cannot_take(cut, match):
+    # the first four used to escape from a matmul or a broadcast as a bare ValueError
+    truth, _, ops, hsi, _ = coupled_instance(63)
+    a, b, hsi = cut(truth, hsi)
+    with pytest.raises(UsageError, match=re.escape(match)):
+        recover_spectral_factor(hsi, ops, a, b, truth.rank)
+
+
 def test_recover_spectral_factor_rank_deficient():
     # a single coarse pixel cannot determine three spectral columns
     rng = np.random.default_rng(62)
@@ -1469,3 +1505,10 @@ def test_init_svd_warm_rank_guards():
 def test_init_provided_strategy_rejected_here():
     with pytest.raises(UsageError):
         init_factors((6, 6, 4), RankSpec(2, 2), seed=0, strategy="provided")
+
+
+def test_init_refuses_an_unknown_strategy_and_two_dims():
+    with pytest.raises(UsageError, match="unknown init strategy 'bogus'"):
+        init_factors((6, 6, 4), RankSpec(2, 2), seed=0, strategy="bogus")
+    with pytest.raises(UsageError, match=re.escape("dims must be three integers >= 1, got (4, 4)")):
+        init_factors((4, 4), RankSpec(2, 2), seed=0, strategy="random_uniform")

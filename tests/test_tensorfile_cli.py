@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -76,8 +77,9 @@ def test_tensorfile_header_layout(tmp_path):
 
 
 def test_tensorfile_write_rejects_non_3d(tmp_path):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="third-order tensor, got ndim=2"):
         write_tensor(tmp_path / "bad.btf", np.zeros((2, 2)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tensorfile_read_bad_magic(tmp_path):
@@ -578,6 +580,24 @@ def test_non_finite_srf_csv_exit_2_and_writes_nothing(tmp_path, capsys, command)
     assert sorted(os.listdir(out)) == (["bench.json"] if command == "bench" else [])
 
 
+def test_empty_srf_csv_exit_2_with_one_error_line(tmp_path, capsys):
+    # numpy's "loadtxt: input contained no data" warning used to reach stderr,
+    # and the refusal said the file "has 1 columns, expected 8"
+    sri, _, _, _ = make_pair(tmp_path, capsys, dims=(12, 12, 8), ratio=2, sigma=1.0, bands=2)
+    srf_csv = tmp_path / "empty.csv"
+    srf_csv.write_text("")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "simulate", "--sri", str(sri), "--out-hsi", str(tmp_path / "h.btf"),
+            "--out-msi", str(tmp_path / "m.btf"), "--kernel", "3", "--sigma", "1.0",
+            "--ratio", "2", "--srf-csv", str(srf_csv))
+    assert code == 2 and out == ""
+    assert err == f"error: SRF CSV {srf_csv} holds no data\n"
+    assert [w.message for w in caught] == []
+    assert not (tmp_path / "h.btf").exists() and not (tmp_path / "m.btf").exists()
+
+
 def test_fuse_bad_settings_exit_1_before_reading(tmp_path, capsys):
     # the settings are checked first, so the missing input files never matter
     for flags in (["--rho", "abc"], ["--rho", "-1"], ["--outer-iters", "0"], ["-L", "0"],
@@ -744,6 +764,11 @@ def test_bench_config_validation_exit_1(tmp_path, capsys):
         assert code == 1, overrides
         assert out == "" and err.startswith("error: "), overrides
         assert not (tmp_path / "table.csv").exists()
+    # seed_base was checked as the library's seed, so its refusal named a key
+    # the config does not have
+    path, _ = bench_config(tmp_path, seed_base=-1)
+    assert run_cli(capsys, "bench", "--config", str(path))[2] == (
+        "error: seed_base must be >= 0, got -1\n")
     # rho went through str() and float(): True was refused as the string "True"
     for rho in (True, [1]):
         path, _ = bench_config(tmp_path, methods=[{"method": "cnn_btd", "R": 2, "rho": rho}])

@@ -1,6 +1,7 @@
 """The scripts under tools/: bench_pairs refuses arguments it cannot use before it runs
-anything, count_code counts the lines that hold code and no others, and
-parity_matrix's compare fails on any array that differs past its tolerance."""
+anything, count_code counts the lines that hold code and no others and refuses a
+revision it cannot read, and parity_matrix's compare fails on any array that differs
+past its tolerance."""
 
 import importlib.util
 import pathlib
@@ -66,6 +67,16 @@ def test_count_code_counts_code_and_leaves_out_docstrings_and_comments():
         '"/")',
     ]
     assert count_code.code_lines("") == []
+
+
+def test_count_code_refuses_an_unknown_revision(monkeypatch, capsys):
+    # git ls-tree's failure used to end in a CalledProcessError traceback
+    count_code = _load("count_code")
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[1])
+    assert count_code.main(["--against", "no-such-revision"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "'no-such-revision'" in err
 
 
 @pytest.fixture

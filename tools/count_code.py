@@ -23,6 +23,7 @@ import glob
 import io
 import os
 import subprocess
+import sys
 import tokenize
 
 SRC = os.path.join("src", "btdfuse")
@@ -64,7 +65,11 @@ def main(argv=None) -> int:
     paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
     if args.against:
         listed = subprocess.run(["git", "ls-tree", "--name-only", f"{args.against}:{SRC}"],
-                                capture_output=True, text=True, check=True).stdout.split()
+                                capture_output=True, text=True)
+        if listed.returncode != 0:
+            print(f"error: no {SRC} at git revision {args.against!r}", file=sys.stderr)
+            return 2
+        listed = listed.stdout.split()
         paths = sorted(set(paths) | {os.path.join(SRC, n) for n in listed if n.endswith(".py")})
         print(f"{'module':<16}{'before':>8}{'after':>8}{'added':>8}{'removed':>8}")
     else:
