@@ -168,10 +168,17 @@ def _rank(R, L, shape) -> RankSpec:
     return RankSpec(R, L)
 
 
+def _synthetic_sri(dims, R, L, seed, name):
+    """The image of ``init_factors(dims, RankSpec(R, L), seed, "random_uniform")``.
+
+    ``dims`` is checked as the setting ``name`` and R against the image.
+    """
+    dims = _check_dims(dims, name)
+    return btd_reconstruct(init_factors(dims, _rank(R, L, dims), seed, "random_uniform"))
+
+
 def cmd_make_sri(args) -> int:
-    dims = _check_dims(args.dims)
-    f = init_factors(dims, _rank(args.blocks, args.block_rank, dims), args.seed, "random_uniform")
-    sri = btd_reconstruct(f)
+    sri = _synthetic_sri(args.dims, args.blocks, args.block_rank, args.seed, "dims")
     write_tensor(args.out, sri)
     _emit({
         "command": "make-sri",
@@ -325,16 +332,17 @@ def _bench_config(raw) -> argparse.Namespace:
                              **_settings(_DEGRADATION_KEYS, raw))
     cfg.trials = _check_int(raw.get("trials", 1), "trials", 1)
     cfg.seed_base = _check_int(raw.get("seed_base", 0), "seed_base", 0)
-    if not cfg.sri_path:
-        cfg.sri_dims = _check_dims(cfg.sri_dims, "sri_dims")
-        cfg.sri_rank = _rank(sri_rank["R"], sri_rank.get("L", 1), cfg.sri_dims)
     if not cfg.output:
         raise UsageError("bench config needs an 'output' table path")
     methods = raw.get("methods")
     if not methods or not isinstance(methods, list):
         raise UsageError("bench config needs a nonempty 'methods' list")
-    cfg.sri = _read_finite(cfg.sri_path, "bench") if cfg.sri_path else btd_reconstruct(
-        init_factors(cfg.sri_dims, cfg.sri_rank, cfg.seed_base, "random_uniform"))
+    # a synthetic image drawn from seed_base was trial 0's start, so its seed
+    # is 64 bits of a stream spawned from seed_base; a trial's seed
+    # seed_base + t equals it only by a 1 in 2^64 chance
+    cfg.sri = _read_finite(cfg.sri_path, "bench") if cfg.sri_path else _synthetic_sri(
+        cfg.sri_dims, sri_rank["R"], sri_rank.get("L", 1), int(np.random.SeedSequence(
+            cfg.seed_base, spawn_key=(1,)).generate_state(1, np.uint64)[0]), "sri_dims")
     cfg.runs = {}
     for m in methods:
         if not isinstance(m, dict):

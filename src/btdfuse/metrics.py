@@ -120,8 +120,9 @@ def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
     near the subnormal range is swept again with ``ref`` scaled by ``2^-a``
     and ``est`` by ``2^-b``, the powers of two that bring each one's largest
     entry into [1/2, 1).  The error is taken at the larger of the two
-    scales, ``2^-c`` with ``c = max(a, b)``: each chunk of the scaled pair
-    is multiplied by ``err_exps = (a - c, b - c)`` before the difference.
+    scales, ``2^-c`` with ``c = max(a, b)``: each chunk of ``ref`` is
+    multiplied by ``2^(a - c)`` and of ``est`` by ``2^(b - c)`` before the
+    difference (``err_exps``, which is ``(0, 0)`` for a pair swept as it is).
     These scalings are exact, so the metrics of ``2^k ref`` and ``2^k est``
     are those of ``ref`` and ``est``, and a scale gap between ``ref`` and
     ``est`` does not lose the smaller one.  Any other pair is swept as it is.
@@ -162,11 +163,8 @@ def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
         bs = slice(b0, min(b0 + step, k))
         x, y = xs[:, bs].T, ys[:, bs].T  # (bands, pixels)
         s, t = s_buf[: bs.stop - b0], t_buf[: bs.stop - b0]
-        if any(err_exps):
-            np.ldexp(x, err_exps[0], out=s)
-            s -= np.ldexp(y, err_exps[1], out=t)
-        else:
-            np.subtract(x, y, out=s)
+        np.ldexp(x, err_exps[0], out=s)
+        s -= np.ldexp(y, err_exps[1], out=t)
         err_sq[bs] = np.einsum("kp,kp->k", s, s)
         np.divide(x, nx, out=s)
         s -= np.divide(y, ny, out=t)
@@ -214,7 +212,10 @@ def _cc(s: _Sums) -> float:
     if flat.size:
         raise UndefinedMetricError(f"reference band {flat[0]} is constant")
     flat_est = s.syy == 0.0
-    vals = s.sxy / (np.sqrt(s.sxx) * np.sqrt(np.where(flat_est, 1.0, s.syy)))
+    # sxy / (sqrt(sxx) sqrt(syy)) can round to 1 + 2^-52 for est = ref; this
+    # is exactly 1 there and -1 for est = -ref, and forms no sxx / syy, which
+    # can overflow
+    vals = np.sign(s.sxy) * np.sqrt((s.sxy / s.sxx) * (s.sxy / np.where(flat_est, 1.0, s.syy)))
     return float(np.mean(np.where(flat_est, 0.0, vals)))
 
 

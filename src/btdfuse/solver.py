@@ -288,7 +288,11 @@ def sylvester_solve(h1, h2, h3, h4, h5) -> np.ndarray:
     return _SylvesterFactor(h1, h2, h3, h4).solve(h5)
 
 
-def _tril_inv(l: np.ndarray, block: int = 48) -> np.ndarray:
+# rows per block of _tril_inv
+_TRIL_BLOCK = 48
+
+
+def _tril_inv(l: np.ndarray) -> np.ndarray:
     """Inverse of the lower-triangular matrix l, one block of rows at a time.
 
     With ``l = [[L11, 0], [L21, L22]]`` the inverse is
@@ -298,8 +302,8 @@ def _tril_inv(l: np.ndarray, block: int = 48) -> np.ndarray:
     """
     n = l.shape[0]
     x = np.zeros_like(l)
-    for j in range(0, n, block):
-        e = min(j + block, n)
+    for j in range(0, n, _TRIL_BLOCK):
+        e = min(j + _TRIL_BLOCK, n)
         d = np.tril(np.linalg.inv(l[j:e, j:e]))
         x[j:e, j:e] = d
         x[j:e, :j] = -d @ (l[j:e, :j] @ x[:j, :j])
@@ -315,14 +319,13 @@ def _cholesky(c):
 
 
 def _detect_form(h1, h2, h3, h4):
-    """``(transposed, c, chol(c))`` of the best applicable form of h1..h4.
+    """``(transposed, c)`` of the best applicable form of h1..h4.
 
     The row form applies when ``h3 = c3 I`` (``c = c3 h4``), the column form
     when ``h2 = c2 I`` (``c = c2 h1``).  Of the forms whose c is positive
     definite it takes the one whose Cholesky diagonal has the largest ratio of
     smallest to largest entry: Cholesky can succeed on a numerically singular
-    c.  When no c is positive definite it returns the first form with
-    ``chol(c) = None``.
+    c.  A tie, as when no c is positive definite, goes to the first form.
     """
     scales = ((False, _identity_scale(h3), h4), (True, _identity_scale(h2), h1))
     forms = [(transposed, s * c) for transposed, s, c in scales if s is not None]
@@ -331,13 +334,11 @@ def _detect_form(h1, h2, h3, h4):
             "neither h3 nor h2 is a scalar multiple of the identity; "
             "use sylvester_solve_dense for general systems"
         )
-    best, best_ratio = (*forms[0], None), 0.0
-    for transposed, c in forms:
-        l = _cholesky(c)
-        ratio = 0.0 if l is None else np.diag(l).min() / np.diag(l).max()
-        if ratio > best_ratio:
-            best, best_ratio = (transposed, c, l), ratio
-    return best
+
+    def ratio(form):
+        return 0.0 if (l := _cholesky(form[1])) is None else np.diag(l).min() / np.diag(l).max()
+
+    return max(forms, key=ratio)
 
 
 class _SylvesterFactor:
@@ -380,14 +381,14 @@ class _SylvesterFactor:
         self.h = (h1, h2, h3, h4)
         self.shape = (m, n)
         if form is None:
-            transposed, c, l = _detect_form(h1, h2, h3, h4)
+            transposed, c = _detect_form(h1, h2, h3, h4)
             (lam, self.q), self.p = np.linalg.eigh(h4 if transposed else h1), None
         else:
             transposed, self.p = form
             _, s, vt = np.linalg.svd(self.p, full_matrices=False)
             lam, self.q = s * s, vt.T
             c = h1 if transposed else h4
-            l = _cholesky(c)
+        l = _cholesky(c)
         b = h3 if transposed else h2
         self.transposed, self.b, self.c = transposed, b, c
         if l is None:

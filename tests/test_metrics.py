@@ -293,6 +293,17 @@ def test_blocked_metrics_match_dense_formulas(case):
 
 
 @settings(max_examples=100, deadline=None)
+@given(metric_pairs())
+def test_cc_of_an_image_with_itself_is_exactly_one(case):
+    # dividing sxy by sqrt(sxx) sqrt(syy) gave 1 - 2^-53, 1 - 2^-52 or 1 + 2^-52, a
+    # correlation above 1, on about one random image in seventeen
+    ref, _, chunk_bytes = case
+    with mock.patch.object(btdfuse.metrics, "_CHUNK_BYTES", chunk_bytes):
+        assert cc(ref, ref) == 1.0
+        assert cc(ref, -ref) == -1.0
+
+
+@settings(max_examples=100, deadline=None)
 @given(metric_pairs(), st.integers(-600, 600))
 def test_compute_report_is_scale_equivariant(case, k):
     # a power-of-two scaling is exact, so the report must not move by a bit,

@@ -233,6 +233,28 @@ def test_sylvester_takes_best_conditioned_form(seed):
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def test_sylvester_detected_form_ties_go_to_the_row_form():
+    # both forms apply to each system.  With identities their c are equally
+    # well conditioned, and the row form is taken; with two indefinite c,
+    # neither is positive definite, and the row form is taken with one dense
+    # system per eigenvalue of h1
+    from btdfuse.solver import _SylvesterFactor
+
+    rng = np.random.default_rng(23)
+    eye3 = np.eye(3)
+    system = _SylvesterFactor(eye3, eye3, eye3, eye3)
+    assert system.den is not None and not system.transposed
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    h1 = q @ np.diag([2.0, -1.0, 0.5]) @ q.T
+    h1, h4 = (h1 + h1.T) / 2, np.diag([3.0, -0.25, 1.5])
+    h5 = rng.standard_normal((3, 3))
+    system = _SylvesterFactor(h1, eye3, eye3, h4)
+    assert system.den is None and not system.transposed
+    np.testing.assert_allclose(
+        system.solve(h5), oracle_sylvester(h1, eye3, eye3, h4, h5), rtol=1e-10, atol=1e-12
+    )
+
+
 @pytest.mark.parametrize("n", [1, 47, 48, 49, 200])
 def test_tril_inv_matches_inv(n):
     # the pencil reduction inverts the Cholesky factor by blocks of 48 rows
@@ -813,6 +835,40 @@ def _permute_blocks(f, order):
     return BtdFactors(f.A[:, cols], f.B[:, cols], f.C[:, list(order)], rank)
 
 
+# a permuted run more than 1e-10 relative off may be off by up to this many
+# times the change a last-bits nudge of the input makes (see _assert_same_run)
+NUDGE_MULTIPLE = 100
+
+
+def _assert_same_run(mine, res, view, hsi, msi, ops, cfg):
+    """``mine`` is ``view(res)``, to 1e-10 relative or to the run's own conditioning.
+
+    ``res`` is ``bcd_fuse(hsi, msi, ops, cfg)``, and ``view(run)`` lists the
+    arrays of a run in ``mine``'s order, the objective trace last.  Each array
+    must be within 1e-10 relative in norm, and each trace entry within 1e-10
+    relative, of its counterpart.  Where one is not, ``res`` is run again with
+    every entry of ``hsi`` and ``msi`` moved one unit in the last place, each
+    up or down at random.  The largest of those relative differences between
+    the nudged run and ``res`` is the run's own sensitivity to rounding, and
+    ``mine`` may then differ by up to ``NUDGE_MULTIPLE`` times it.  On an
+    ill-conditioned pencil, reordered sums move a run as much as such a nudge.
+    """
+    def differences(ours, theirs):
+        *arrays, trace = zip(ours, theirs)
+        return np.array([np.linalg.norm(m - t) / np.linalg.norm(t) for m, t in arrays]
+                        + list(np.abs(np.subtract(*trace)) / np.abs(trace[1])))
+
+    want = view(res)
+    worst = differences(mine, want).max()
+    if worst <= 1e-10:
+        return
+    rng = np.random.default_rng(0)
+    nudged = (np.nextafter(t, np.where(rng.random(t.shape) < 0.5, -np.inf, np.inf))
+              for t in (hsi, msi))
+    own = differences(view(bcd_fuse(*nudged, ops, cfg)), want).max()
+    assert worst <= NUDGE_MULTIPLE * own, (worst, own)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 50),
@@ -820,6 +876,9 @@ def _permute_blocks(f, order):
     uneven=st.booleans(),
     order=st.permutations(range(3)),
 )
+# an ill-conditioned stereo run (block B's pencil c reaches a condition number
+# of 1.7e6): A came out 2.9e-10 off, and a nudge of the input moves it 7.2e-11
+@example(seed=34, method="stereo", uneven=True, order=[0, 2, 1])
 def test_fuse_permuting_start_blocks_permutes_the_run(seed, method, uneven, order):
     # the model is a sum over blocks: fusing from a start whose blocks are
     # permuted gives the permuted factors, the same estimate and the same trace
@@ -831,11 +890,13 @@ def test_fuse_permuting_start_blocks_permutes_the_run(seed, method, uneven, orde
                        init_factors=start)
     res = bcd_fuse(hsi, msi, ops, cfg)
     got = bcd_fuse(hsi, msi, ops, dataclasses.replace(cfg, rank=moved.rank, init_factors=moved))
-    want = _permute_blocks(res.factors, order)
-    for mine, theirs in ((got.factors.A, want.A), (got.factors.B, want.B),
-                         (got.factors.C, want.C), (got.sri_estimate, res.sri_estimate)):
-        assert np.linalg.norm(mine - theirs) <= 1e-10 * np.linalg.norm(theirs)
-    np.testing.assert_allclose(got.objective_trace, res.objective_trace, rtol=1e-10, atol=0)
+    mine = [got.factors.A, got.factors.B, got.factors.C, got.sri_estimate, got.objective_trace]
+
+    def view(run):
+        f = _permute_blocks(run.factors, order)
+        return [f.A, f.B, f.C, run.sri_estimate, run.objective_trace]
+
+    _assert_same_run(mine, res, view, hsi, msi, ops, cfg)
 
 
 @settings(max_examples=20, deadline=None)
@@ -845,6 +906,8 @@ def test_fuse_permuting_start_blocks_permutes_the_run(seed, method, uneven, orde
     uneven=st.booleans(),
     order=st.permutations(range(8)),
 )
+# the same run as above: B came out 1.6e-10 off
+@example(seed=34, method="stereo", uneven=True, order=[0, 1, 2, 3, 5, 4, 6, 7])
 def test_fuse_permuting_bands_permutes_the_estimate(seed, method, uneven, order):
     # the bands enter the model through C's rows, the HSI's mode 3 and P3's
     # columns.  Permuting the SRI's bands and P3's columns together permutes
@@ -861,11 +924,13 @@ def test_fuse_permuting_bands_permutes_the_estimate(seed, method, uneven, order)
     moved = BtdFactors(start.A, start.B, start.C[order], rank)
     got = bcd_fuse(hsi[:, :, order], msi, dataclasses.replace(ops, P3=ops.P3[:, order]),
                    dataclasses.replace(cfg, init_factors=moved))
-    for mine, theirs in ((got.sri_estimate, res.sri_estimate[:, :, order]),
-                         (got.factors.A, res.factors.A), (got.factors.B, res.factors.B),
-                         (got.factors.C, res.factors.C[order])):
-        assert np.linalg.norm(mine - theirs) <= 1e-10 * np.linalg.norm(theirs)
-    np.testing.assert_allclose(got.objective_trace, res.objective_trace, rtol=1e-10, atol=0)
+    mine = [got.sri_estimate, got.factors.A, got.factors.B, got.factors.C, got.objective_trace]
+
+    def view(run):
+        return [run.sri_estimate[:, :, order], run.factors.A, run.factors.B,
+                run.factors.C[order], run.objective_trace]
+
+    _assert_same_run(mine, res, view, hsi, msi, ops, cfg)
 
 
 @settings(max_examples=30, deadline=None)

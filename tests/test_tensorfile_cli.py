@@ -792,6 +792,19 @@ def test_bench_labels_the_rank_cnn_cpd_fits(tmp_path, capsys):
         assert [row[0] for row in csv.reader(fh)] == ["method", "cnn_cpd(R=2,L=1)"]
 
 
+def test_bench_trials_do_not_start_at_the_synthetic_image(tmp_path):
+    # the image was drawn with seed_base, and trial 0 fused from seed_base, so
+    # a method of the image's rank started from the true A and B
+    for seed_base, trials in ((0, 3), (7, 2)):
+        _, cfg = bench_config(tmp_path, seed_base=seed_base, trials=trials)
+        sri = btdfuse.cli._bench_config(cfg).sri
+        for t in range(trials):
+            start = init_factors(sri.shape, RankSpec(2, 2), seed_base + t, "random_uniform")
+            assert np.linalg.norm(btd_reconstruct(start) - sri) > 0.1 * np.linalg.norm(sri)
+        # the image is drawn from seed_base alone
+        assert np.array_equal(btdfuse.cli._bench_config(dict(cfg, trials=1)).sri, sri)
+
+
 def test_make_sri_rank_too_large_exit_1(tmp_path, capsys):
     # a block count too large for an index used to escape as an OverflowError
     code, out, err = run_cli(capsys, "make-sri", "--out", str(tmp_path / "s.btf"),

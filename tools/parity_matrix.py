@@ -12,7 +12,9 @@ with tol 0, saved under ``METHOD/L123/...``: 24 arrays more.
 ``dump`` also runs the command line on a fixed script (``CLI_SCRIPT``):
 ``make-sri``; ``simulate`` with default and with explicit flags; ``fuse`` for
 cnn_btd, stereo and two_stage and once with explicit ``--rho``, ``--tol`` and
-``--inner-iters``; ``evaluate``; a two-method ``bench``.  Under names
+``--inner-iters``; ``evaluate``; a two-method ``bench`` on ``make-sri``'s
+image; a ``bench`` that draws its own image (``sri_dims``) and fuses it at
+its rank over two trials, saved under ``cli/bench_synthetic/``.  Under names
 starting ``cli/`` it saves each manifest's numeric fields as arrays and the
 rest as one JSON string (without ``wall_time_s``), the float64 payload of
 every tensor file in its dims, and each column of the bench table but its
@@ -72,6 +74,15 @@ BENCH = {
     "methods": [{"method": "stereo", "R": 3, "outer_iters": 15},
                 {"method": "cnn_btd", "R": 3, "L": 2, "outer_iters": 5, "init": "svd_warm"}],
 }
+# a bench that draws its own image, fused at the image's rank
+BENCH_SYNTHETIC = {
+    "trials": 2, "seed_base": 0, "snr_db": 40, "output": "table_synthetic.csv",
+    "sri_dims": [30, 30, 24], "sri_rank": {"R": 3, "L": 2}, "kernel_size": 5, "ratio": 3,
+    "bands": 4, "methods": [{"method": "cnn_btd", "R": 3, "L": 2, "outer_iters": 10}],
+}
+# each bench config's file name and where its table's columns are saved
+BENCHES = ((BENCH, "bench.json", "cli/table.csv"),
+           (BENCH_SYNTHETIC, "bench_synthetic.json", "cli/bench_synthetic/table"))
 # the layouts compute_report is given the command line's image pair in
 LAYOUTS = {
     "C": np.ascontiguousarray,
@@ -98,6 +109,7 @@ CLI_SCRIPT = (
     *((f"evaluate_{e}", ["evaluate", "--ref", "sri.btf", "--est", f"{e}.btf", "--ratio", "3"])
       for e in ("est_cnn_btd", "est_stereo", "est_two_stage", "est_x")),
     ("bench", ["bench", "--config", "bench.json"]),
+    ("bench_synthetic", ["bench", "--config", "bench_synthetic.json"]),
 )
 
 
@@ -150,8 +162,9 @@ def dump_cli(src: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     arrays = {}
     with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "bench.json"), "w", encoding="utf-8") as fh:
-            json.dump(BENCH, fh)
+        for config, fname, _ in BENCHES:
+            with open(os.path.join(tmp, fname), "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
         for name, argv in CLI_SCRIPT:
             run = subprocess.run([sys.executable, "-m", "btdfuse.cli", *argv], cwd=tmp, env=env,
                                  capture_output=True, text=True)
@@ -163,9 +176,10 @@ def dump_cli(src: str) -> dict:
         for fname in sorted(os.listdir(tmp)):
             if fname.endswith(".btf"):
                 arrays[f"cli/{fname}"] = _tensor_payload(os.path.join(tmp, fname))
-        with open(os.path.join(tmp, "table.csv"), encoding="utf-8") as fh:
-            table = [row[:-1] for row in csv.reader(fh)]
-        arrays.update(_table_columns("cli/table.csv", table))
+        for config, _, prefix in BENCHES:
+            with open(os.path.join(tmp, config["output"]), encoding="utf-8") as fh:
+                table = [row[:-1] for row in csv.reader(fh)]
+            arrays.update(_table_columns(prefix, table))
     return arrays
 
 
