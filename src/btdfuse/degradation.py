@@ -68,9 +68,9 @@ class NoiseSpec:
 def gaussian_blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
     """1-D truncated Gaussian blur as an ``n x n`` row-stochastic matrix.
 
-    Row i carries weights ``exp(-d^2 / (2 sigma^2))`` for ``|d| <= (kernel_size-1)/2``
-    centered at i; weights falling outside the domain are dropped and each row
-    is renormalized to sum to 1.
+    Entry (i, j) is ``exp(-d^2 / (2 sigma^2))`` at the offset ``d = j - i``
+    where ``2|d| < kernel_size`` and 0 elsewhere, so weights falling outside
+    the domain are dropped; each row is then divided by its sum.
     """
     n, kernel_size = _check_int(n, "n", 1), _check_int(kernel_size, "kernel_size")
     if kernel_size % 2 == 0 or kernel_size < 1:
@@ -80,16 +80,10 @@ def gaussian_blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
     sigma = _check_real(sigma, "sigma")
     if not sigma > 0:
         raise UsageError(f"sigma must be > 0, got {sigma}")
-    half = (kernel_size - 1) // 2
-    offsets = np.arange(-half, half + 1)
-    weights = np.exp(-(offsets.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
-    out = np.zeros((n, n))
-    for i in range(n):
-        cols = i + offsets
-        keep = (cols >= 0) & (cols < n)
-        w = weights[keep]
-        out[i, cols[keep]] = w / w.sum()
-    return out
+    delta = np.arange(n) - np.arange(n)[:, None]  # delta[i, j] = j - i
+    out = np.exp(-(delta * delta) / (2.0 * sigma * sigma))
+    out[2 * np.abs(delta) >= kernel_size] = 0.0
+    return out / out.sum(axis=1, keepdims=True)
 
 
 def downsample_matrix(n: int, d: int, offset: int = 0) -> np.ndarray:

@@ -46,11 +46,15 @@ class RankSpec:
 
     def __init__(self, R: int, L=1):
         object.__setattr__(self, "R", _check_int(R, "R", 1))
-        try:
-            widths = L if np.iterable(L) else (L,) * self.R  # a scalar L is every block's
-        except OverflowError:
-            raise UsageError(f"R is too large to give each block a rank, got {self.R}") from None
-        object.__setattr__(self, "L", tuple(_check_int(w, "L", 1) for w in widths))
+        if np.iterable(L):
+            widths = tuple(_check_int(w, "L", 1) for w in L)
+        else:  # a scalar L is every block's, checked once and then broadcast
+            try:
+                widths = (_check_int(L, "L", 1),) * self.R
+            except (OverflowError, MemoryError):
+                raise UsageError(
+                    f"R is too large to give each block a rank, got {self.R}") from None
+        object.__setattr__(self, "L", widths)
         if len(self.L) != self.R:
             raise UsageError(f"need {self.R} block ranks, got {len(self.L)}")
 
@@ -188,13 +192,19 @@ def degrade_factors(f: BtdFactors, ops) -> tuple[BtdFactors, BtdFactors]:
     ``({P1 A_r}, {P2 B_r}, C)`` and the MSI model ``({A_r}, {B_r}, P3 C)``.
     Consistent with applying the degradation operators to the reconstruction.
     """
-    p1, p2, p3 = ops.P1, ops.P2, ops.P3
-    for p_name, p, name, m in (("P1", p1, "A", f.A), ("P2", p2, "B", f.B), ("P3", p3, "C", f.C)):
-        if p.shape[1] != m.shape[0]:
-            raise UsageError(f"{p_name} has {p.shape[1]} columns, {name} has {m.shape[0]} rows")
+    p1, p2, p3 = _require_ops_fit(f, ops)
     hsi_f = BtdFactors(p1 @ f.A, p2 @ f.B, f.C.copy(), f.rank)
     msi_f = BtdFactors(f.A.copy(), f.B.copy(), p3 @ f.C, f.rank)
     return hsi_f, msi_f
+
+
+def _require_ops_fit(f: BtdFactors, ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(P1, P2, P3)`` of ``ops``, refused unless they act on an image of ``f.dims``."""
+    fit = tuple(p.shape[1] for p in (ops.P1, ops.P2, ops.P3))
+    if fit != f.dims:
+        raise UsageError("operators expect an image of {}x{}x{}, factors give {}x{}x{}".format(
+            *fit, *f.dims))
+    return ops.P1, ops.P2, ops.P3
 
 
 def check_btd_identifiability(I: int, J: int, K: int, rank: RankSpec) -> CheckResult:

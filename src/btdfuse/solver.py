@@ -66,6 +66,7 @@ from .model import (
     RankSpec,
     _block_maps,
     _partition,
+    _require_ops_fit,
     _stack,
     btd_reconstruct,
     check_coupled_identifiability,
@@ -213,9 +214,7 @@ class FusionResult:
 
 def objective(f: BtdFactors, hsi: np.ndarray, msi: np.ndarray, ops: DegradationOps) -> float:
     """Coupled data-fit value: squared residual on the HSI plus on the MSI."""
-    hsi = _check_tensor3(hsi, "hsi")
-    msi = _check_tensor3(msi, "msi")
-    _require_coupled_dims(f, hsi, msi, ops)
+    hsi, msi = _require_coupled_dims(f, hsi, msi, ops)
     f_h, f_m = degrade_factors(f, ops)
     j_h = frob_norm(hsi - btd_reconstruct(f_h)) ** 2
     j_m = frob_norm(msi - btd_reconstruct(f_m)) ** 2
@@ -223,17 +222,15 @@ def objective(f: BtdFactors, hsi: np.ndarray, msi: np.ndarray, ops: DegradationO
 
 
 def _require_coupled_dims(f, hsi, msi, ops):
+    """The checked ``(hsi, msi)``, refused unless ``ops`` map an image of ``f.dims`` to them."""
+    hsi, msi = _check_tensor3(hsi, "hsi"), _check_tensor3(msi, "msi")
+    p1, p2, p3 = _require_ops_fit(f, ops)
     i, j, k = f.dims
-    p1, p2, p3 = ops.P1, ops.P2, ops.P3
-    if p1.shape[1] != i or p2.shape[1] != j or p3.shape[1] != k:
-        raise UsageError(
-            f"operators expect an image of {p1.shape[1]}x{p2.shape[1]}x{p3.shape[1]}, "
-            f"factors give {i}x{j}x{k}"
-        )
     if hsi.shape != (p1.shape[0], p2.shape[0], k):
         raise UsageError(f"hsi is {hsi.shape}, expected {(p1.shape[0], p2.shape[0], k)}")
     if msi.shape != (i, j, p3.shape[0]):
         raise UsageError(f"msi is {msi.shape}, expected {(i, j, p3.shape[0])}")
+    return hsi, msi
 
 
 def _as_square(m, name, size=None):
@@ -505,9 +502,7 @@ def build_subproblem(block, f: BtdFactors, hsi, msi, ops: DegradationOps, rho) -
     Z starts at the current factor value (C^T for block C) and U at zero;
     callers that warm-start replace them afterwards.
     """
-    hsi = _check_tensor3(hsi, "hsi")
-    msi = _check_tensor3(msi, "msi")
-    _require_coupled_dims(f, hsi, msi, ops)
+    hsi, msi = _require_coupled_dims(f, hsi, msi, ops)
     rank = f.rank
     p1, p2, p3 = ops.P1, ops.P2, ops.P3
     # each data term as the (y, u, v) of _normal_equations

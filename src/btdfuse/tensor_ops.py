@@ -225,7 +225,7 @@ def frob_norm(t: np.ndarray) -> float:
     float, ``t`` is scaled by the power of two of its largest entry, which is
     exact, and the norm is scaled back.
     """
-    t = np.asarray(t, dtype=np.float64).ravel()
+    t = np.asarray(t, dtype=np.float64).ravel(order="K")  # a column-major t is not copied
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(t))
         if not 2.0 ** -511 <= norm < math.inf:  # its square is not a normal float

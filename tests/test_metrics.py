@@ -425,12 +425,16 @@ def test_match_blocks_refuses_other_spatial_dims(truth_dims, est_dims):
 
 def test_import_loads_no_scipy():
     # scipy.optimize is only needed by match_blocks and imported there, and
-    # numpy.random (10-14 ms) only by the commands that draw, on first use
+    # numpy.random (10-14 ms) only by the commands that draw, on first use;
+    # the library import, which an in-process caller makes, loads none of the
+    # command line's modules either
     src = os.path.dirname(os.path.dirname(os.path.abspath(btdfuse.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = ("import sys, btdfuse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
-            "== 'scipy' or m.startswith('numpy.random')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    for module, banned in (("btdfuse.cli", ("scipy",)),
+                           ("btdfuse", ("scipy", "argparse", "json", "csv"))):
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] "
+                f"in {banned!r} or m.startswith('numpy.random')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]", module

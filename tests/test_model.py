@@ -75,6 +75,15 @@ def test_rankspec_invalid():
     assert RankSpec(np.int64(2), 2.0) == RankSpec(2, 2)
 
 
+@pytest.mark.parametrize("R", [10**17, 10**19], ids=["no-memory", "past-ssize_t"])
+def test_rankspec_refuses_an_R_it_cannot_broadcast(R):
+    # a scalar L broadcast to 10**17 blocks escaped as a bare MemoryError.  Its
+    # tuple (8e17 bytes) is larger than any 64-bit address space, so the
+    # allocation fails at once whatever the system's overcommit policy
+    with pytest.raises(UsageError, match=f"R is too large to give each block a rank, got {R}$"):
+        RankSpec(R, 1)
+
+
 def test_btdfactors_validation():
     rank = RankSpec(2, 2)
     a = np.ones((4, 4))

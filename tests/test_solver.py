@@ -20,6 +20,7 @@ from btdfuse import (
     apply_degradation,
     bcd_fuse,
     btd_reconstruct,
+    degrade_factors,
     frob_norm,
     init_factors,
     make_degradation_ops,
@@ -88,8 +89,6 @@ def test_objective_zero_factors_gives_data_energy():
 
 
 def test_objective_matches_reconstruction_route():
-    from btdfuse import degrade_factors
-
     truth, _, ops, hsi, msi = coupled_instance(2, snr=20.0)
     f = init_factors((12, 12, 8), truth.rank, seed=3, strategy="random_uniform", msi=msi)
     f_h, f_m = degrade_factors(f, ops)
@@ -433,6 +432,21 @@ def test_coupled_data_of_the_wrong_shape_is_refused(call):
     ):
         with pytest.raises(UsageError, match=match):
             call(*args, ops)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, hsi, msi, ops: degrade_factors(f, ops),
+    objective,
+    lambda f, hsi, msi, ops: build_subproblem("A", f, hsi, msi, ops, 1.0),
+], ids=["degrade_factors", "objective", "build_subproblem"])
+def test_coupled_entry_points_refuse_misfit_operators_alike(call):
+    # degrade_factors used to say "P1 has 12 columns, A has 11 rows" instead
+    truth, _, ops, hsi, msi = coupled_instance(13)
+    for f, dims in ((BtdFactors(truth.A[:-1], truth.B, truth.C, truth.rank), "11x12x8"),
+                    (BtdFactors(truth.A, truth.B, truth.C[:5], truth.rank), "12x12x5")):
+        with pytest.raises(UsageError, match=re.escape(
+                f"operators expect an image of 12x12x8, factors give {dims}")):
+            call(f, hsi, msi, ops)
 
 
 def fd_gradient(g, x, h=1e-6):

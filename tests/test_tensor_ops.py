@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -395,6 +396,19 @@ def test_frob_norm_is_finite_where_its_square_is_not_a_normal_float():
         assert frob_norm(np.full(3, 1e300)) == pytest.approx(math.sqrt(3) * 1e300, rel=1e-15)
         # a norm past the float maximum is the one that is not finite
         assert frob_norm(np.full(4, 1e308)) == math.inf
+
+
+def test_frob_norm_reads_a_column_major_tensor_without_a_copy():
+    # ravel() in C order used to copy the whole tensor first (37 MB at 145x145x220)
+    t = np.asfortranarray(np.random.default_rng(12).uniform(size=(64, 64, 100)))
+    tracemalloc.start()
+    try:
+        norm = frob_norm(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * t.nbytes
+    assert norm == pytest.approx(float(np.linalg.norm(t)), rel=1e-15)
 
 
 def test_frob_norm_matches_unfoldings():

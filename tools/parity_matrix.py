@@ -32,6 +32,12 @@ returns for blocks A, B and C at rho 0, "auto" and 2.5, from
 H1..H4, H5_base, Z, rho and the form's flag and P, 162 arrays.  So
 ``compare`` sees a change to the assembly that the runs would hide.
 
+Under ``ops/`` it saves P1, P2 and P3 of ``make_degradation_ops(145, 145,
+220, K_M=4, kernel_size=9, sigma=2.5, d=5)``, the benchmark's geometry, 3
+arrays.  A change to the operators shows there directly, not only through
+the runs at 30x30, where a last-bit change to the blur can leave every
+solver array equal.
+
 Usage::
 
     python tools/parity_matrix.py dump SRC_DIR OUT.npz
@@ -41,10 +47,10 @@ Usage::
 checkout of the parent commit) and runs the command line with it on
 ``PYTHONPATH``.  ``compare`` lists every array that is not equal under
 ``np.array_equal`` with its largest relative difference, counts the solver
-arrays, the command-line outputs and the metric report fields apart, and
-exits 1 when any differs by more than ``X`` relative (default 0: every array
-must be equal).  An array missing on one side, or differing in shape or in a
-non-numeric value, always fails.
+arrays, the workspace and operator arrays, the command-line outputs and the
+metric report fields apart, and exits 1 when any differs by more than ``X``
+relative (default 0: every array must be equal).  An array missing on one
+side, or differing in shape or in a non-numeric value, always fails.
 """
 
 import csv
@@ -209,6 +215,14 @@ def dump_workspaces(hsi: np.ndarray, msi: np.ndarray, ops) -> dict:
     return arrays
 
 
+def dump_ops() -> dict:
+    """P1, P2 and P3 at the benchmark's geometry, under ``ops/``."""
+    import btdfuse as bf
+
+    ops = bf.make_degradation_ops(145, 145, 220, K_M=4, kernel_size=9, sigma=2.5, d=5)
+    return {f"ops/{name}": getattr(ops, name) for name in ("P1", "P2", "P3")}
+
+
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import btdfuse as bf
@@ -233,6 +247,7 @@ def dump(src: str, out: str) -> None:
             for name, value in zip(FIELDS, values):
                 arrays[f"{method}/{label}/{name}"] = value
     arrays.update(dump_workspaces(hsi, msi, ops))
+    arrays.update(dump_ops())
     arrays.update(dump_cli(src))
     arrays.update(dump_metrics(arrays["cli/sri.btf"], arrays["cli/est_cnn_btd.btf"]))
     np.savez(out, **arrays)
@@ -259,8 +274,9 @@ def compare(base: str, new: str, rtol: float = 0.0) -> int:
         print(f"differs: {name}  max |diff| / max |base| = {rel:.3e}")
     worst = max((rel for _, rel in differ), default=0.0)
     for kind, test in (("solver arrays",
-                        lambda n: not n.startswith(("cli/", "metrics/", "workspace/"))),
+                        lambda n: not n.startswith(("cli/", "metrics/", "workspace/", "ops/"))),
                        ("workspace arrays", lambda n: n.startswith("workspace/")),
+                       ("operator arrays", lambda n: n.startswith("ops/")),
                        ("command-line outputs", lambda n: n.startswith("cli/")),
                        ("metric report fields", lambda n: n.startswith("metrics/"))):
         total = sum(map(test, names))
