@@ -228,17 +228,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_finite(path, purpose: str):
-    """``read_tensor(path)``, rejecting NaN/Inf entries with FormatError."""
-    t = read_tensor(path)
-    bad = t.size - int(np.count_nonzero(np.isfinite(t)))
-    if bad:
-        raise FormatError(
-            f"{path}: {bad} non-finite entries (NaN or Inf); {purpose} needs finite data"
-        )
-    return t
-
-
 def _fusion_config(entry: dict, seed: int, shape) -> FusionConfig:
     """The FusionConfig of a method entry for an image of ``shape``; a bad entry raises UsageError.
 
@@ -269,8 +258,8 @@ def cmd_fuse(args) -> int:
     entry = {key: getattr(args, key) for key in ("method", *_FUSION_KEYS)} | {"R": args.blocks}
     # every setting is checked before the images are read, and R against their size after
     _fusion_config(dict(entry, R=min(args.blocks, 1)), args.seed, (1, 1, 1))
-    hsi = _read_finite(args.hsi, "fusion")
-    msi = _read_finite(args.msi, "fusion")
+    hsi = read_tensor(args.hsi)
+    msi = read_tensor(args.msi)
     i_m, j_m, k_m = msi.shape
     i_h, j_h, k_h = hsi.shape
     cfg = _fusion_config(entry, args.seed, (i_m, j_m, k_h))
@@ -306,8 +295,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ref = _read_finite(args.ref, "scoring")
-    est = _read_finite(args.est, "scoring")
+    ref = read_tensor(args.ref)
+    est = read_tensor(args.est)
     report = compute_report(ref, est, args.ratio)
     _emit(report.as_dict())
     return 0
@@ -340,7 +329,7 @@ def _bench_config(raw) -> argparse.Namespace:
     # a synthetic image drawn from seed_base was trial 0's start, so its seed
     # is 64 bits of a stream spawned from seed_base; a trial's seed
     # seed_base + t equals it only by a 1 in 2^64 chance
-    cfg.sri = _read_finite(cfg.sri_path, "bench") if cfg.sri_path else _synthetic_sri(
+    cfg.sri = read_tensor(cfg.sri_path) if cfg.sri_path else _synthetic_sri(
         cfg.sri_dims, sri_rank["R"], sri_rank.get("L", 1), int(np.random.SeedSequence(
             cfg.seed_base, spawn_key=(1,)).generate_state(1, np.uint64)[0]), "sri_dims")
     cfg.runs = {}

@@ -70,7 +70,9 @@ def gaussian_blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
 
     Entry (i, j) is ``exp(-d^2 / (2 sigma^2))`` at the offset ``d = j - i``
     where ``2|d| < kernel_size`` and 0 elsewhere, so weights falling outside
-    the domain are dropped; each row is then divided by its sum.
+    the domain are dropped; each row is then divided by its sum.  As sigma
+    goes to 0 the matrix is the identity, and so it is for any sigma whose
+    ``2 sigma^2`` underflows to 0.
     """
     n, kernel_size = _check_int(n, "n", 1), _check_int(kernel_size, "kernel_size")
     if kernel_size % 2 == 0 or kernel_size < 1:
@@ -81,7 +83,11 @@ def gaussian_blur_matrix(n: int, kernel_size: int, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise UsageError(f"sigma must be > 0, got {sigma}")
     delta = np.arange(n) - np.arange(n)[:, None]  # delta[i, j] = j - i
-    out = np.exp(-(delta * delta) / (2.0 * sigma * sigma))
+    # a 2 sigma^2 that underflows to 0 is floored at the smallest positive
+    # float, so every delta != 0 overflows to weight 0: the identity, the
+    # sigma -> 0 limit, in place of 0/0 rows
+    with np.errstate(over="ignore"):
+        out = np.exp(-(delta * delta) / max(2.0 * sigma * sigma, math.ulp(0.0)))
     out[2 * np.abs(delta) >= kernel_size] = 0.0
     return out / out.sum(axis=1, keepdims=True)
 

@@ -1,10 +1,12 @@
 """Native on-disk tensor format.
 
 Layout: 4-byte magic ``HSRT``, 1-byte format version (1), three 64-bit
-little-endian unsigned dims I, J, K, then I*J*K IEEE-754 doubles, little
-endian, with index i varying fastest, then j, then k (column-major order).
-Writes go through a temporary file in the destination directory followed by
-an atomic rename, so readers never observe a partial file.
+little-endian unsigned dims I, J, K, then I*J*K finite IEEE-754 doubles,
+little endian, with index i varying fastest, then j, then k (column-major
+order).  :func:`read_tensor` refuses a payload that holds NaN or Inf;
+:func:`write_tensor` writes what it is given.  Writes go through a temporary
+file in the destination directory followed by an atomic rename, so readers
+never observe a partial file.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ def write_tensor(path, t) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor written by :func:`write_tensor`, verifying the header."""
+    """Read a tensor written by :func:`write_tensor`, verifying the header.
+
+    A payload that holds NaN or Inf is refused with :class:`FormatError`:
+    every command that reads a tensor file needs finite data.
+    """
     path = os.fspath(path)
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -77,4 +83,7 @@ def read_tensor(path) -> np.ndarray:
         got = fh.readinto(memoryview(out).cast("B"))
     if got != 8 * n:
         raise FormatError(f"{path}: short read of payload")
+    bad = n - int(np.count_nonzero(np.isfinite(out)))
+    if bad:
+        raise FormatError(f"{path}: {bad} non-finite entries (NaN or Inf)")
     return out.astype(np.float64, copy=False).reshape((i, j, k), order="F")

@@ -57,6 +57,15 @@ def test_blur_boundary_rows_renormalized():
     np.testing.assert_allclose(t[0, :2], w, atol=1e-12)
 
 
+def test_blur_tiny_sigma_is_the_identity_without_warnings():
+    # a 2 sigma^2 that underflows to 0 used to make the delta = 0 weight 0/0
+    # and every row NaN; a subnormal one warned "overflow encountered in divide"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(gaussian_blur_matrix(5, 3, 1e-170), np.eye(5))
+        np.testing.assert_array_equal(gaussian_blur_matrix(12, 3, 1.2e-162), np.eye(12))
+
+
 def test_blur_invalid_args():
     with pytest.raises(UsageError):
         gaussian_blur_matrix(5, 4, 1.0)  # even kernel

@@ -156,6 +156,17 @@ def test_tensorfile_overwrite_is_clean(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.btf"]
 
 
+def test_tensorfile_read_refuses_non_finite_payload(tmp_path):
+    # write_tensor writes what it is given; read_tensor is where the rule holds
+    t = np.ones((3, 4, 2))
+    t[1, 2, 0], t[2, 3, 1] = np.nan, np.nan
+    path = tmp_path / "nan.btf"
+    write_tensor(path, t)
+    with pytest.raises(FormatError, match="2 non-finite") as exc:
+        read_tensor(path)
+    assert str(path) in str(exc.value)
+
+
 def test_tensorfile_failed_write_removes_its_temp_file(tmp_path):
     # the rename onto a directory fails after the payload is written
     (tmp_path / "dir.btf").mkdir()
@@ -252,6 +263,49 @@ def test_simulate_noiseless_equals_pure_degradation(tmp_path, capsys):
     want_hsi, want_msi = apply_degradation(read_tensor(sri), ops)
     np.testing.assert_array_equal(read_tensor(hsi), want_hsi)
     np.testing.assert_array_equal(read_tensor(msi), want_msi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_rejects_non_finite_sri_exit_2(tmp_path, capsys, bad):
+    # a NaN in --sri used to give NaN-filled HSI and MSI files and a
+    # "realized_snr_db": NaN, with exit 0
+    sri = tmp_path / "sri.btf"
+    t = np.random.default_rng(5).uniform(0.5, 1.5, size=(12, 12, 8))
+    t[2, 3, 4] = bad
+    t[7, 1, 0] = -bad
+    write_tensor(sri, t)
+    hsi, msi = tmp_path / "hsi.btf", tmp_path / "msi.btf"
+    code, out, err = run_cli(
+        capsys, "simulate", "--sri", str(sri), "--out-hsi", str(hsi), "--out-msi", str(msi),
+        "--kernel", "3", "--sigma", "1.0", "--ratio", "2", "--bands", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert str(sri) in err and "2 non-finite" in err
+    assert not hsi.exists() and not msi.exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_simulate_tiny_sigma_blurs_as_the_identity(tmp_path, capsys):
+    # sigma = 1e-170 used to give an all-NaN HSI and "realized_snr_db": NaN
+    sri = tmp_path / "sri.btf"
+    assert run_cli(capsys, "make-sri", "--out", str(sri), "--dims", "20", "20", "8")[0] == 0
+    hsi, msi = tmp_path / "hsi.btf", tmp_path / "msi.btf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "simulate", "--sri", str(sri), "--out-hsi", str(hsi),
+            "--out-msi", str(msi), "--sigma", "1e-170", "--kernel", "3", "--ratio", "2",
+            "--bands", "2", "--snr-db", "inf",
+        )
+    assert code == 0 and err == ""
+    json.loads(out, parse_constant=_refuse_constant)
+    # the identity blur keeps every second pixel of the reference as it is
+    np.testing.assert_array_equal(read_tensor(hsi), read_tensor(sri)[::2, ::2])
+    assert np.isfinite(read_tensor(msi)).all()
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The scripts under tools/: bench_pairs refuses arguments it cannot use before it runs
-anything, count_code counts the lines that hold code and no others and refuses a
-revision it cannot read, and parity_matrix's compare fails on any array that differs
-past its tolerance."""
+anything and states whether the pairs show a gain and stay within the bound,
+count_code counts the lines that hold code and no others and refuses a revision
+it cannot read, and parity_matrix's compare fails on any array that differs past
+its tolerance."""
 
 import importlib.util
 import pathlib
@@ -122,3 +123,38 @@ def test_parity_compare_refuses_a_bad_rtol(parity, tmp_path, capsys, rtol):
     base = _dump(tmp_path / "base.npz", trace=np.ones(2))
     assert parity.main(["compare", base, base, "--rtol", rtol]) == 1
     assert "Usage::" in capsys.readouterr().err
+
+
+def _details(values, failed=0):
+    # the part of perfbench/run.py's detail file that summarize reads
+    return [{"metrics": {"fuse_s": {"value": v, "unit": "s"}},
+             "provenance": {"params": {"n": 1}}, "series": {"rsnr_db": [20.0, 22.0]},
+             "failed": failed, "attempted": 8} for v in values]
+
+
+@pytest.mark.parametrize("change, wins, gain, within", [
+    # faster in every pair, by more than the parent's IQR (0.02)
+    ([0.90, 0.91, 0.89, 0.90, 0.92, 0.91, 0.90, 0.89, 0.91, 0.90], 10, True, True),
+    # far faster in 8 pairs and equal in 2: a tie counts for neither side, so
+    # 8 of 10 shows no gain although the medians differ by 10 IQRs
+    ([1.00, 1.01, 0.80, 0.80, 0.80, 0.80, 0.80, 0.80, 0.80, 0.80], 8, False, True),
+    # 30% slower in every pair, past the 0.24 bound
+    ([1.30, 1.31, 1.29, 1.30, 1.33, 1.31, 1.30, 1.29, 1.32, 1.30], 0, False, False),
+], ids=["clear-gain", "many-ties", "past-the-bound"])
+def test_bench_pairs_summarize_states_the_verdicts(change, wins, gain, within):
+    bench_pairs = _load("bench_pairs")
+    parent = [1.00, 1.01, 0.99, 1.00, 1.02, 1.01, 1.00, 0.99, 1.01, 1.00]
+    entry = bench_pairs.summarize({"parent": _details(parent), "change": _details(change)},
+                                  list(range(10)), [i % 2 == 0 for i in range(10)],
+                                  {"fuse_s": ("lower", 0.24)})
+    v = entry["metrics"]["fuse_s"]["verdicts"]
+    assert (v["gain_shown"], v["within_bound"]) == (gain, within)
+    assert v["better"] == "lower" and v["bound"] == 0.24
+    assert v["change_better_in"] == f"{wins}/10 pairs"
+    assert entry["failed"] == {"parent": 0, "change": 0}
+
+
+def test_bench_pairs_reads_better_and_bound_from_the_benchmark_file():
+    bench_pairs = _load("bench_pairs")
+    specs = bench_pairs.end_to_end_specs(str(pathlib.Path(__file__).resolve().parents[1]))
+    assert specs["fuse_s"] == ("lower", 0.24) and specs["peak_rss_mb"] == ("lower", 0.1)

@@ -13,11 +13,18 @@ in odd ones.  The runs go one at a time.
 
 The script writes ``BENCH_<L>.json`` in the working directory: for every end
 to end metric the runs, median and quartiles of each side, the pairs in which
-the change was lower and the ratio of the medians; the mean R-SNR of each run;
-failed and attempted operations; and the machine and commits read from the
-provenance each run leaves under ``.perfbench/``.  When the file exists, the
-workload is added to it (or replaced), provided the commits and the machine
-match.
+the change was lower, the ratio of the medians and two verdicts; the mean
+R-SNR of each run; failed and attempted operations; and the machine and
+commits read from the provenance each run leaves under ``.perfbench/``.  When
+the file exists, the workload is added to it (or replaced), provided the
+commits and the machine match.
+
+The verdicts take each metric's ``better`` direction and ``bound`` from the
+change checkout's ``BENCHMARK.json``.  A gain is shown when the change is
+better in at least 9 of every 10 pairs (a tie counts for neither side) and
+its median beats the parent's by more than the parent's interquartile range.
+The change stays within the bound when its median is worse than the parent's
+by at most ``bound`` times the parent's median.
 """
 
 from __future__ import annotations
@@ -57,8 +64,33 @@ def quartiles(runs) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
-def summarize(details: dict, seeds: list, parent_first: list) -> dict:
-    """The workload entry of a BENCH file from the two sides' run details."""
+def verdicts(parent: dict, change: dict, better: str, bound: float) -> dict:
+    """Whether the pairs show a gain, and whether the change stays within ``bound``.
+
+    ``parent`` and ``change`` are :func:`quartiles` of each side's runs, in
+    pair order; ``better`` is "lower" or "higher".
+    """
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent["runs"], change["runs"]))
+    pairs = len(parent["runs"])
+    gap = sign * (parent["median"] - change["median"])  # > 0 when the change is better
+    return {"better": better, "bound": bound, "change_better_in": f"{wins}/{pairs} pairs",
+            "gain_shown": 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"],
+            "within_bound": -gap <= bound * abs(parent["median"])}
+
+
+def end_to_end_specs(root: str) -> dict:
+    """``better`` and ``bound`` of each end-to-end metric in ``root``'s BENCHMARK.json."""
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
+
+
+def summarize(details: dict, seeds: list, parent_first: list, specs: dict) -> dict:
+    """The workload entry of a BENCH file from the two sides' run details.
+
+    ``specs`` maps a metric's name to its ``better`` and ``bound``, as
+    :func:`end_to_end_specs` reads them; a metric it lacks gets no verdicts.
+    """
     first = details["change"][0]
     out = {
         "pairs": len(seeds),
@@ -74,7 +106,9 @@ def summarize(details: dict, seeds: list, parent_first: list) -> dict:
         lower = sum(c < p for p, c in zip(runs["parent"], runs["change"]))
         entry.update(unit=m["unit"], change_lower_in=f"{lower}/{len(seeds)} pairs",
                      median_ratio_change_over_parent=(entry["change"]["median"]
-                                                      / entry["parent"]["median"]))
+                                                      / entry["parent"]["median"]),
+                     verdicts=(verdicts(entry["parent"], entry["change"], *specs[name])
+                               if name in specs else None))
         out["metrics"][name] = entry
     out["rsnr_db_mean_per_run"] = {
         side: [statistics.fmean(d["series"]["rsnr_db"]) for d in details[side]]
@@ -116,6 +150,7 @@ def main(argv=None) -> int:
         ap.error(f"--seconds must be positive, got {args.seconds}")
     roots = {"parent": os.path.abspath(args.parent_root),
              "change": os.path.abspath(args.change_root)}
+    specs = end_to_end_specs(roots["change"])  # read before the runs, so a missing file costs none
 
     seeds = [args.seed_base + i for i in range(args.pairs)]
     parent_first = [i % 2 == 0 for i in range(args.pairs)]
@@ -140,16 +175,19 @@ def main(argv=None) -> int:
                  "machine": machine, "commits": commits,
                  "page_cache": details["change"][0]["provenance"]["page_cache"],
                  "workloads": {}}
-    entry = summarize(details, seeds, parent_first)
+    entry = summarize(details, seeds, parent_first, specs)
     bench["workloads"][args.workload] = entry
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
 
     for name, m in entry["metrics"].items():
-        p, c = m["parent"], m["change"]
+        p, c, v = m["parent"], m["change"], m["verdicts"]
         print(f"{args.workload} {name}: {p['median']:.6g} -> {c['median']:.6g} {m['unit']} "
-              f"(parent IQR {p['q3'] - p['q1']:.3g}), change lower in {m['change_lower_in']}")
+              f"(parent IQR {p['q3'] - p['q1']:.3g}), change lower in {m['change_lower_in']}"
+              + ("" if v is None else
+                 f"; gain shown: {'yes' if v['gain_shown'] else 'no'}, within bound "
+                 f"{v['bound']:g}: {'yes' if v['within_bound'] else 'no'}"))
     print(f"failed/attempted: parent {entry['failed']['parent']}/{entry['attempted']['parent']}, "
           f"change {entry['failed']['change']}/{entry['attempted']['change']}; wrote {path}")
     return 0
