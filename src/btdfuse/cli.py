@@ -148,9 +148,15 @@ def _emit(manifest: dict):
 
 
 def _noisy_entry(path, clean, noisy) -> dict:
-    """Manifest entry of a written noisy tensor; its realized SNR is None without noise."""
-    err = frob_norm(clean - noisy)
-    snr = None if err == 0.0 else 20.0 * math.log10(frob_norm(clean) / err)
+    """Manifest entry of a written noisy tensor; its realized SNR is None without noise.
+
+    Both norms are taken of the tensors scaled by the power of two of the
+    clean tensor's largest entry, which is exact, so a clean norm past the
+    float range still gives a finite ratio.
+    """
+    e = -math.frexp(float(np.abs(clean).max()))[1]
+    err = frob_norm(np.ldexp(clean, e) - np.ldexp(noisy, e))
+    snr = None if err == 0.0 else 20.0 * math.log10(frob_norm(np.ldexp(clean, e)) / err)
     return {"path": path, "dims": list(noisy.shape), "realized_snr_db": snr}
 
 

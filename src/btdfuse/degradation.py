@@ -216,22 +216,27 @@ def add_noise(t: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     package-wide fixed RNG, so results are reproducible for a given seed.
     ``snr_db = inf`` returns the input unchanged.  Either way the result keeps
     the input's memory layout, so a column-major tensor stays column-major.
-    Any finite tensor gets a finite noise level (``frob_norm`` is finite for
-    every finite tensor whose norm is a float); an ``snr_db`` whose noise
-    level or noisy entries still leave the float range raises UsageError.
+    Any finite tensor gets a finite noise level: where its norm is past the
+    float range, sigma is taken from the norm of the tensor scaled by the
+    power of two of its largest entry and scaled back.  An ``snr_db`` whose
+    noise level or noisy entries still leave the float range raises
+    UsageError.
     """
     t = np.asarray(t, dtype=np.float64)
     if spec.snr_db == math.inf:
         return t.copy(order="K")
-    norm = frob_norm(t)
+    norm, e = frob_norm(t), 0
     if norm == 0.0:
         raise UsageError("cannot set an SNR on an all-zero tensor")
+    if norm == math.inf:  # past the float range: the norm of t / 2^e, which is exact
+        e = math.frexp(float(np.abs(t).max()))[1]
+        norm = frob_norm(np.ldexp(t, -e))
     rng = np.random.default_rng(spec.seed)
     # the draw is copied to t's layout first: arithmetic over two layouts is slow
     noisy = np.empty_like(t)
     noisy[...] = rng.standard_normal(t.shape)
     try:
-        sigma = norm / math.sqrt(t.size * 10.0 ** (spec.snr_db / 10.0))
+        sigma = math.ldexp(norm / math.sqrt(t.size * 10.0 ** (spec.snr_db / 10.0)), e)
         with np.errstate(over="raise"):
             return np.add(t, np.multiply(sigma, noisy, out=noisy), out=noisy)
     except (OverflowError, ZeroDivisionError, FloatingPointError):

@@ -7,8 +7,9 @@ A, B, C of the block-term model:
   quadratic program by a fixed number of ADMM iterations (``cnn_cpd`` is the
   same algorithm with every block rank forced to 1).
 * ``stereo``: each block solves the unconstrained quadratic exactly.
-* ``two_stage``: fits the spatial factors to the MSI alone, then recovers the
-  spectral factor from the HSI by linear least squares.
+* ``two_stage``: fits the spatial factors to the MSI alone, by alternating
+  least squares with an exact line search along each sweep's step, then
+  recovers the spectral factor from the HSI by linear least squares.
 
 Every block subproblem is the same least squares problem, ``P^T P Y b + Y c
 = rhs`` for Y = A, B or C: the operator P (P1, P2 or P3) acts on the unknown
@@ -30,7 +31,11 @@ block: each stacks a factor's column blocks as one (R, rows, max L) array,
 zero past each block's width, runs one batched product or SVD over the R
 blocks and gathers the result back to factor columns.  ``two_stage`` solves
 its least-squares updates on the explicit designs instead, from their thin
-SVDs, since a Gram squares the design's condition number.
+SVDs, since a Gram squares the design's condition number.  Its line search
+needs only the MSI residual along a line, a degree-6 polynomial whose
+coefficients come from small Grams of the factors and their steps and from
+one contraction of the MSI with them (``_line_fit``); one dense residual per
+sweep checks the point it picks.
 
 With a stated form the factor takes the thin SVD ``P = U S Q1^T``, so that
 ``P^T P = Q1 S^2 Q1^T`` with min(rows, cols) columns in Q1.  The operators
@@ -102,6 +107,9 @@ SYLVESTER_RESIDUAL_RTOL = 1e-8
 # lost digits to cancellation (noiseless data and ground-truth starts drive
 # the objective toward 0), and the update is scored by the dense objective().
 DENSE_SCORE_SHARE = 1e-4
+
+# the number of 1 bits in 0..63: the power of mu of each term that _by_power sums
+_ONE_BITS = np.array([bin(i).count("1") for i in range(64)])
 
 
 @dataclass(frozen=True)
@@ -765,6 +773,74 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
     return sol.T
 
 
+def _by_power(terms: np.ndarray) -> np.ndarray:
+    """Sum the terms of a product of factors on a line ``u + mu du`` by their power of mu.
+
+    ``terms`` has one axis of size 2 per factor, index 0 taking it as u and
+    1 as du, so a term's power of mu is the count of 1 bits in its flat index.
+    """
+    return np.bincount(_ONE_BITS[:terms.size], terms.ravel())
+
+
+def _line_fit(y3, y_sq: float, x: dict, d: dict, rank: RankSpec) -> np.ndarray:
+    """Coefficients p_0..p_6 of the MSI residual ``||Y3 - M(mu)||^2`` along ``x + mu d``.
+
+    ``x`` and ``d`` map "A", "B" and "C" (the reduced spectral factor) to
+    stage-1 factors and steps, ``Y3 = unfold(msi, 3)`` and ``y_sq =
+    ||Y3||^2``.  ``M(mu) = S(mu) C(mu)^T`` with S(mu) the block maps of
+    ``(A + mu dA, B + mu dB)``.  Spread C over the factor columns, ``C_x =
+    C[:, block]``, and ``||M||^2`` is ``sum((A^T A) o (B^T B) o (C_x^T C_x))``
+    over sum(L) x sum(L) entries, while ``<Y3, M>`` is
+    ``sum_i <vec(a_i b_i^T), Y3 C_x[:, i]>`` over the factor columns i.  Each
+    Gram is taken of ``[u, du]`` for its factor's line ``u + mu du``, Y3 is
+    contracted with ``[A, dA]`` and ``[B, dB]`` once, and the products are
+    summed by power (:func:`_by_power`).  No (I*J, K_M) or (I*J, R) array is
+    formed.
+    """
+    (a, b, c), (da, db, dc) = x.values(), d.values()
+    n, k_m = rank.total, len(c)
+    block = _partition(rank)[0]
+    u, v, w = np.hstack((a, da)), np.hstack((b, db)), np.hstack((c[:, block], dc[:, block]))
+    # g[a, x, i, j] = (column i of u or du) . (column j of u or du)
+    ga, gb, gc = ((m.T @ m).reshape(2, n, 2, n).swapaxes(1, 2) for m in (u, v, w))
+    quad = (ga[:, :, None, None] * gb).reshape(16, -1) @ gc.reshape(4, -1).T
+    # t[k, j, q] = sum_i Y[i, j, k] u[i, q], then z[k, q, s] = sum_j t[k, j, q] v[j, s]
+    t = (y3.T.reshape(-1, len(a)) @ u).reshape(k_m, len(b), 2 * n)
+    z = (t.swapaxes(1, 2) @ v).reshape(k_m, 2, n, 2, n)
+    p = _by_power(quad)
+    p[:4] -= 2.0 * _by_power(np.einsum("kaibi,kci->abc", z, w.reshape(k_m, 2, n)))
+    p[0] += y_sq
+    return p
+
+
+def _line_search(y3, y_sq: float, x: dict, prev: dict, rank: RankSpec, j: float) -> float:
+    """Move the stage-1 factors ``x`` along the sweep's step if that fits the MSI better.
+
+    The step is ``d = x - prev``; ``j`` is the mode-3 residual at ``x``.
+    The residual along ``x + mu d`` is the degree-6 polynomial of
+    :func:`_line_fit`.  A sum of squares has its lowest real value at a real
+    root of its derivative, so the lowest value over the real parts of all
+    the roots is taken as mu*.  ``x`` moves to ``x + mu* d`` only when the
+    dense mode-3 residual there, the quantity of the C entry, is below
+    ``j``.  Returns the residual at the point ``x`` holds on return.
+    """
+    d = {k: x[k] - prev[k] for k in x}
+    p = _line_fit(y3, y_sq, x, d, rank)
+    mus = np.roots(p[:0:-1] * np.arange(len(p) - 1, 0, -1)).real  # p' from its highest power
+    if not mus.size:  # a zero step
+        return j
+    mu = mus[np.argmin(np.vander(mus, len(p), increasing=True) @ p)]
+    new = {k: x[k] + mu * d[k] for k in x}
+    # Y3's transpose is a view of the column-major MSI, so no array changes layout
+    fit = new["C"] @ _block_maps(new["A"], new["B"], rank).T
+    fit -= y3.T
+    res = frob_norm(fit) ** 2
+    if res < j:
+        x.update(new)
+        return res
+    return j
+
+
 def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     """Decouple the fusion: fit the MSI first, then read the spectra off the HSI.
 
@@ -774,9 +850,13 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     update takes the minimum-norm solution from its explicit design's thin
     SVD, not from the normal equations, whose Gram squares the design's
     condition number; stage 2 recovers the full spectral factor from the HSI
-    the same way.  The objective trace holds the stage-1 MSI residual after
-    each block update, taken in the unfolding the update solved, then the
-    final coupled objective of the assembled factors; a failed stage 2
+    the same way.  From the second sweep on, each sweep ends with an exact
+    line search along its whole step (:func:`_line_search`, as in De
+    Lathauwer & Nion's ALS with line search for rank-(L, L, 1) terms), which
+    stage 1 takes when it lowers the MSI residual.  The objective trace holds
+    the stage-1 MSI residual after each block update, taken in the unfolding
+    the update solved, and for C at the point the search left; then the
+    final coupled objective of the assembled factors.  A failed stage 2
     raises NumericalError carrying the stage-1 trace.
     """
     start = time.perf_counter()
@@ -786,6 +866,7 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     x = {"A": f0.A, "B": f0.B, "C": ops.P3 @ f0.C}
     y = {block: unfold(msi, mode) for mode, block in enumerate("ABC", 1)}
     msi_sq = frob_norm(msi) ** 2
+    prev = {}  # the stage-1 factors at the end of the last sweep
 
     def update(block):
         a, b, c_m = x.values()
@@ -794,7 +875,12 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
         sol = _min_norm_lstsq(w, y[block])[0]
         x[block] = sol.T
         # ||Y_M - X_M||^2 in the unfolding just solved: no block maps rebuilt
-        return frob_norm(y[block] - w @ sol) ** 2
+        j = frob_norm(y[block] - w @ sol) ** 2
+        if block == "C":
+            if prev:
+                j = _line_search(y["C"], msi_sq, x, prev, rank, j)
+            prev.update(x)
+        return j
 
     def finish():
         # a non-finite spectral factor gives a non-finite coupled objective

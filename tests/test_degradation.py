@@ -294,6 +294,19 @@ def test_add_noise_sets_a_finite_noise_level_on_huge_entries(shape, spread_db):
     assert abs(realized[0] - 30.0) <= spread_db
 
 
+def test_add_noise_sets_a_finite_noise_level_where_the_norm_overflows():
+    # a norm past the float range used to give sigma = inf and 288 of 288
+    # entries +-inf.  sigma now comes from the norm at 2^-e, so the result is
+    # 2^10 times that of the tensor scaled by 2^-10, whose norm is a float;
+    # noise that itself leaves the range is still refused
+    t = np.full((6, 6, 8), 1e308)
+    noisy = add_noise(t, NoiseSpec(30.0, 0))
+    assert np.isfinite(noisy).all()
+    np.testing.assert_array_equal(noisy, np.ldexp(add_noise(np.ldexp(t, -10), NoiseSpec(30.0, 0)), 10))
+    with pytest.raises(UsageError, match="snr_db -10 "):
+        add_noise(t, NoiseSpec(-10.0, 0))
+
+
 def test_add_noise_keeps_layout():
     # both paths return the input's layout, with the values of the row-major sum
     base = np.random.default_rng(5).uniform(size=(4, 5, 6))

@@ -1462,6 +1462,100 @@ def test_two_stage_stops_at_perfect_msi_fit():
     assert len(res.objective_trace) == 4
 
 
+def _stage1_line(seed, rank, dims=(7, 6, 4)):
+    """Random stage-1 factors x, a step d and an MSI unfolding Y3 of the given sizes."""
+    rng = np.random.default_rng(seed)
+    i, j, k_m = dims
+    x = {"A": rng.standard_normal((i, rank.total)), "B": rng.standard_normal((j, rank.total)),
+         "C": rng.standard_normal((k_m, rank.R))}
+    d = {k: rng.standard_normal(v.shape) for k, v in x.items()}
+    return x, d, rng.standard_normal((i * j, k_m))
+
+
+def _mode3_fit(f, rank):
+    from btdfuse.model import _block_maps
+
+    return _block_maps(f["A"], f["B"], rank) @ f["C"].T
+
+
+def _mode3_residual(y3, f, rank):
+    return frob_norm(y3 - _mode3_fit(f, rank)) ** 2
+
+
+@pytest.mark.parametrize("rank", [RankSpec(3, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1)],
+                         ids=["R3L2", "R3L123", "R1"])
+def test_line_fit_is_the_dense_residual_along_the_line(rank):
+    # the degree-6 polynomial built from Grams and (R, K_M) contractions is
+    # the dense mode-3 residual at every point of the line x + mu d
+    from btdfuse.solver import _line_fit
+
+    x, d, y3 = _stage1_line(5, rank)
+    y_sq = frob_norm(y3) ** 2
+    p = _line_fit(y3, y_sq, x, d, rank)
+    assert p.shape == (7,)
+    for mu in (-1.7, -0.3, 0.0, 0.6, 2.4):
+        dense = _mode3_residual(y3, {k: x[k] + mu * d[k] for k in x}, rank)
+        assert abs(np.polynomial.polynomial.polyval(mu, p) - dense) <= 1e-10 * y_sq, mu
+
+
+@pytest.mark.parametrize("rank", [RankSpec(3, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1)],
+                         ids=["R3L2", "R3L123", "R1"])
+def test_line_search_finds_the_fit_on_a_line_through_it(rank):
+    # the multilinear model is exact at mu = 1 of a line whose step ends at
+    # the truth: the search goes there, and a residual it cannot beat keeps x
+    from btdfuse.solver import _line_search
+
+    truth, d, _ = _stage1_line(6, rank)
+    y3 = _mode3_fit(truth, rank)
+    prev = {k: truth[k] - 3.0 * d[k] for k in truth}
+    x = {k: truth[k] - 2.0 * d[k] for k in truth}  # so the step x - prev is d
+    j = _mode3_residual(y3, x, rank)
+    got = _line_search(y3, frob_norm(y3) ** 2, x, prev, rank, j)
+    assert got <= 1e-20 * frob_norm(y3) ** 2
+    for k in "ABC":
+        np.testing.assert_allclose(x[k], truth[k], atol=1e-8)
+    start = {k: truth[k] - 2.0 * d[k] for k in truth}
+    kept = dict(start)
+    assert _line_search(y3, frob_norm(y3) ** 2, kept, prev, rank, 0.0) == 0.0
+    assert all(kept[k] is start[k] for k in "ABC")
+
+
+def test_two_stage_first_sweep_is_plain_als(monkeypatch):
+    # the search needs the step of a whole sweep: a one-sweep run never
+    # calls it and keeps the plain ALS sweep bit for bit, which is the first
+    # sweep of every longer run; each later sweep searches once
+    import btdfuse.solver as solver
+
+    _, _, ops, hsi, msi = coupled_instance(65, snr=30.0)
+    cfg = FusionConfig(method="two_stage", rank=RankSpec(2, 2), outer_iters=1, seed=4)
+    search = solver._line_search
+    monkeypatch.setattr(solver, "_line_search", lambda *a: pytest.fail("searched in sweep 1"))
+    one = bcd_fuse(hsi, msi, ops, cfg)
+    calls = []
+    monkeypatch.setattr(solver, "_line_search", lambda *a: calls.append(1) or search(*a))
+    four = bcd_fuse(hsi, msi, ops, dataclasses.replace(cfg, outer_iters=4))
+    assert len(calls) == 3
+    assert four.objective_trace[:3] == one.objective_trace[:3]
+    assert len(four.objective_trace) == 3 * 4 + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 200),
+    rank=st.sampled_from((RankSpec(2, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1), RankSpec(3, 1))),
+    snr=st.one_of(st.none(), st.floats(min_value=5.0, max_value=60.0)),
+    sweeps=st.integers(2, 12),
+)
+def test_two_stage_trace_never_rises(seed, rank, snr, sweeps):
+    # each ALS update minimizes the MSI residual over its block and the
+    # search only moves to a lower residual, so stage 1 never goes up
+    _, _, ops, hsi, msi = coupled_instance(seed, snr=snr)
+    cfg = FusionConfig(method="two_stage", rank=rank, outer_iters=sweeps, seed=seed + 1)
+    stage1 = bcd_fuse(hsi, msi, ops, cfg).objective_trace[:-1]
+    for before, after in zip(stage1, stage1[1:]):
+        assert after <= before * (1 + 1e-12) + 1e-300, (before, after)
+
+
 @pytest.mark.parametrize("method", ["cnn_btd", "stereo", "two_stage"])
 @settings(max_examples=12, deadline=None)
 @given(log_s=st.floats(min_value=-100.0, max_value=100.0))

@@ -928,6 +928,29 @@ def test_simulate_writes_finite_files_for_huge_entries(tmp_path, capsys):
         assert big[key]["realized_snr_db"] == small[key]["realized_snr_db"]
 
 
+def test_simulate_reports_a_finite_snr_where_the_norm_overflows(tmp_path, capsys):
+    # with entries of 1e308 the clean norm is past the float range: the noise
+    # level used to be inf, and once it was finite the manifest still printed
+    # "realized_snr_db": Infinity, which is not JSON.  The ratio is now taken
+    # at a common power of two, so it is that of the SRI scaled by 2^-10
+    realized = []
+    for name, scale in (("big", 0), ("small", -10)):
+        sri = tmp_path / f"{name}_sri.btf"
+        write_tensor(sri, np.ldexp(np.full((12, 12, 8), 1e308), scale))
+        code, out, err = run_cli(capsys, "simulate", "--sri", str(sri),
+                                 "--out-hsi", str(tmp_path / f"{name}_hsi.btf"),
+                                 "--out-msi", str(tmp_path / f"{name}_msi.btf"),
+                                 "--kernel", "3", "--ratio", "3", "--bands", "4",
+                                 "--snr-db", "30", "--seed", "0")
+        assert code == 0, err
+        manifest = json.loads(out, parse_constant=_refuse_constant)
+        realized.append([manifest[key]["realized_snr_db"] for key in ("hsi", "msi")])
+        for key in ("hsi", "msi"):
+            assert np.isfinite(read_tensor(tmp_path / f"{name}_{key}.btf")).all()
+    assert realized[0] == realized[1]
+    assert all(abs(snr - 30.0) < 3.0 for snr in realized[0])
+
+
 def test_bench_refuses_non_integral_counts(tmp_path, capsys):
     # int() used to truncate these: R=2.9, L=1.5, outer_iters=2.5 ran R=2,
     # L=(1, 1) and 2 sweeps

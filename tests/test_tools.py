@@ -1,10 +1,12 @@
 """The scripts under tools/: bench_pairs refuses arguments it cannot use before it runs
-anything and states whether the pairs show a gain and stay within the bound,
+anything, states whether the pairs show a gain and stay within the bound, and
+runs a second checkout of the parent as a noise floor that a gain must clear,
 count_code counts the lines that hold code and no others and refuses a revision
 it cannot read, and parity_matrix's compare fails on any array that differs past
 its tolerance."""
 
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -158,3 +160,54 @@ def test_bench_pairs_reads_better_and_bound_from_the_benchmark_file():
     bench_pairs = _load("bench_pairs")
     specs = bench_pairs.end_to_end_specs(str(pathlib.Path(__file__).resolve().parents[1]))
     assert specs["fuse_s"] == ("lower", 0.24) and specs["peak_rss_mb"] == ("lower", 0.1)
+
+
+@pytest.mark.parametrize("floor_value, gain", [(0.99, True), (0.85, False)],
+                         ids=["floor-below-the-gain", "floor-past-the-gain"])
+def test_bench_pairs_floor_root_runs_the_same_seeds_and_gates_the_gain(
+        floor_value, gain, tmp_path, monkeypatch, capsys):
+    # a second checkout of the parent runs every seed too, and its distance
+    # from the parent (the floor gap) must be smaller than the change's gain
+    bench_pairs = _load("bench_pairs")
+    roots = {side: tmp_path / side for side in ("parent", "change", "floor")}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "fuse_s", "better": "lower", "bound": 0.24}]}')
+    value = {"parent": 1.0, "change": 0.9, "floor": floor_value}
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        side = pathlib.Path(root).name
+        calls.append((side, seed))
+        detail = _details([value[side] + 0.001 * (seed % 3)])[0]
+        detail["provenance"].update(
+            {"commit": "c1" if side == "change" else "p0", "page_cache": "warm"},
+            **{key: "m" for key in bench_pairs.MACHINE_KEYS})
+        return detail
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(roots["parent"]), str(roots["change"]), "--workload", "w",
+                             "--pairs", "4", "--seconds", "1", "--seed-base", "10",
+                             "--label", "x", "--floor-root", str(roots["floor"])]) == 0
+    assert calls[:6] == [("parent", 10), ("change", 10), ("floor", 10),
+                         ("floor", 11), ("change", 11), ("parent", 11)]
+    assert sorted(seed for side, seed in calls if side == "floor") == [10, 11, 12, 13]
+    bench = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert bench["commits"] == {"parent": "p0", "change": "c1", "floor": "p0"}
+    metric = bench["workloads"]["w"]["metrics"]["fuse_s"]
+    assert metric["floor"]["median"] == pytest.approx(floor_value + 0.001)
+    assert metric["verdicts"]["floor_gap"] == pytest.approx(1.0 - floor_value)
+    assert metric["verdicts"]["gain_shown"] is gain
+    assert "floor gap" in capsys.readouterr().out
+
+
+def test_bench_pairs_refuses_a_floor_of_another_commit():
+    bench_pairs = _load("bench_pairs")
+    details = {side: _details([1.0, 1.0]) for side in ("parent", "change", "floor")}
+    for side, commit in (("parent", "p0"), ("change", "c1"), ("floor", "c1")):
+        for d in details[side]:
+            d["provenance"].update({"commit": commit}, **{k: "m" for k in bench_pairs.MACHINE_KEYS})
+    with pytest.raises(RuntimeError, match="floor runs commit c1, not the parent's p0"):
+        bench_pairs.provenance(details)
