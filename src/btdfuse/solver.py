@@ -108,9 +108,6 @@ SYLVESTER_RESIDUAL_RTOL = 1e-8
 # the objective toward 0), and the update is scored by the dense objective().
 DENSE_SCORE_SHARE = 1e-4
 
-# the number of 1 bits in 0..63: the power of mu of each term that _by_power sums
-_ONE_BITS = np.array([bin(i).count("1") for i in range(64)])
-
 
 @dataclass(frozen=True)
 class FusionConfig:
@@ -777,9 +774,9 @@ def _by_power(terms: np.ndarray) -> np.ndarray:
     """Sum the terms of a product of factors on a line ``u + mu du`` by their power of mu.
 
     ``terms`` has one axis of size 2 per factor, index 0 taking it as u and
-    1 as du, so a term's power of mu is the count of 1 bits in its flat index.
+    1 as du, so a term's power of mu is the sum of its indices.
     """
-    return np.bincount(_ONE_BITS[:terms.size], terms.ravel())
+    return np.bincount(np.indices(terms.shape).sum(axis=0).ravel(), terms.ravel())
 
 
 def _line_fit(y3, y_sq: float, x: dict, d: dict, rank: RankSpec) -> np.ndarray:
@@ -803,7 +800,7 @@ def _line_fit(y3, y_sq: float, x: dict, d: dict, rank: RankSpec) -> np.ndarray:
     u, v, w = np.hstack((a, da)), np.hstack((b, db)), np.hstack((c[:, block], dc[:, block]))
     # g[a, x, i, j] = (column i of u or du) . (column j of u or du)
     ga, gb, gc = ((m.T @ m).reshape(2, n, 2, n).swapaxes(1, 2) for m in (u, v, w))
-    quad = (ga[:, :, None, None] * gb).reshape(16, -1) @ gc.reshape(4, -1).T
+    quad = ((ga[:, :, None, None] * gb).reshape(16, -1) @ gc.reshape(4, -1).T).reshape((2,) * 6)
     # t[k, j, q] = sum_i Y[i, j, k] u[i, q], then z[k, q, s] = sum_j t[k, j, q] v[j, s]
     t = (y3.T.reshape(-1, len(a)) @ u).reshape(k_m, len(b), 2 * n)
     z = (t.swapaxes(1, 2) @ v).reshape(k_m, 2, n, 2, n)

@@ -1485,7 +1485,7 @@ def _mode3_residual(y3, f, rank):
 @pytest.mark.parametrize("rank", [RankSpec(3, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1)],
                          ids=["R3L2", "R3L123", "R1"])
 def test_line_fit_is_the_dense_residual_along_the_line(rank):
-    # the degree-6 polynomial built from Grams and (R, K_M) contractions is
+    # the degree-6 polynomial built from Grams and one contraction of Y3 is
     # the dense mode-3 residual at every point of the line x + mu d
     from btdfuse.solver import _line_fit
 
@@ -1544,16 +1544,21 @@ def test_two_stage_first_sweep_is_plain_als(monkeypatch):
     seed=st.integers(0, 200),
     rank=st.sampled_from((RankSpec(2, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1), RankSpec(3, 1))),
     snr=st.one_of(st.none(), st.floats(min_value=5.0, max_value=60.0)),
-    sweeps=st.integers(2, 12),
+    sweeps=st.integers(2, 40),
 )
 def test_two_stage_trace_never_rises(seed, rank, snr, sweeps):
     # each ALS update minimizes the MSI residual over its block and the
-    # search only moves to a lower residual, so stage 1 never goes up
+    # search only moves to a lower residual, so stage 1 never goes up by more
+    # than 1e-12 relative, or near an exact fit by more than the rounding of
+    # residuals taken in different unfoldings, about eps ||Y_M|| sqrt(residual)
+    # (at most 2e-14 ||Y_M|| sqrt(residual) over 400-sweep noiseless runs, with
+    # and without the search)
     _, _, ops, hsi, msi = coupled_instance(seed, snr=snr)
     cfg = FusionConfig(method="two_stage", rank=rank, outer_iters=sweeps, seed=seed + 1)
     stage1 = bcd_fuse(hsi, msi, ops, cfg).objective_trace[:-1]
+    y_norm = frob_norm(msi)
     for before, after in zip(stage1, stage1[1:]):
-        assert after <= before * (1 + 1e-12) + 1e-300, (before, after)
+        assert after <= before * (1 + 1e-12) + 1e-12 * y_norm * before ** 0.5, (before, after)
 
 
 @pytest.mark.parametrize("method", ["cnn_btd", "stereo", "two_stage"])

@@ -97,14 +97,13 @@ def end_to_end_specs(root: str) -> dict:
 
 
 def summarize(details: dict, seeds: list, parent_first: list, specs: dict) -> dict:
-    """The workload entry of a BENCH file from the two sides' run details.
+    """The workload entry of a BENCH file from each side's run details.
 
     ``specs`` maps a metric's name to its ``better`` and ``bound``, as
     :func:`end_to_end_specs` reads them; a metric it lacks gets no verdicts.
     ``details`` may also hold the floor's runs, which enter every verdict.
     """
     first = details["change"][0]
-    sides = [side for side in (*SIDES, FLOOR) if side in details]
     out = {
         "pairs": len(seeds),
         "seeds": seeds,
@@ -114,8 +113,8 @@ def summarize(details: dict, seeds: list, parent_first: list, specs: dict) -> di
         "metrics": {},
     }
     for name, m in first["metrics"].items():
-        runs = {side: [d["metrics"][name]["value"] for d in details[side]] for side in sides}
-        entry = {side: quartiles(runs[side]) for side in sides}
+        runs = {side: [d["metrics"][name]["value"] for d in details[side]] for side in details}
+        entry = {side: quartiles(runs[side]) for side in details}
         lower = sum(c < p for p, c in zip(runs["parent"], runs["change"]))
         entry.update(unit=m["unit"], change_lower_in=f"{lower}/{len(seeds)} pairs",
                      median_ratio_change_over_parent=(entry["change"]["median"]
@@ -126,9 +125,9 @@ def summarize(details: dict, seeds: list, parent_first: list, specs: dict) -> di
         out["metrics"][name] = entry
     out["rsnr_db_mean_per_run"] = {
         side: [statistics.fmean(d["series"]["rsnr_db"]) for d in details[side]]
-        for side in sides}
+        for side in details}
     for key in ("failed", "attempted"):
-        out[key] = {side: sum(d[key] for d in details[side]) for side in sides}
+        out[key] = {side: sum(d[key] for d in details[side]) for side in details}
     return out
 
 
