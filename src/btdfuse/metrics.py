@@ -6,7 +6,7 @@ correlation (1 best), mean spectral angle (radians, 0 best), and the
 dimensionless relative global error ERGAS (0 best).  All four are read from
 one pass over the pair, which makes no full-size temporary for a column-major
 (band-major) pair, the layout of the tensor file and of ``btd_reconstruct``,
-nor for a row-major one.
+nor for a row-major one.  A pair holding a NaN or an Inf is refused.
 ``match_blocks`` resolves the permutation/scaling ambiguity between two
 factor sets before comparing them.
 """
@@ -125,7 +125,9 @@ def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
     difference (``err_exps``, which is ``(0, 0)`` for a pair swept as it is).
     These scalings are exact, so the metrics of ``2^k ref`` and ``2^k est``
     are those of ``ref`` and ``est``, and a scale gap between ``ref`` and
-    ``est`` does not lose the smaller one.  Any other pair is swept as it is.
+    ``est`` does not lose the smaller one.  A pair with a NaN or an Inf
+    entry, whose squared pixel norms are NaN or Inf, is refused with
+    UsageError naming the tensor that holds it.
     """
     ref = _check_tensor3(ref, "ref")
     est = _check_tensor3(est, "est")
@@ -140,13 +142,14 @@ def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
     # a tensor whose squared norms all underflow to 0 is out of range unless it is zero
     if any(not lo <= m <= hi and (m > 0 or v.any()) for m, v in ((nx2.max(), xs), (ny2.max(), ys))):
         tops = float(np.abs(ref).max()), float(np.abs(est).max())
-        # a pair with a non-finite entry is swept as it is; an all-zero
-        # tensor takes the other's scale; each tensor of a scaled pair has
-        # its largest squared norm in [1/4, k], so it is not scaled again
-        if all(t < math.inf for t in tops):
-            a, b = (math.frexp(t or max(tops))[1] for t in tops)
-            c = max(a, b)
-            return _sweep(np.ldexp(ref, -a), np.ldexp(est, -b), (a - c, b - c))
+        for name, top in zip(("ref", "est"), tops):
+            if not top < math.inf:
+                raise UsageError(f"{name} has non-finite entries (NaN or Inf)")
+        # an all-zero tensor takes the other's scale; each tensor of a scaled
+        # pair has its largest squared norm in [1/4, k], so it is not scaled again
+        a, b = (math.frexp(t or max(tops))[1] for t in tops)
+        c = max(a, b)
+        return _sweep(np.ldexp(ref, -a), np.ldexp(est, -b), (a - c, b - c))
     # spectral angle 2 arcsin(||u - v|| / 2) of the unit fibers u, v: it
     # equals arccos(<u, v>) but stays exact at 0 for identical fibers and
     # accurate for small angles; pixels with a zero fiber are skipped.  The

@@ -37,14 +37,23 @@ coefficients come from small Grams of the factors and their steps and from
 one contraction of the MSI with them (``_line_fit``); one dense residual per
 sweep checks the point it picks.
 
+The solver forms the dense data fit by one rule, ``_fit``: an image's
+squared residual ``||c S^T - Y3^T||^2`` in its mode-3 unfolding Y3, with S
+the block maps and c the spectral factor of its model.  ``objective()`` is
+``_fit`` of the HSI with (P1 A, P2 B, C) plus ``_fit`` of the MSI with (A, B,
+P3 C); every stage-1 trace entry of ``two_stage`` and the line search's check
+are ``_fit`` of the MSI with the stage-1 factors.
+
 With a stated form the factor takes the thin SVD ``P = U S Q1^T``, so that
 ``P^T P = Q1 S^2 Q1^T`` with min(rows, cols) columns in Q1.  The operators
 have fewer rows than columns (I/d of I for P1 and P2, K_M of K for P3), and
 on the directions Q1 leaves out the eigenvalue is 0 and the divisor is 1, so
-``Y = (G + Q1 ((Q1^T G) o (1 / den1 - 1))) V^T`` with ``G = rhs V``.  The
-residual is formed in the same coordinates, through P and without a product
-by the identity: ``||P^T ((P Y) b) + Y c - rhs||``, against the same
-``SYLVESTER_RESIDUAL_RTOL`` bound.
+``Y = (G + Q1 ((Q1^T G) o (1 / den1 - 1))) V^T`` with ``G = rhs V``.  Every
+solve, in a stated or a detected form, is checked by one residual in the
+same coordinates, ``||a Y b + Y c - rhs||`` against
+``SYLVESTER_RESIDUAL_RTOL``, with no product by the identity: ``a Y b`` is
+``P^T ((P Y) b)`` for a stated form and ``(a Y) b``, with the decomposed a
+(h1 or h4), for a detected one.
 
 ``bcd_fuse`` records the coupled objective after every block update from the
 quadratic the update solved (the Gram form, ``_block_score``): for the new
@@ -75,7 +84,6 @@ from .model import (
     _stack,
     btd_reconstruct,
     check_coupled_identifiability,
-    degrade_factors,
 )
 from .tensor_ops import _check_dims, _check_int, _check_matrix, _check_real, _check_tensor3
 from .tensor_ops import frob_norm, kronecker, pw_khatri_rao, unfold, unvec, vec
@@ -218,12 +226,28 @@ class FusionResult:
 
 
 def objective(f: BtdFactors, hsi: np.ndarray, msi: np.ndarray, ops: DegradationOps) -> float:
-    """Coupled data-fit value: squared residual on the HSI plus on the MSI."""
+    """Coupled data-fit value: squared residual on the HSI plus on the MSI.
+
+    ``||Y_H - [[P1 A, P2 B, C]]||^2 + ||Y_M - [[A, B, P3 C]]||^2``, each term
+    taken in its image's mode-3 unfolding by :func:`_fit`, with no degraded
+    factors copied and no dense model tensor formed.
+    """
     hsi, msi = _require_coupled_dims(f, hsi, msi, ops)
-    f_h, f_m = degrade_factors(f, ops)
-    j_h = frob_norm(hsi - btd_reconstruct(f_h)) ** 2
-    j_m = frob_norm(msi - btd_reconstruct(f_m)) ** 2
-    return j_h + j_m
+    return (_fit(unfold(hsi, 3), f.C, _block_maps(ops.P1 @ f.A, ops.P2 @ f.B, f.rank))
+            + _fit(unfold(msi, 3), ops.P3 @ f.C, _block_maps(f.A, f.B, f.rank)))
+
+
+def _fit(y3, c, maps) -> float:
+    """``||c maps^T - Y3^T||^2``, the squared residual of the model ``maps c^T`` of ``Y3``.
+
+    ``Y3`` is an image's mode-3 unfolding, ``maps`` its model's block maps and
+    ``c`` the model's spectral factor.  The (K, I*J) difference is formed in
+    place; for a column-major image ``Y3^T`` is a view in its own memory
+    order, so no array changes layout.
+    """
+    fit = c @ maps.T
+    fit -= y3.T
+    return frob_norm(fit) ** 2
 
 
 def _require_coupled_dims(f, hsi, msi, ops):
@@ -260,10 +284,6 @@ def _require_symmetric(m, name):
     scale = np.abs(m).max() if m.size else 0.0
     if np.abs(m - m.T).max() > 1e-10 * scale:
         raise UsageError(f"{name} must be symmetric")
-
-
-def _check_residual(h1, h2, h3, h4, h5, x):
-    return _require_residual(frob_norm(h1 @ x @ h2 + h3 @ x @ h4 - h5), h5, x)
 
 
 def _require_residual(res: float, h5, x):
@@ -359,9 +379,11 @@ class _SylvesterFactor:
 
     The pencil ``b V = c V diag(w)`` is reduced with ``V^T c V = I``, so that
     each :meth:`solve` is ``Y = Q ((Q^T rhs V) / (1 + lam w^T)) V^T``, checked
-    against the residual bound.  With a stated form Q has min(rows, cols)
-    columns, the solve adds back the directions Q leaves out (``gain = 1/den -
-    1``) and the residual is formed through P (see the module docstring).
+    against the residual bound by ``||a Y b + Y c - rhs||``, which equals
+    ``||h1 X h2 + h3 X h4 - h5||`` (``a Y b`` is formed through P for a
+    stated form, with ``self.a`` for a detected one).  With a stated form Q
+    has min(rows, cols) columns and the solve adds back the directions Q
+    leaves out (``gain = 1/den - 1``; see the module docstring).
     When c is not positive definite the pencil has no such reduction and
     every solve falls back to one small dense system per column of Q; with
     fewer columns than a has rows it sets Y to 0 on the rest, and the
@@ -380,11 +402,11 @@ class _SylvesterFactor:
             _require_symmetric(mat, name)
         if not all(np.isfinite(mat).all() for mat in (h1, h2, h3, h4)):
             raise NumericalError("non-finite entries in the Sylvester system")
-        self.h = (h1, h2, h3, h4)
         self.shape = (m, n)
         if form is None:
             transposed, c = _detect_form(h1, h2, h3, h4)
-            (lam, self.q), self.p = np.linalg.eigh(h4 if transposed else h1), None
+            self.a, self.p = h4 if transposed else h1, None
+            lam, self.q = np.linalg.eigh(self.a)
         else:
             transposed, self.p = form
             _, s, vt = np.linalg.svd(self.p, full_matrices=False)
@@ -429,12 +451,10 @@ class _SylvesterFactor:
         else:
             g = rhs @ self.v
             y = (g + q @ ((q.T @ g) * self.gain)) @ self.v.T
+        # ||h1 X h2 + h3 X h4 - h5|| as ||a y b + y c - rhs||, with a = P^T P if the form is stated
+        ayb = self.a @ y @ self.b if self.p is None else self.p.T @ ((self.p @ y) @ self.b)
         x = y.T if self.transposed else y
-        if self.p is None:
-            return _check_residual(*self.h, h5, x)
-        # ||h1 X h2 + h3 X h4 - h5|| in the reduced coordinates, through P
-        p = self.p
-        return _require_residual(frob_norm(p.T @ ((p @ y) @ self.b) + y @ self.c - rhs), h5, x)
+        return _require_residual(frob_norm(ayb + y @ self.c - rhs), h5, x)
 
 
 def sylvester_solve_dense(h1, h2, h3, h4, h5) -> np.ndarray:
@@ -456,7 +476,8 @@ def sylvester_solve_dense(h1, h2, h3, h4, h5) -> np.ndarray:
         sol = np.linalg.solve(system, vec(h5))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular pencil in dense Sylvester solve: {exc}") from exc
-    return _check_residual(h1, h2, h3, h4, h5, unvec(sol, m, n))
+    x = unvec(sol, m, n)
+    return _require_residual(frob_norm(h1 @ x @ h2 + h3 @ x @ h4 - h5), h5, x)
 
 
 def _resolve_rho(rho, gram: np.ndarray) -> float:
@@ -747,7 +768,8 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
     Solves ``unfold(hsi, 3) = K @ C^T`` where column r of K is
     ``vec((P1 A_r)(P2 B_r)^T)``, i.e. the spatially degraded block map.  The
     system determines C only when K has full column rank, which needs at
-    least as many coarse pixels as blocks.
+    least as many coarse pixels as blocks.  A non-finite solution, as from an
+    HSI that holds NaN or Inf, raises NumericalError.
     """
     hsi = _check_tensor3(hsi, "hsi")
     a, b = _check_matrix(a, "a"), _check_matrix(b, "b")
@@ -767,6 +789,9 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
             f"I_H*J_H >= R (here {k_mat.shape[0]} coarse pixels) and "
             "linearly independent degraded maps"
         )
+    if not np.isfinite(sol).all():
+        raise NumericalError("the least-squares spectral factor is non-finite "
+                             "(the HSI holds NaN or Inf, or the solve overflowed)")
     return sol.T
 
 
@@ -818,8 +843,9 @@ def _line_search(y3, y_sq: float, x: dict, prev: dict, rank: RankSpec, j: float)
     :func:`_line_fit`.  A sum of squares has its lowest real value at a real
     root of its derivative, so the lowest value over the real parts of all
     the roots is taken as mu*.  ``x`` moves to ``x + mu* d`` only when the
-    dense mode-3 residual there, the quantity of the C entry, is below
-    ``j``.  Returns the residual at the point ``x`` holds on return.
+    dense mode-3 residual there (:func:`_fit`, the quantity of every stage-1
+    entry) is below ``j``.  Returns the residual at the point ``x`` holds on
+    return.
     """
     d = {k: x[k] - prev[k] for k in x}
     p = _line_fit(y3, y_sq, x, d, rank)
@@ -828,10 +854,7 @@ def _line_search(y3, y_sq: float, x: dict, prev: dict, rank: RankSpec, j: float)
         return j
     mu = mus[np.argmin(np.vander(mus, len(p), increasing=True) @ p)]
     new = {k: x[k] + mu * d[k] for k in x}
-    # Y3's transpose is a view of the column-major MSI, so no array changes layout
-    fit = new["C"] @ _block_maps(new["A"], new["B"], rank).T
-    fit -= y3.T
-    res = frob_norm(fit) ** 2
+    res = _fit(y3, new["C"], _block_maps(new["A"], new["B"], rank))
     if res < j:
         x.update(new)
         return res
@@ -851,8 +874,9 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     line search along its whole step (:func:`_line_search`, as in De
     Lathauwer & Nion's ALS with line search for rank-(L, L, 1) terms), which
     stage 1 takes when it lowers the MSI residual.  The objective trace holds
-    the stage-1 MSI residual after each block update, taken in the unfolding
-    the update solved, and for C at the point the search left; then the
+    the stage-1 MSI residual after each block update, taken in the MSI's
+    mode-3 unfolding by :func:`_fit` as the line search's check and the
+    coupled objective are, and for C at the point the search left; then the
     final coupled objective of the assembled factors.  A failed stage 2
     raises NumericalError carrying the stage-1 trace.
     """
@@ -869,10 +893,9 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
         a, b, c_m = x.values()
         w = (_block_maps(a, b, rank) if block == "C"
              else pw_khatri_rao(c_m, b if block == "A" else a, rank.L))
-        sol = _min_norm_lstsq(w, y[block])[0]
-        x[block] = sol.T
-        # ||Y_M - X_M||^2 in the unfolding just solved: no block maps rebuilt
-        j = frob_norm(y[block] - w @ sol) ** 2
+        x[block] = _min_norm_lstsq(w, y[block])[0].T
+        # the C update's design is the block maps; the A and B updates rebuild them
+        j = _fit(y["C"], x["C"], w if block == "C" else _block_maps(x["A"], x["B"], rank))
         if block == "C":
             if prev:
                 j = _line_search(y["C"], msi_sq, x, prev, rank, j)
@@ -880,7 +903,6 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
         return j
 
     def finish():
-        # a non-finite spectral factor gives a non-finite coupled objective
         c = recover_spectral_factor(hsi, ops, x["A"], x["B"], rank)
         f = BtdFactors(x["A"], x["B"], c, rank)
         return f, (objective(f, hsi, msi, ops),)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -342,6 +343,25 @@ def test_compute_report_scale_gap_between_ref_and_est(k, layout):
     assert rep.cc == pytest.approx(1.0, abs=1e-12)
     assert rep.r_snr_db == pytest.approx(-20.0 * math.log10(gap), rel=1e-12, abs=1e-12)
     assert rep.ergas == pytest.approx(ergas, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["ref", "est"])
+@pytest.mark.parametrize("metric", [r_snr, sam, cc, lambda ref, est: ergas(ref, est, 2),
+                                    lambda ref, est: compute_report(ref, est, 2)],
+                         ids=["r_snr", "sam", "cc", "ergas", "compute_report"])
+def test_metrics_refuse_a_non_finite_pair(metric, where, value):
+    # a NaN pixel used to fail `> 0` and be skipped, so sam scored the pair
+    # 0.0, the best value, while r_snr, cc and ergas returned NaN; an Inf gave
+    # a RuntimeWarning and meaningless scores
+    rng = np.random.default_rng(0)
+    pair = {"ref": rng.uniform(size=(5, 6, 4)) + 0.5}
+    pair["est"] = pair["ref"] + 0.01 * rng.uniform(size=(5, 6, 4))
+    pair[where][1, 2, 3] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=f"^{where} has non-finite entries \\(NaN or Inf\\)$"):
+            metric(pair["ref"], pair["est"])
 
 
 def test_compute_report_allocates_less_than_one_input():

@@ -99,6 +99,22 @@ def test_objective_matches_reconstruction_route():
     assert objective(f, hsi, msi, ops) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["C", "F"])
+@pytest.mark.parametrize("rank", [RankSpec(2, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1)],
+                         ids=["R2L2", "R3L123", "R1"])
+def test_objective_is_the_dense_fit_of_the_degraded_models(rank, layout):
+    # the objective takes each term in its image's mode-3 unfolding, with no
+    # degraded factors copied and no model tensor formed; it is the dense
+    # formula to the last bits in either memory layout of the pair
+    _, _, ops, hsi, msi = coupled_instance(4, rank=rank, snr=30.0)
+    hsi, msi = layout(hsi), layout(msi)
+    f = init_factors((12, 12, 8), rank, seed=5, strategy="random_uniform", msi=msi)
+    f_h, f_m = degrade_factors(f, ops)
+    dense = (frob_norm(hsi - btd_reconstruct(f_h)) ** 2
+             + frob_norm(msi - btd_reconstruct(f_m)) ** 2)
+    assert abs(objective(f, hsi, msi, ops) - dense) <= 1e-14 * dense
+
+
 # ---------------------------------------------------------------------------
 # sylvester_solve
 
@@ -289,6 +305,32 @@ def test_sylvester_dense_singular_pencil_is_a_numerical_error():
     # I X I + I X (-I) = 0 for every X: the Kronecker system is exactly zero
     with pytest.raises(NumericalError, match="singular pencil in dense Sylvester solve"):
         sylvester_solve_dense(np.eye(2), np.eye(2), np.eye(2), -np.eye(2), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+@pytest.mark.parametrize("column_form", [False, True], ids=["row-form", "column-form"])
+def test_sylvester_solve_matches_dense_on_a_grid(column_form, scale):
+    # a detected form is checked, as a stated one is, by one residual in the
+    # reduced coordinates, ||a y b + y c - rhs||, with the identity's scale in
+    # c.  Every accepted solve matches the dense Kronecker solve, and a
+    # singular system (h1 X h2 + h3 X h4 = 0 for some X != 0) is refused
+    rng = np.random.default_rng(27)
+    for m in range(1, 9):
+        for n in range(1, 9):
+            g_m, g_n = scale * spd(rng, m), scale * spd(rng, n)
+            if column_form:
+                h = (scale * spd(rng, m), scale * np.eye(n), g_m, g_n)
+                singular = (g_m, scale * np.eye(n), g_m, -scale * np.eye(n))
+            else:
+                h = (g_m, g_n, scale * np.eye(m), scale * spd(rng, n))
+                singular = (-scale * np.eye(m), g_n, scale * np.eye(m), g_n)
+            h5 = rng.standard_normal((m, n))
+            x = sylvester_solve(*h, h5)
+            ref = sylvester_solve_dense(*h, h5)
+            assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref), (m, n)
+            for solve in (sylvester_solve, sylvester_solve_dense):
+                with pytest.raises(NumericalError):
+                    solve(*singular, h5)
 
 
 def test_sylvester_dense_general_symmetric():
@@ -1272,6 +1314,17 @@ def test_recover_spectral_factor_rank_deficient():
     hsi = rng.uniform(size=(1, 1, 6))
     with pytest.raises(NumericalError, match=r"rank 1 < R = 3.*full column rank.*I_H\*J_H >= R"):
         recover_spectral_factor(hsi, ops, a, b, rank)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_recover_spectral_factor_refuses_a_non_finite_hsi(value):
+    # the least-squares solve used to return a non-finite spectral factor
+    # with no refusal
+    truth, _, ops, hsi, _ = coupled_instance(63)
+    hsi[1, 2, 3] = value
+    with pytest.raises(NumericalError, match="non-finite"):
+        recover_spectral_factor(hsi, ops, truth.A, truth.B, truth.rank)
 
 
 @pytest.mark.parametrize("shape, rank", [((40, 6), 6), ((40, 6), 3), ((5, 9), 5)],

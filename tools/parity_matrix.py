@@ -30,7 +30,11 @@ returns for blocks A, B and C at rho 0, "auto" and 2.5, from
 ``init_factors(..., seed 5, "random_uniform", msi=msi)`` at ``RankSpec(3, 2)``
 (``L2``) and ``RankSpec(3, (1, 2, 3))`` (``L123``) on the same noisy pair:
 H1..H4, H5_base, Z, rho and the form's flag and P, 162 arrays.  So
-``compare`` sees a change to the assembly that the runs would hide.
+``compare`` sees a change to the assembly that the runs would hide.  Under
+``objective/RANK/LAYOUT`` it saves ``objective()`` at the same two starts
+with the pair in C and F layouts, 4 arrays, so that a change to the
+objective itself shows directly, not only through ``final_objective`` and
+the trace entries scored by the dense objective.
 
 Under ``ops/`` it saves P1, P2 and P3 of ``make_degradation_ops(145, 145,
 220, K_M=4, kernel_size=9, sigma=2.5, d=5)``, the benchmark's geometry, 3
@@ -199,12 +203,15 @@ def dump_metrics(ref: np.ndarray, est: np.ndarray) -> dict:
 
 
 def dump_workspaces(hsi: np.ndarray, msi: np.ndarray, ops) -> dict:
-    """``build_subproblem``'s workspace arrays for each rank, block and rho of the docstring."""
+    """``build_subproblem``'s workspaces and ``objective()`` at the starts of the docstring."""
     import btdfuse as bf
 
     arrays = {}
     for label, rank in (("L2", bf.RankSpec(3, 2)), ("L123", bf.RankSpec(3, (1, 2, 3)))):
         f = bf.init_factors((30, 30, 24), rank, 5, "random_uniform", msi=msi)
+        for layout in ("C", "F"):
+            pair = (LAYOUTS[layout](t) for t in (hsi, msi))
+            arrays[f"objective/{label}/{layout}"] = np.asarray(bf.objective(f, *pair, ops))
         for block in "ABC":
             for rho in (0.0, "auto", 2.5):
                 w = bf.build_subproblem(block, f, hsi, msi, ops, rho)
