@@ -200,11 +200,20 @@ def make_degradation_ops(
 
 
 def apply_degradation(sri: np.ndarray, ops: DegradationOps) -> tuple[np.ndarray, np.ndarray]:
-    """Produce the (hsi, msi) pair from a reference image by the two mode products."""
+    """Produce the (hsi, msi) pair from a reference image by the two mode products.
+
+    A pair with a NaN or Inf entry, from such an entry of the image or from an
+    overflow, raises UsageError.  The check runs on the pair, which is far
+    smaller than the image, and an image entry that no entry of the pair
+    depends on cannot make a wrong estimate.
+    """
     # mode 2 first: on a column-major image it is one GEMM per band, and the
     # mode-1 GEMM then runs on the smaller tensor
     hsi = mode_product(mode_product(sri, ops.P2, 2), ops.P1, 1)
     msi = mode_product(sri, ops.P3, 3)
+    if not (np.isfinite(hsi).all() and np.isfinite(msi).all()):
+        raise UsageError("the degraded images hold non-finite entries (NaN or Inf): the sri "
+                         "holds some, or its degradation overflows")
     return hsi, msi
 
 
@@ -218,19 +227,22 @@ def add_noise(t: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     the input's memory layout, so a column-major tensor stays column-major.
     Any finite tensor gets a finite noise level: where its norm is past the
     float range, sigma is taken from the norm of the tensor scaled by the
-    power of two of its largest entry and scaled back.  An ``snr_db`` whose
-    noise level or noisy entries still leave the float range raises
+    power of two of its largest entry and scaled back.  A tensor with a NaN or
+    Inf entry, whose noise level would not be finite, and an ``snr_db`` whose
+    noise level or noisy entries still leave the float range raise
     UsageError.
     """
     t = np.asarray(t, dtype=np.float64)
-    if spec.snr_db == math.inf:
-        return t.copy(order="K")
     norm, e = frob_norm(t), 0
-    if norm == 0.0:
-        raise UsageError("cannot set an SNR on an all-zero tensor")
     if norm == math.inf:  # past the float range: the norm of t / 2^e, which is exact
         e = math.frexp(float(np.abs(t).max()))[1]
         norm = frob_norm(np.ldexp(t, -e))
+    if not math.isfinite(norm):  # every finite tensor has a finite norm here
+        raise UsageError("cannot add noise to a tensor with non-finite entries (NaN or Inf)")
+    if spec.snr_db == math.inf:
+        return t.copy(order="K")
+    if norm == 0.0:
+        raise UsageError("cannot set an SNR on an all-zero tensor")
     rng = np.random.default_rng(spec.seed)
     # the draw is copied to t's layout first: arithmetic over two layouts is slow
     noisy = np.empty_like(t)

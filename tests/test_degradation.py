@@ -238,6 +238,18 @@ def test_apply_degradation_dim_mismatch():
         apply_degradation(np.zeros((11, 10, 6)), ops)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_apply_degradation_refuses_a_non_finite_pair(value):
+    # a NaN in a 12x12x8 image used to give NaN HSI and MSI entries with no
+    # refusal
+    ops = make_degradation_ops(12, 12, 8, K_M=3, kernel_size=3, sigma=1.0, d=2)
+    sri = np.random.default_rng(0).uniform(size=(12, 12, 8))
+    sri[3, 4, 5] = value
+    sri[3, 4, 6] = value
+    with pytest.raises(UsageError, match=r"non-finite entries \(NaN or Inf\)"):
+        apply_degradation(sri, ops)
+
+
 # ---------------------------------------------------------------------------
 # add_noise / NoiseSpec
 
@@ -338,6 +350,17 @@ def test_add_noise_refuses_an_snr_past_the_float_range(scale, snr_db):
 def test_add_noise_zero_tensor_rejected():
     with pytest.raises(UsageError):
         add_noise(np.zeros((3, 3, 3)), NoiseSpec(20.0, 0))
+
+
+@pytest.mark.parametrize("snr_db", [30.0, np.inf], ids=["30dB", "noiseless"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_add_noise_refuses_non_finite_entries(value, snr_db):
+    # one NaN in a 12x12x8 tensor used to give 1152 of 1152 entries NaN (its
+    # sigma was NaN), and an Inf every entry infinite or NaN, with no refusal
+    t = np.random.default_rng(0).uniform(size=(12, 12, 8))
+    t[1, 2, 3] = value
+    with pytest.raises(UsageError, match=r"non-finite entries \(NaN or Inf\)"):
+        add_noise(t, NoiseSpec(snr_db, 1))
 
 
 # ---------------------------------------------------------------------------
