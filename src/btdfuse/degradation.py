@@ -208,9 +208,11 @@ def apply_degradation(sri: np.ndarray, ops: DegradationOps) -> tuple[np.ndarray,
     depends on cannot make a wrong estimate.
     """
     # mode 2 first: on a column-major image it is one GEMM per band, and the
-    # mode-1 GEMM then runs on the smaller tensor
-    hsi = mode_product(mode_product(sri, ops.P2, 2), ops.P1, 1)
-    msi = mode_product(sri, ops.P3, 3)
+    # mode-1 GEMM then runs on the smaller tensor.  A NaN, Inf or overflow
+    # shows in the pair, refused below, not as numpy's warning first
+    with np.errstate(invalid="ignore", over="ignore"):
+        hsi = mode_product(mode_product(sri, ops.P2, 2), ops.P1, 1)
+        msi = mode_product(sri, ops.P3, 3)
     if not (np.isfinite(hsi).all() and np.isfinite(msi).all()):
         raise UsageError("the degraded images hold non-finite entries (NaN or Inf): the sri "
                          "holds some, or its degradation overflows")

@@ -45,10 +45,9 @@ the block maps and c the spectral factor of its model.  ``objective()`` is
 ``_fit`` of the HSI with (P1 A, P2 B, C) plus ``_fit`` of the MSI with (A, B,
 P3 C); every stage-1 trace entry of ``two_stage`` and the line search's check
 are ``_fit`` of the MSI, or of its core plus the residual the compression
-leaves, with the stage-1 factors.  Levenberg-Marquardt on the core takes its
-residual and its Gauss-Newton system from the core's Khatri-Rao matrix
-(``_core_fit``, ``_core_normal_equations``), which its normal equations
-need.
+leaves, with the stage-1 factors.  Levenberg-Marquardt on the core forms its
+residual from the core's Khatri-Rao matrix instead (``_core_fit``), which
+its Gauss-Newton system (``_core_normal_equations``) reuses.
 
 With a stated form the factor takes the thin SVD ``P = U S Q1^T``, so that
 ``P^T P = Q1 S^2 Q1^T`` with min(rows, cols) columns in Q1.  The operators
@@ -855,8 +854,12 @@ def _line_search(y3, y_sq: float, x: dict, prev: dict, rank: RankSpec, j: float)
     root of its derivative, so the lowest value over the real parts of all
     the roots is taken as mu*.  ``x`` moves to ``x + mu* d`` only when the
     dense mode-3 residual there (:func:`_fit`, the quantity of every stage-1
-    entry) is below ``j``.  Returns the residual at the point ``x`` holds on
-    return.
+    entry) is below ``j`` by more than 1e-12 of it.  Near a minimum the step
+    is at rounding level and so is the polynomial: moving on such a decrease
+    walked the factors along a nearly flat fit, by up to 1.4e-7 of their
+    norm over four sweeps, in a direction the rounding of the start or of
+    the summation order chose.  Returns the residual at the point ``x``
+    holds on return.
     """
     d = {k: x[k] - prev[k] for k in x}
     p = _line_fit(y3, y_sq, x, d, rank)
@@ -866,7 +869,7 @@ def _line_search(y3, y_sq: float, x: dict, prev: dict, rank: RankSpec, j: float)
     mu = mus[np.argmin(np.vander(mus, len(p), increasing=True) @ p)]
     new = {k: x[k] + mu * d[k] for k in x}
     res = _fit(y3, new["C"], _block_maps(new["A"], new["B"], rank))
-    if res < j:
+    if res < j * (1.0 - 1e-12):
         x.update(new)
         return res
     return j
@@ -983,9 +986,10 @@ def _levenberg_marquardt(y3, x: dict, rank: RankSpec) -> list:
     1)^3)``, rho being the decrease over the one the linear model predicted,
     and after a step refused by 2, 4, 8, ...  It stops after a step that
     lowers the residual by at most 1e-12 of it, once the residual is at most
-    1e-28 of ``||Y3||^2`` (an exact fit), once no parameter moves the model,
-    or after ``_LM_MAX_STEPS`` steps taken or refused.  Returns the residuals
-    of the points taken, the start's first.
+    1e-28 of ``||Y3||^2`` (an exact fit), once no parameter moves the model
+    or the damped step no longer moves the point, or after ``_LM_MAX_STEPS``
+    steps taken or refused.  Returns the residuals of the points taken, the
+    start's first.
     """
     spread, shapes = _spread(rank), [m.shape for m in x.values()]
     ends = np.cumsum([m.size for m in x.values()])
@@ -1009,14 +1013,18 @@ def _levenberg_marquardt(y3, x: dict, rank: RankSpec) -> list:
         damped[np.diag_indices_from(damped)] += lam
         try:
             delta = scale * np.linalg.solve(damped, -scale * g)
-            e = _core_fit(y3, *factors(theta + delta), spread)[0]
-            f_new = np.vdot(e, e)
         except np.linalg.LinAlgError:  # too little damping for the gauge's null directions
-            f_new = math.inf
+            lam, nu = lam * nu, 2.0 * nu
+            continue
+        new = theta + delta
+        if np.array_equal(new, theta):  # damped below rounding: no step moves the point
+            break
+        e = _core_fit(y3, *factors(new), spread)[0]
+        f_new = np.vdot(e, e)
         if not f_new < f:
             lam, nu = lam * nu, 2.0 * nu
             continue
-        theta += delta
+        theta = new
         taken.append(f_new)
         if f - f_new <= 1e-12 * f:
             break
@@ -1028,36 +1036,25 @@ def _levenberg_marquardt(y3, x: dict, rank: RankSpec) -> list:
 
 
 def _stage1_data(msi, x: dict, rank: RankSpec):
-    """``(y, y_sq, offset, rank, lift)``: what two_stage's stage 1 fits, with ``x`` started on it.
+    """``(y, y_sq, offset, lift)``: what two_stage's stage 1 fits, with ``x`` started on it.
 
     ``y`` maps "A", "B" and "C" to the fitted tensor's unfoldings 1, 2 and
-    3, ``y_sq`` is its squared norm, ``offset`` plus the tensor's residual is
-    the MSI's, and ``rank`` is the order of the blocks stage 1 runs.  Where
-    sum(L) <= min(I_M, J_M) the tensor is the MSI's core (:func:`_compress`)
-    and ``lift = (U, V, cols)``: x's A and B are projected to ``U^T A`` and
-    ``V^T B`` and Levenberg-Marquardt moves x (:func:`_levenberg_marquardt`)
-    while the core fit has at most ``_LM_MAX_PARAMS`` parameters.  The blocks
-    are put in one order first, by L and then by the norm of the start's
-    reduced spectral column, and ``cols`` lists the given factor columns in
-    it.  So the run does not depend on the order the blocks are given in:
-    the core fit can be nearly flat along some direction, and the rounding of
-    sums taken in another order moved the factors of such a run by 2e-8 to
-    1.4e-7 relative, over 100 times what a last-bit change of the data does.
-    Otherwise the tensor is the MSI itself, with offset 0,
-    the given rank and no lift.
+    3, ``y_sq`` is its squared norm, and ``offset`` plus the tensor's
+    residual is the MSI's.  Where sum(L) <= min(I_M, J_M) the tensor is the
+    MSI's core (:func:`_compress`): x's A and B are projected to ``U^T A`` and
+    ``V^T B``, Levenberg-Marquardt moves x (:func:`_levenberg_marquardt`)
+    while the core fit has at most ``_LM_MAX_PARAMS`` parameters, and
+    ``lift`` is (U, V), which map the core's A and B back to the MSI's.
+    Otherwise it is the MSI itself, with offset 0 and no lift.
     """
     lift, offset = None, 0.0
     if rank.total <= min(msi.shape[:2]):
-        u, v, msi, offset = _compress(msi, rank.total)
-        order = sorted(range(rank.R), key=lambda r: (rank.L[r], float(np.linalg.norm(x["C"][:, r]))))
-        block = _partition(rank)[0]
-        cols = np.concatenate([np.flatnonzero(block == r) for r in order])
-        x.update(A=u.T @ x["A"][:, cols], B=v.T @ x["B"][:, cols], C=x["C"][:, order])
-        rank, lift = RankSpec(rank.R, tuple(rank.L[r] for r in order)), (u, v, cols)
+        *lift, msi, offset = _compress(msi, rank.total)
+        x["A"], x["B"] = lift[0].T @ x["A"], lift[1].T @ x["B"]
     y = {block: unfold(msi, mode) for mode, block in enumerate("ABC", 1)}
     if lift and sum(m.size for m in x.values()) <= _LM_MAX_PARAMS:
         _levenberg_marquardt(y["C"], x, rank)
-    return y, frob_norm(y["C"]) ** 2, offset, rank, lift
+    return y, frob_norm(y["C"]) ** 2, offset, lift
 
 
 def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
@@ -1072,7 +1069,7 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     the same way.  From the second sweep on, each sweep ends with an exact
     line search along its whole step (:func:`_line_search`, as in De
     Lathauwer & Nion's ALS with line search for rank-(L, L, 1) terms), which
-    stage 1 takes when it lowers the MSI residual.
+    stage 1 takes when it lowers the MSI residual by more than 1e-12 of it.
 
     Where sum(L) <= min(I_M, J_M), stage 1 fits the MSI's core instead, the
     MSI compressed to its leading sum(L)-dimensional mode-1 and mode-2
@@ -1100,31 +1097,28 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     e, hsi, msi, f0 = _start(hsi, msi, ops, cfg)
     # stage-1 factors, C holding the reduced spectral factor
     x = {"A": f0.A, "B": f0.B, "C": ops.P3 @ f0.C}
-    data = []  # _stage1_data's (y, y_sq, offset, rank, lift), from the first update
+    data = []  # _stage1_data's (y, y_sq, offset, lift), from the first update
     prev = {}  # the stage-1 factors at the end of the last sweep
 
     def update(block):
         if not data:  # here, so that a failure names block A and sweep 1
             data.extend(_stage1_data(msi, x, rank))
-        y, y_sq, offset, order, _ = data
+        y, y_sq, offset, _ = data
         a, b, c_m = x.values()
-        w = (_block_maps(a, b, order) if block == "C"
-             else pw_khatri_rao(c_m, b if block == "A" else a, order.L))
+        w = (_block_maps(a, b, rank) if block == "C"
+             else pw_khatri_rao(c_m, b if block == "A" else a, rank.L))
         x[block] = _min_norm_lstsq(w, y[block])[0].T
         # the C update's design is the block maps; the A and B updates rebuild them
-        j = _fit(y["C"], x["C"], w if block == "C" else _block_maps(x["A"], x["B"], order))
+        j = _fit(y["C"], x["C"], w if block == "C" else _block_maps(x["A"], x["B"], rank))
         if block == "C":
             if prev:
-                j = _line_search(y["C"], y_sq, x, prev, order, j)
+                j = _line_search(y["C"], y_sq, x, prev, rank, j)
             prev.update(x)
         return offset + j
 
     def finish():
-        a, b = x["A"], x["B"]
-        if data[4] is not None:  # back from the core, and the blocks back to their order
-            u, v, cols = data[4]
-            back = np.argsort(cols)
-            a, b = (u @ a)[:, back], (v @ b)[:, back]
+        lift = data[3]
+        a, b = (x["A"], x["B"]) if lift is None else (lift[0] @ x["A"], lift[1] @ x["B"])
         c = recover_spectral_factor(hsi, ops, a, b, rank)
         f = BtdFactors(a, b, c, rank)
         return f, (objective(f, hsi, msi, ops),)

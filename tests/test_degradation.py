@@ -241,13 +241,15 @@ def test_apply_degradation_dim_mismatch():
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 def test_apply_degradation_refuses_a_non_finite_pair(value):
     # a NaN in a 12x12x8 image used to give NaN HSI and MSI entries with no
-    # refusal
+    # refusal, and an Inf a warning from numpy's matmul as well
     ops = make_degradation_ops(12, 12, 8, K_M=3, kernel_size=3, sigma=1.0, d=2)
     sri = np.random.default_rng(0).uniform(size=(12, 12, 8))
     sri[3, 4, 5] = value
     sri[3, 4, 6] = value
-    with pytest.raises(UsageError, match=r"non-finite entries \(NaN or Inf\)"):
-        apply_degradation(sri, ops)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=r"non-finite entries \(NaN or Inf\)"):
+            apply_degradation(sri, ops)
 
 
 # ---------------------------------------------------------------------------

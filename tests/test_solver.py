@@ -1368,11 +1368,13 @@ def test_two_stage_recovers_from_warm_start():
     res = bcd_fuse(hsi, msi, ops, cfg)
     assert res.method == "two_stage"
     assert r_snr(sri, res.sri_estimate) >= 40.0
-    # the noiseless MSI is fit exactly in the first sweep, and the exact-fit
-    # floor stops the run there (tol is 0); the trace ends with the coupled
-    # objective after the spectral stage, at rounding level of the data
+    # the noiseless MSI is fit exactly in the first sweep: its last entry is
+    # at the exact-fit floor, 1e-28 ||Y_M||^2 (the normalized ||Y_M||^2 is
+    # above 1 here), which stopped the run (tol is 0); the trace ends with
+    # the coupled objective after the spectral stage, at rounding level
     assert res.iters_run == 1 and len(res.objective_trace) == 4
-    assert res.objective_trace[-1] <= 1e-20 * (frob_norm(hsi) ** 2 + frob_norm(msi) ** 2)
+    assert res.objective_trace[2] <= 1e-28 * frob_norm(msi) ** 2
+    assert res.objective_trace[-1] <= 1e-26 * (frob_norm(hsi) ** 2 + frob_norm(msi) ** 2)
 
 
 @pytest.mark.parametrize(
@@ -1419,14 +1421,13 @@ def test_two_stage_updates_match_pinv(rank, rtol):
                        init_factors=start)
     res = bcd_fuse(hsi, msi, ops, cfg)
     x = {"A": start.A, "B": start.B, "C": ops.P3 @ start.C}
-    y, _, _, order, lift = _stage1_data(msi, x, rank)
+    y, _, _, lift = _stage1_data(msi, x, rank)
     assert (lift is None) == (rank.total > 12)
-    u, v, cols = lift or (np.eye(12), np.eye(12), np.arange(rank.total))
-    got_a, got_b = res.factors.A[:, cols], res.factors.B[:, cols]  # in the order of the run
-    a = u @ (np.linalg.pinv(pw_khatri_rao(x["C"], x["B"], order.L)) @ y["A"]).T
-    b = v @ (np.linalg.pinv(pw_khatri_rao(x["C"], u.T @ got_a, order.L)) @ y["B"]).T
-    assert np.linalg.norm(got_a - a) <= rtol * np.linalg.norm(a)
-    assert np.linalg.norm(got_b - b) <= rtol * np.linalg.norm(b)
+    u, v = lift or (np.eye(12), np.eye(12))
+    a = u @ (np.linalg.pinv(pw_khatri_rao(x["C"], x["B"], rank.L)) @ y["A"]).T
+    b = v @ (np.linalg.pinv(pw_khatri_rao(x["C"], u.T @ res.factors.A, rank.L)) @ y["B"]).T
+    assert np.linalg.norm(res.factors.A - a) <= rtol * np.linalg.norm(a)
+    assert np.linalg.norm(res.factors.B - b) <= rtol * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("method", ["cnn_btd", "stereo", "cnn_cpd"])
@@ -1643,10 +1644,12 @@ def test_two_stage_entries_are_the_msi_residual(monkeypatch):
     rank = RankSpec(3, 2)
     seen, fits = [], []
     data, fit = solver._stage1_data, solver._fit
-    monkeypatch.setattr(solver, "_stage1_data", lambda *a: seen.append((a[0], data(*a))) or seen[0][1])
+    monkeypatch.setattr(solver, "_stage1_data",
+                        lambda *a: seen.append((a[0], data(*a))) or seen[0][1])
     monkeypatch.setattr(solver, "_fit", lambda *a: fits.append((*a, fit(*a))) or fits[-1][-1])
-    res = bcd_fuse(hsi, msi, ops, FusionConfig(method="two_stage", rank=rank, outer_iters=6, seed=2))
-    (normalized, (y, _, offset, _, (u, v, _))), = seen
+    cfg = FusionConfig(method="two_stage", rank=rank, outer_iters=6, seed=2)
+    res = bcd_fuse(hsi, msi, ops, cfg)
+    (normalized, (y, _, offset, (u, v))), = seen
     on_core = [(c, maps, j) for y3, c, maps, j in fits if y3 is y["C"]]
     assert len(on_core) > 3 * 6
     lifted = np.kron(v, u)  # vec(U X V^T) = kron(V, U) vec(X)
@@ -1709,14 +1712,29 @@ def test_levenberg_marquardt_residual_never_rises(seed, rank, snr):
     assert abs(np.vdot(e, e) - taken[-1]) <= 1e-12 * taken[-1]
 
 
+def test_levenberg_marquardt_stops_once_its_step_no_longer_moves():
+    # R3L1 at 55.2 dB: after a step that lowered the core residual by 6e-12
+    # of it, no step lowered it again, and the damping, doubled in factor
+    # after each refused step, overflowed ("overflow encountered in scalar
+    # multiply") before the step cap; the loop now stops once the damped
+    # step leaves the point as it is
+    _, _, ops, hsi, msi = coupled_instance(135, snr=55.19873206773254)
+    cfg = FusionConfig(method="two_stage", rank=RankSpec(3, 1), outer_iters=2, seed=136)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = bcd_fuse(hsi, msi, ops, cfg)
+    assert len(res.objective_trace) == 7
+
+
 @settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 200), rank=st.sampled_from((RankSpec(2, 2), RankSpec(3, 2),
-                                                        RankSpec(3, 1), RankSpec(1, 1))))
+@given(seed=st.integers(0, 200), rank=st.sampled_from((RankSpec(2, 2), RankSpec(3, 1),
+                                                        RankSpec(1, 1))))
 def test_two_stage_fits_a_noiseless_msi_in_one_sweep(seed, rank):
     # from a random start, Levenberg-Marquardt fits the noiseless core
     # exactly, so the first sweep ends at the exact-fit floor and stops the
-    # run.  (With uneven L = (1, 2, 3) a random start can end in a local
-    # minimum instead, on 16 of data seeds 0-19, as 20 ALS sweeps do too)
+    # run: on every data seed 0-200 for these ranks.  A random start can end
+    # in a local minimum instead, as ALS sweeps can: with R3L2 on 3 of data
+    # seeds 0-200 (62, 120, 191), with uneven L = (1, 2, 3) on 16 of 0-19
     _, _, ops, hsi, msi = coupled_instance(seed, rank=rank)
     cfg = FusionConfig(method="two_stage", rank=rank, outer_iters=10, seed=seed + 1)
     res = bcd_fuse(hsi, msi, ops, cfg)
