@@ -9,9 +9,10 @@ A, B, C of the block-term model:
 * ``stereo``: each block solves the unconstrained quadratic exactly.
 * ``two_stage``: fits the spatial factors to the MSI alone, by alternating
   least squares with an exact line search along each sweep's step, then
-  recovers the spectral factor from the HSI by linear least squares.  Where
-  sum(L) <= min(I_M, J_M) it fits the MSI compressed to its leading mode-1
-  and mode-2 subspaces, started by Levenberg-Marquardt steps on that core.
+  recovers the spectral factor from the HSI by linear least squares.  It
+  fits the MSI compressed to its leading mode-1 and mode-2 subspaces of at
+  most sum(L) dimensions, started by Levenberg-Marquardt steps on that core
+  where the core fit is small.
 
 Every block subproblem is the same least squares problem, ``P^T P Y b + Y c
 = rhs`` for Y = A, B or C: the operator P (P1, P2 or P3) acts on the unknown
@@ -34,9 +35,9 @@ zero past each block's width, runs one batched product or SVD over the R
 blocks and gathers the result back to factor columns.  ``two_stage`` solves
 its least-squares updates on the explicit designs instead, from their thin
 SVDs, since a Gram squares the design's condition number.  Its line search
-needs only the MSI residual along a line, a degree-6 polynomial whose
-coefficients come from small Grams of the factors and their steps and from
-one contraction of the MSI with them (``_line_fit``); one dense residual per
+needs only the core's residual along a line, a degree-6 polynomial whose
+coefficients are the inner products of the four terms of the model's
+residual by power of the step length (``_line_fit``); one dense residual per
 sweep checks the point it picks.
 
 The solver forms the dense data fit by one rule, ``_fit``: an image's
@@ -44,8 +45,8 @@ squared residual ``||c S^T - Y3^T||^2`` in its mode-3 unfolding Y3, with S
 the block maps and c the spectral factor of its model.  ``objective()`` is
 ``_fit`` of the HSI with (P1 A, P2 B, C) plus ``_fit`` of the MSI with (A, B,
 P3 C); every stage-1 trace entry of ``two_stage`` and the line search's check
-are ``_fit`` of the MSI, or of its core plus the residual the compression
-leaves, with the stage-1 factors.  Levenberg-Marquardt on the core forms its
+are ``_fit`` of the MSI's core with the stage-1 factors, plus the residual
+the compression leaves.  Levenberg-Marquardt on the core forms its
 residual from the core's Khatri-Rao matrix instead (``_core_fit``), which
 its Gauss-Newton system (``_core_normal_equations``) reuses.
 
@@ -248,11 +249,12 @@ def _fit(y3, c, maps) -> float:
     ``Y3`` is an image's mode-3 unfolding, ``maps`` its model's block maps and
     ``c`` the model's spectral factor.  The (K, I*J) difference is formed in
     place; for a column-major image ``Y3^T`` is a view in its own memory
-    order, so no array changes layout.
+    order, so no array changes layout.  A square past the float range is inf.
     """
     fit = c @ maps.T
     fit -= y3.T
-    return frob_norm(fit) ** 2
+    norm = frob_norm(fit)
+    return norm * norm
 
 
 def _require_coupled_dims(f, hsi, msi, ops):
@@ -805,54 +807,34 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
     return sol.T
 
 
-def _by_power(terms: np.ndarray) -> np.ndarray:
-    """Sum the terms of a product of factors on a line ``u + mu du`` by their power of mu.
-
-    ``terms`` has one axis of size 2 per factor, index 0 taking it as u and
-    1 as du, so a term's power of mu is the sum of its indices.
-    """
-    return np.bincount(np.indices(terms.shape).sum(axis=0).ravel(), terms.ravel())
-
-
-def _line_fit(y3, y_sq: float, x: dict, d: dict, rank: RankSpec) -> np.ndarray:
-    """Coefficients p_0..p_6 of the MSI residual ``||Y3 - M(mu)||^2`` along ``x + mu d``.
+def _line_fit(y3, x: dict, d: dict, rank: RankSpec) -> np.ndarray:
+    """Coefficients p_0..p_6 of the core's residual ``||M(mu) - Y3||^2`` along ``x + mu d``.
 
     ``x`` and ``d`` map "A", "B" and "C" (the reduced spectral factor) to
-    stage-1 factors and steps, ``Y3 = unfold(msi, 3)`` and ``y_sq =
-    ||Y3||^2``.  ``M(mu) = S(mu) C(mu)^T`` with S(mu) the block maps of
-    ``(A + mu dA, B + mu dB)``.  Spread C over the factor columns, ``C_x =
-    C[:, block]``, and ``||M||^2`` is ``sum((A^T A) o (B^T B) o (C_x^T C_x))``
-    over sum(L) x sum(L) entries, while ``<Y3, M>`` is
-    ``sum_i <vec(a_i b_i^T), Y3 C_x[:, i]>`` over the factor columns i.  Each
-    Gram is taken of ``[u, du]`` for its factor's line ``u + mu du``, Y3 is
-    contracted with ``[A, dA]`` and ``[B, dB]`` once, and the products are
-    summed by power (:func:`_by_power`).  No (I*J, K_M) or (I*J, R) array is
-    formed.
+    stage-1 factors and steps, and ``Y3`` is the mode-3 unfolding of the
+    MSI's core that stage 1 fits.  ``M(mu) = S(mu) C(mu)^T`` with S(mu) the
+    block maps of ``(A + mu dA, B + mu dB)``.  The block maps are bilinear, so
+    ``M(mu) - Y3 = m_0 + mu m_1 + mu^2 m_2 + mu^3 m_3`` with ``m_0 = S(A, B)
+    C^T - Y3``, and ``p_k = sum_{i+j=k} <m_i, m_j>``: four arrays the size of
+    the core and one 4 x 4 Gram of them.
     """
     (a, b, c), (da, db, dc) = x.values(), d.values()
-    n, k_m = rank.total, len(c)
-    block = _partition(rank)[0]
-    u, v, w = np.hstack((a, da)), np.hstack((b, db)), np.hstack((c[:, block], dc[:, block]))
-    # g[a, x, i, j] = (column i of u or du) . (column j of u or du)
-    ga, gb, gc = ((m.T @ m).reshape(2, n, 2, n).swapaxes(1, 2) for m in (u, v, w))
-    quad = ((ga[:, :, None, None] * gb).reshape(16, -1) @ gc.reshape(4, -1).T).reshape((2,) * 6)
-    # t[k, j, q] = sum_i Y[i, j, k] u[i, q], then z[k, q, s] = sum_j t[k, j, q] v[j, s]
-    t = (y3.T.reshape(-1, len(a)) @ u).reshape(k_m, len(b), 2 * n)
-    z = (t.swapaxes(1, 2) @ v).reshape(k_m, 2, n, 2, n)
-    p = _by_power(quad)
-    p[:4] -= 2.0 * _by_power(np.einsum("kaibi,kci->abc", z, w.reshape(k_m, 2, n)))
-    p[0] += y_sq
-    return p
+    s0, s2 = _block_maps(a, b, rank), _block_maps(da, db, rank)
+    s1 = _block_maps(da, b, rank) + _block_maps(a, db, rank)
+    m = np.stack((s0 @ c.T - y3, s0 @ dc.T + s1 @ c.T, s1 @ dc.T + s2 @ c.T, s2 @ dc.T))
+    m = m.reshape(4, -1)
+    return np.bincount(np.add.outer(np.arange(4), np.arange(4)).ravel(), (m @ m.T).ravel())
 
 
-def _line_search(y3, y_sq: float, x: dict, prev: dict, rank: RankSpec, j: float) -> float:
+def _line_search(y3, x: dict, prev: dict, rank: RankSpec, j: float) -> float:
     """Move the stage-1 factors ``x`` along the sweep's step if that fits the MSI better.
 
     The step is ``d = x - prev``; ``j`` is the mode-3 residual at ``x``.
     The residual along ``x + mu d`` is the degree-6 polynomial of
     :func:`_line_fit`.  A sum of squares has its lowest real value at a real
-    root of its derivative, so the lowest value over the real parts of all
-    the roots is taken as mu*.  ``x`` moves to ``x + mu* d`` only when the
+    root of its derivative, so the lowest finite value over the real parts of
+    all the roots is taken as mu*; a root so far out that the polynomial
+    overflows there is never taken.  ``x`` moves to ``x + mu* d`` only when the
     dense mode-3 residual there (:func:`_fit`, the quantity of every stage-1
     entry) is below ``j`` by more than 1e-12 of it.  Near a minimum the step
     is at rounding level and so is the polynomial: moving on such a decrease
@@ -862,11 +844,14 @@ def _line_search(y3, y_sq: float, x: dict, prev: dict, rank: RankSpec, j: float)
     holds on return.
     """
     d = {k: x[k] - prev[k] for k in x}
-    p = _line_fit(y3, y_sq, x, d, rank)
+    p = _line_fit(y3, x, d, rank)
     mus = np.roots(p[:0:-1] * np.arange(len(p) - 1, 0, -1)).real  # p' from its highest power
-    if not mus.size:  # a zero step
+    with np.errstate(over="ignore", invalid="ignore"):  # a root far out overflows p
+        values = np.vander(mus, len(p), increasing=True) @ p
+    finite = np.isfinite(values)
+    if not finite.any():  # a zero step has no root
         return j
-    mu = mus[np.argmin(np.vander(mus, len(p), increasing=True) @ p)]
+    mu = mus[finite][np.argmin(values[finite])]
     new = {k: x[k] + mu * d[k] for k in x}
     res = _fit(y3, new["C"], _block_maps(new["A"], new["B"], rank))
     if res < j * (1.0 - 1e-12):
@@ -875,42 +860,46 @@ def _line_search(y3, y_sq: float, x: dict, prev: dict, rank: RankSpec, j: float)
     return j
 
 
-# Levenberg-Marquardt starts two_stage's compressed stage 1 only while the
-# core fit has at most this many parameters, 2 sum(L)^2 + K_M R, where it
-# costs no more than the 20 full-MSI sweeps it replaces.  At the benchmark's
-# 145x145 MSI of 4 bands (one BLAS thread) a step takes about 0.25 ms at the
-# 84 parameters of R3L2; at the 220 of R5L2 a fuse with LM took 59-91 ms
-# against 75-81 ms with the sweeps alone, and at the 420 of R7L2 LM alone
-# took about 500 ms against 90 ms for the whole fuse.
+# Levenberg-Marquardt starts two_stage's stage 1 only while the core fit has
+# at most this many parameters, (min(sum(L), I_M) + min(sum(L), J_M)) sum(L)
+# + K_M R (a 6x6x2 MSI at R4L2 has 104), where it cost no more than the 20
+# sweeps of the uncompressed MSI it was measured against.  At the
+# benchmark's 145x145 MSI of 4 bands (one BLAS thread) a step takes about
+# 0.25 ms at the 84 parameters of R3L2; at the 220 of R5L2 a fuse with LM
+# took 59-91 ms against 75-81 ms with the sweeps alone, and at the 420 of
+# R7L2 LM alone took about 500 ms against 90 ms for the whole fuse.
 _LM_MAX_PARAMS = 250
 # steps, taken or refused, after which Levenberg-Marquardt stops
 _LM_MAX_STEPS = 200
 
 
 def _compress(msi, n: int):
-    """``(U, V, G, offset)``: the MSI compressed to n-dimensional mode-1 and mode-2 subspaces.
+    """``(U, V, G, offset)``: the MSI compressed to its leading mode-1 and mode-2 subspaces.
 
-    U and V span the MSI's leading mode-1 and mode-2 subspaces: the top n
-    eigenvectors of the Gram of ``unfold(msi, 1)`` or ``unfold(msi, 2)``, at a
-    fraction of the cost of the unfolding's thin SVD, refined by one step of
-    orthogonal iteration on the unfolding itself.  The Gram squares the
-    unfolding's condition number, and so the error of its eigenvectors: on
-    noiseless data it alone left the offset at 1e-29 to 1.3e-28 of
-    ``||Y||^2``, which the exact-fit floor does not always clear, and the step
-    takes it to rounding level, 1e-31.  ``G = Y x1 U^T x2 V^T`` is the (n, n,
-    K_M) core, and ``offset = ||Y - G x1 U x2 V||^2`` is taken densely, once:
-    ``||Y||^2 - ||G||^2`` would cancel to about 1e-16 ``||Y||^2``, above the
-    exact-fit floor of a noiseless MSI.  For every model ``M = M' x1 U x2 V``
-    Pythagoras gives ``||Y - M||^2 = ||G - M'||^2 + offset``, whatever
-    orthonormal U and V are taken; their choice bears on how well the core
-    can be fit, not on what its residual means.  A non-finite MSI raises
-    NumericalError.
+    U and V span the MSI's leading mode-1 and mode-2 subspaces of min(n, I_M)
+    and min(n, J_M) dimensions: the top eigenvectors of the Gram of
+    ``unfold(msi, 1)`` or ``unfold(msi, 2)``, at a fraction of the cost of the
+    unfolding's thin SVD, refined by one step of orthogonal iteration on the
+    unfolding itself.  The Gram squares the unfolding's condition number, and
+    so the error of its eigenvectors: on noiseless data it alone left the
+    offset at 1e-29 to 1.3e-28 of ``||Y||^2``, which the exact-fit floor does
+    not always clear, and the step takes it to rounding level, 1e-31.  Where
+    n reaches a mode's size, its basis is a full orthonormal one: G is then
+    the MSI rotated in that mode, and the offset is at rounding level.  ``G =
+    Y x1 U^T x2 V^T`` is the core, and ``offset = ||Y - G x1 U x2 V||^2`` is
+    taken densely, once: ``||Y||^2 - ||G||^2`` would cancel to about 1e-16
+    ``||Y||^2``, above the exact-fit floor of a noiseless MSI.  For every
+    model ``M = M' x1 U x2 V`` Pythagoras gives ``||Y - M||^2 = ||G - M'||^2 +
+    offset``, whatever orthonormal U and V are taken; their choice bears on
+    how well the core can be fit, not on what its residual means.  A
+    non-finite MSI raises NumericalError.
     """
     if not np.isfinite(msi).all():
         raise NumericalError("the MSI holds non-finite entries (NaN or Inf)")
 
-    def subspace(y):  # eigh orders the eigenvalues up: the last n columns, largest first
-        return np.linalg.qr(y.T @ (y @ np.linalg.eigh(y.T @ y)[1][:, :-n - 1:-1]))[0]
+    def subspace(y):  # eigh orders the eigenvalues up: the last min(n, dim), largest first
+        top = np.linalg.eigh(y.T @ y)[1][:, :-min(n, y.shape[1]) - 1:-1]
+        return np.linalg.qr(y.T @ (y @ top))[0]
 
     u, v = subspace(unfold(msi, 1)), subspace(unfold(msi, 2))
     core = mode_product(mode_product(msi, u.T, 1), v.T, 2)
@@ -1036,25 +1025,21 @@ def _levenberg_marquardt(y3, x: dict, rank: RankSpec) -> list:
 
 
 def _stage1_data(msi, x: dict, rank: RankSpec):
-    """``(y, y_sq, offset, lift)``: what two_stage's stage 1 fits, with ``x`` started on it.
+    """``(y, offset, lift)``: the MSI's core for two_stage's stage 1, with ``x`` started on it.
 
-    ``y`` maps "A", "B" and "C" to the fitted tensor's unfoldings 1, 2 and
-    3, ``y_sq`` is its squared norm, and ``offset`` plus the tensor's
-    residual is the MSI's.  Where sum(L) <= min(I_M, J_M) the tensor is the
-    MSI's core (:func:`_compress`): x's A and B are projected to ``U^T A`` and
-    ``V^T B``, Levenberg-Marquardt moves x (:func:`_levenberg_marquardt`)
-    while the core fit has at most ``_LM_MAX_PARAMS`` parameters, and
-    ``lift`` is (U, V), which map the core's A and B back to the MSI's.
-    Otherwise it is the MSI itself, with offset 0 and no lift.
+    ``y`` maps "A", "B" and "C" to the unfoldings 1, 2 and 3 of the MSI's
+    core (:func:`_compress`), and ``offset`` plus the core's residual is the
+    MSI's.  x's A and B are projected to ``U^T A`` and ``V^T B``,
+    Levenberg-Marquardt moves x (:func:`_levenberg_marquardt`) while the core
+    fit has at most ``_LM_MAX_PARAMS`` parameters, and ``lift`` is (U, V),
+    which map the core's A and B back to the MSI's.
     """
-    lift, offset = None, 0.0
-    if rank.total <= min(msi.shape[:2]):
-        *lift, msi, offset = _compress(msi, rank.total)
-        x["A"], x["B"] = lift[0].T @ x["A"], lift[1].T @ x["B"]
-    y = {block: unfold(msi, mode) for mode, block in enumerate("ABC", 1)}
-    if lift and sum(m.size for m in x.values()) <= _LM_MAX_PARAMS:
+    *lift, core, offset = _compress(msi, rank.total)
+    x["A"], x["B"] = lift[0].T @ x["A"], lift[1].T @ x["B"]
+    y = {block: unfold(core, mode) for mode, block in enumerate("ABC", 1)}
+    if sum(m.size for m in x.values()) <= _LM_MAX_PARAMS:
         _levenberg_marquardt(y["C"], x, rank)
-    return y, frob_norm(y["C"]) ** 2, offset, lift
+    return y, offset, lift
 
 
 def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
@@ -1071,19 +1056,20 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     Lathauwer & Nion's ALS with line search for rank-(L, L, 1) terms), which
     stage 1 takes when it lowers the MSI residual by more than 1e-12 of it.
 
-    Where sum(L) <= min(I_M, J_M), stage 1 fits the MSI's core instead, the
-    MSI compressed to its leading sum(L)-dimensional mode-1 and mode-2
-    subspaces U and V (compress, decompose, refine: Bro & Andersson,
-    Chemometrics Intell. Lab. Syst. 1998; De Lathauwer & Nion 2008, Part
-    III).  Levenberg-Marquardt on the core, from the projected start, comes
+    Stage 1 fits the MSI's core, the MSI compressed to its leading mode-1 and
+    mode-2 subspaces U and V of min(sum(L), I_M) and min(sum(L), J_M)
+    dimensions (compress, decompose, refine: Bro & Andersson, Chemometrics
+    Intell. Lab. Syst. 1998; De Lathauwer & Nion 2008, Part III).  Where
+    sum(L) reaches a mode's size, its basis is a full orthonormal one, a
+    rotation, under which the minimum-norm updates are those of the MSI
+    itself.  Levenberg-Marquardt on the core, from the projected start, comes
     before the sweeps while the core fit is small enough
     (``_LM_MAX_PARAMS``), and stage 2 takes ``A = U A'`` and ``B = V B'``
     (see :func:`_stage1_data`).  On cli-roundtrip's instances that lowers the
     estimate's nrmse about tenfold, where 20 sweeps alone stay in ALS's
     swamp.  Every stage-1 entry is the core's residual plus the offset
     ``||Y - G x1 U x2 V||^2``, which by Pythagoras is the MSI's residual of
-    the lifted factors, so the trace has the same meaning, length and floor
-    on both paths.
+    the lifted factors.
 
     The objective trace holds the stage-1 MSI residual after each block
     update, taken in the mode-3 unfolding by :func:`_fit` as the line
@@ -1097,13 +1083,13 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     e, hsi, msi, f0 = _start(hsi, msi, ops, cfg)
     # stage-1 factors, C holding the reduced spectral factor
     x = {"A": f0.A, "B": f0.B, "C": ops.P3 @ f0.C}
-    data = []  # _stage1_data's (y, y_sq, offset, lift), from the first update
+    data = []  # _stage1_data's (y, offset, lift), from the first update
     prev = {}  # the stage-1 factors at the end of the last sweep
 
     def update(block):
         if not data:  # here, so that a failure names block A and sweep 1
             data.extend(_stage1_data(msi, x, rank))
-        y, y_sq, offset, _ = data
+        y, offset, _ = data
         a, b, c_m = x.values()
         w = (_block_maps(a, b, rank) if block == "C"
              else pw_khatri_rao(c_m, b if block == "A" else a, rank.L))
@@ -1112,13 +1098,12 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
         j = _fit(y["C"], x["C"], w if block == "C" else _block_maps(x["A"], x["B"], rank))
         if block == "C":
             if prev:
-                j = _line_search(y["C"], y_sq, x, prev, rank, j)
+                j = _line_search(y["C"], x, prev, rank, j)
             prev.update(x)
         return offset + j
 
     def finish():
-        lift = data[3]
-        a, b = (x["A"], x["B"]) if lift is None else (lift[0] @ x["A"], lift[1] @ x["B"])
+        a, b = (m @ x[k] for m, k in zip(data[2], "AB"))  # A = U A', B = V B'
         c = recover_spectral_factor(hsi, ops, a, b, rank)
         f = BtdFactors(a, b, c, rank)
         return f, (objective(f, hsi, msi, ops),)

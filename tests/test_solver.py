@@ -99,6 +99,17 @@ def test_objective_matches_reconstruction_route():
     assert objective(f, hsi, msi, ops) == pytest.approx(expected, rel=1e-12)
 
 
+def test_objective_is_inf_past_the_float_range():
+    # a finite fit whose squared norm leaves the float range is inf; squaring
+    # its norm as a Python float used to raise a bare OverflowError
+    truth, _, ops, hsi, msi = coupled_instance(0)
+    f = truth.copy()
+    f.C *= 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert objective(f, hsi, msi, ops) == np.inf
+
+
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["C", "F"])
 @pytest.mark.parametrize("rank", [RankSpec(2, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1)],
                          ids=["R2L2", "R3L123", "R1"])
@@ -1405,14 +1416,15 @@ def test_two_stage_nan_raises(where, index, match, trace_len, provided):
     ids=["R2L2", "R3L123", "R3L14"],
 )
 def test_two_stage_updates_match_pinv(rank, rtol):
-    # stage 1 runs lstsq on the explicit Khatri-Rao design of what it fits,
-    # as _stage1_data gives it with the start it moves there.  With sum(L) <=
-    # min(I_M, J_M) (R2L2, R3L123) that is the MSI's core, and A = U A',
-    # B = V B'.  With sum(L) = 42 > J*K_M = 36 (R3L14) it is the MSI itself:
-    # the design is rank-deficient and its Gram singular.  A solve on the Gram
-    # is far off, and lstsq on the Gram, which squares the design's condition
-    # number, leaves B 4e-6 off on this instance (the worst of data seeds
-    # 0-39); lstsq on the design is within 4e-12
+    # stage 1 runs lstsq on the explicit Khatri-Rao design of the MSI's core,
+    # as _stage1_data gives it with the start it moves there, and A = U A',
+    # B = V B'.  U and V keep min(sum(L), 12) orthonormal columns: with sum(L)
+    # = 42 (R3L14) they are 12x12, and the core is the MSI rotated.  There
+    # sum(L) = 42 > J*K_M = 36: the design is rank-deficient and its Gram
+    # singular.  A solve on the Gram is far off, and lstsq on the Gram, which
+    # squares the design's condition number, left B 4e-6 off on this instance
+    # (the worst of data seeds 0-39, on the MSI itself); lstsq on the design
+    # of the rotated core is within 1.3e-12 here, 3.5e-12 over seeds 0-39
     from btdfuse.solver import _stage1_data
 
     truth, _, ops, hsi, msi = coupled_instance(32, rank=rank)
@@ -1421,9 +1433,11 @@ def test_two_stage_updates_match_pinv(rank, rtol):
                        init_factors=start)
     res = bcd_fuse(hsi, msi, ops, cfg)
     x = {"A": start.A, "B": start.B, "C": ops.P3 @ start.C}
-    y, _, _, lift = _stage1_data(msi, x, rank)
-    assert (lift is None) == (rank.total > 12)
-    u, v = lift or (np.eye(12), np.eye(12))
+    y, _, (u, v) = _stage1_data(msi, x, rank)
+    n = min(rank.total, 12)
+    assert u.shape == v.shape == (12, n)
+    for m in (u, v):
+        np.testing.assert_allclose(m.T @ m, np.eye(n), rtol=0, atol=1e-14)
     a = u @ (np.linalg.pinv(pw_khatri_rao(x["C"], x["B"], rank.L)) @ y["A"]).T
     b = v @ (np.linalg.pinv(pw_khatri_rao(x["C"], u.T @ res.factors.A, rank.L)) @ y["B"]).T
     assert np.linalg.norm(res.factors.A - a) <= rtol * np.linalg.norm(a)
@@ -1560,7 +1574,7 @@ def test_line_fit_is_the_dense_residual_along_the_line(rank):
 
     x, d, y3 = _stage1_line(5, rank)
     y_sq = frob_norm(y3) ** 2
-    p = _line_fit(y3, y_sq, x, d, rank)
+    p = _line_fit(y3, x, d, rank)
     assert p.shape == (7,)
     for mu in (-1.7, -0.3, 0.0, 0.6, 2.4):
         dense = _mode3_residual(y3, {k: x[k] + mu * d[k] for k in x}, rank)
@@ -1579,14 +1593,36 @@ def test_line_search_finds_the_fit_on_a_line_through_it(rank):
     prev = {k: truth[k] - 3.0 * d[k] for k in truth}
     x = {k: truth[k] - 2.0 * d[k] for k in truth}  # so the step x - prev is d
     j = _mode3_residual(y3, x, rank)
-    got = _line_search(y3, frob_norm(y3) ** 2, x, prev, rank, j)
+    got = _line_search(y3, x, prev, rank, j)
     assert got <= 1e-20 * frob_norm(y3) ** 2
     for k in "ABC":
         np.testing.assert_allclose(x[k], truth[k], atol=1e-8)
     start = {k: truth[k] - 2.0 * d[k] for k in truth}
     kept = dict(start)
-    assert _line_search(y3, frob_norm(y3) ** 2, kept, prev, rank, 0.0) == 0.0
+    assert _line_search(y3, kept, prev, rank, 0.0) == 0.0
     assert all(kept[k] is start[k] for k in "ABC")
+
+
+def test_line_search_skips_a_root_past_the_float_range(monkeypatch):
+    # the polynomial of a stalled two_stage run (a step of 1.4e-51 in C): its
+    # derivative has roots near 5.5e95, where the polynomial overflows, and
+    # inf - inf made NaN, which argmin took as mu*, with numpy's overflow and
+    # invalid-value warnings.  A value that is not finite is never taken: here
+    # the search keeps x and its residual
+    import btdfuse.solver as solver
+
+    rank = RankSpec(3, 2)
+    x, d, y3 = _stage1_line(7, rank)
+    p = np.array([1.53623226e-2, -1.93924021e-5, 1.08976579e-4, -3.36495144e-6,
+                  1.11385104e-7, -1.46082896e-104, 1.10131134e-200])
+    monkeypatch.setattr(solver, "_line_fit", lambda *a: p)
+    prev = {k: x[k] - d[k] for k in x}
+    start = dict(x)
+    j = _mode3_residual(y3, x, rank)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver._line_search(y3, x, prev, rank, j) == j
+    assert all(x[k] is start[k] for k in "ABC")
 
 
 def test_two_stage_first_sweep_is_plain_als(monkeypatch):
@@ -1630,18 +1666,25 @@ def test_two_stage_trace_never_rises(seed, rank, snr, sweeps):
         assert after <= before * (1 + 1e-12) + 1e-12 * y_norm * before ** 0.5, (before, after)
 
 
-def test_two_stage_entries_are_the_msi_residual(monkeypatch):
-    # with sum(L) <= min(I_M, J_M) stage 1 fits the MSI's core G, and each
-    # entry is the core's residual plus the offset ||Y - G x1 U x2 V||^2.  By
-    # Pythagoras that is the MSI's residual of the lifted factors (U A', V B')
-    # for any orthonormal U and V: every residual stage 1 takes of the core,
-    # the entries and the line search's checks, must be it to 1e-12 relative
+@pytest.mark.parametrize("dims, k_m, rank", [((12, 12, 8), 3, RankSpec(3, 2)),
+                                              ((12, 12, 8), 4, RankSpec(3, 14)),
+                                              ((10, 14, 8), 3, RankSpec(2, 6))],
+                         ids=["R3L2", "R3L14", "R2L6-10x14"])
+def test_two_stage_entries_are_the_msi_residual(dims, k_m, rank, monkeypatch):
+    # stage 1 fits the MSI's core G, and each entry is the core's residual
+    # plus the offset ||Y - G x1 U x2 V||^2.  By Pythagoras that is the MSI's
+    # residual of the lifted factors (U A', V B') for any orthonormal U and V,
+    # also where sum(L) > min(I_M, J_M) makes U or V a full basis (R3L14,
+    # and R2L6 in mode 1 of a 10x14 MSI): every residual stage 1 takes of the
+    # core, the entries and the line search's checks, must be it to 1e-12
+    # relative.  R3L14 takes 4 bands: with 3, its A update's design has full
+    # row rank (sum(L) = 42 > J*K_M = 36) and fits the noisy MSI exactly in
+    # sweep 1, where the residuals are rounding
     import math
 
     import btdfuse.solver as solver
 
-    _, _, ops, hsi, msi = coupled_instance(66, snr=30.0)
-    rank = RankSpec(3, 2)
+    _, _, ops, hsi, msi = coupled_instance(66, dims=dims, K_M=k_m, snr=30.0)
     seen, fits = [], []
     data, fit = solver._stage1_data, solver._fit
     monkeypatch.setattr(solver, "_stage1_data",
@@ -1649,7 +1692,7 @@ def test_two_stage_entries_are_the_msi_residual(monkeypatch):
     monkeypatch.setattr(solver, "_fit", lambda *a: fits.append((*a, fit(*a))) or fits[-1][-1])
     cfg = FusionConfig(method="two_stage", rank=rank, outer_iters=6, seed=2)
     res = bcd_fuse(hsi, msi, ops, cfg)
-    (normalized, (y, _, offset, (u, v))), = seen
+    (normalized, (y, offset, (u, v))), = seen
     on_core = [(c, maps, j) for y3, c, maps, j in fits if y3 is y["C"]]
     assert len(on_core) > 3 * 6
     lifted = np.kron(v, u)  # vec(U X V^T) = kron(V, U) vec(X)
@@ -1761,6 +1804,26 @@ def test_two_stage_above_the_lm_bound_runs_the_sweeps_on_the_core(monkeypatch):
     for before, after in zip(stage1, stage1[1:]):
         assert after <= before * (1 + 1e-12) + 1e-12 * y_norm * before ** 0.5, (before, after)
     assert stage1[-1] <= 0.01 * frob_norm(msi) ** 2
+
+
+@pytest.mark.parametrize("snr", [None, 30.0], ids=["noiseless", "30dB"])
+@pytest.mark.parametrize("seed", range(6))
+def test_two_stage_runs_lm_where_sum_l_exceeds_the_msi_side(seed, snr, monkeypatch):
+    # 4 blocks of rank 2 on a 6x6 MSI of 2 bands: sum(L) = 8 > 6 makes U and
+    # V full 6x6 bases, and the core fit has 2 * 6 * 8 + 2 * 4 = 104
+    # parameters, under the bound, so LM starts the sweeps.  With more
+    # parameters than the MSI's 72 entries it fits even the noisy MSI
+    # exactly, and the first sweep ends at the exact-fit floor
+    import btdfuse.solver as solver
+
+    rank = RankSpec(4, 2)
+    _, _, ops, hsi, msi = coupled_instance(seed, dims=(6, 6, 8), rank=rank, K_M=2, snr=snr)
+    calls = []
+    lm = solver._levenberg_marquardt
+    monkeypatch.setattr(solver, "_levenberg_marquardt", lambda *a: calls.append(1) or lm(*a))
+    res = bcd_fuse(hsi, msi, ops, FusionConfig(method="two_stage", rank=rank, outer_iters=10,
+                                                seed=seed + 1))
+    assert calls == [1] and res.iters_run == 1 and len(res.objective_trace) == 4
 
 
 @pytest.mark.parametrize("method", ["cnn_btd", "stereo", "two_stage"])

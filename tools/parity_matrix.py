@@ -7,7 +7,10 @@ svd_warm} x tol {0, 1e-3, 1e-2}, 40 sweeps each, on a noisy 30x30x24 pair
 each of the 24 cases it saves the objective trace, ``iters_run``, the
 estimate and the factors A, B, C: 144 arrays.  Each method also runs once
 with the uneven partition ``RankSpec(3, (1, 2, 3))`` from ``random_uniform``
-with tol 0, saved under ``METHOD/L123/...``: 24 arrays more.
+with tol 0, saved under ``METHOD/L123/...``: 24 arrays more.  ``two_stage``
+also runs once with ``RankSpec(3, 11)`` from ``random_uniform`` with tol 0,
+saved under ``two_stage/L11/...``: 6 arrays more.  Its sum(L) = 33 exceeds
+the MSI's 30x30, so stage 1 fits the MSI rotated in modes 1 and 2.
 
 ``dump`` also runs the command line on a fixed script (``CLI_SCRIPT``):
 ``make-sri``; ``simulate`` with default and with explicit flags; ``fuse`` for
@@ -243,9 +246,11 @@ def dump(src: str, out: str) -> None:
     # (label, rank, init, tol) of each case, run for every method
     cases = [(f"{init}/{tol:g}", rank, init, tol) for init in INITS for tol in TOLS]
     cases.append(("L123/random_uniform/0", bf.RankSpec(3, (1, 2, 3)), "random_uniform", 0.0))
+    # sum(L) = 33 > 30 = I_M = J_M, run by two_stage alone
+    wide = ("L11/random_uniform/0", bf.RankSpec(3, 11), "random_uniform", 0.0)
     arrays = {}
     for method in METHODS:
-        for label, case_rank, init, tol in cases:
+        for label, case_rank, init, tol in cases + [wide] * (method == "two_stage"):
             cfg = bf.FusionConfig(method=method, rank=case_rank, outer_iters=40,
                                   tol=tol, seed=5, init=init)
             res = bf.bcd_fuse(hsi, msi, ops, cfg)
