@@ -153,6 +153,7 @@ class FusionConfig:
         Seed for random initialization.
     init : one of ``random_uniform``, ``svd_warm``, ``provided``.
     init_factors : BtdFactors, required when ``init="provided"`` and refused otherwise.
+        Its entries must be finite.
     """
 
     method: str = "cnn_btd"
@@ -187,6 +188,12 @@ class FusionConfig:
         if (self.init == "provided") != (self.init_factors is not None):
             raise UsageError(f"cfg.init_factors is needed with init='provided' and refused with "
                              f"any other init, got init={self.init!r}")
+        f = self.init_factors
+        if f is not None:
+            if not isinstance(f, BtdFactors):
+                raise UsageError(f"cfg.init_factors must be a BtdFactors, got {type(f).__name__}")
+            if not all(np.isfinite(m).all() for m in (f.A, f.B, f.C)):
+                raise UsageError("cfg.init_factors holds non-finite entries (NaN or Inf)")
         if self.method == "cnn_cpd":
             object.__setattr__(self, "rank", RankSpec(self.rank.R, 1))
 
@@ -617,10 +624,16 @@ def _normalize_pair(hsi, msi):
     the pair as given, while every absolute threshold of the solver sees data
     of unit scale.  The largest entry is used rather than the norm, whose
     square overflows for entries above about 1e154.  A pair that is all zero
-    or not finite keeps ``e = 0``.
+    keeps ``e = 0``.  This is a fusion run's one finite-data rule: an image
+    with a NaN or Inf entry has a non-finite largest entry (``max`` passes a
+    NaN on), and it raises NumericalError naming the image, with an empty
+    trace, before any start is drawn or any block is solved.
     """
-    big = max(float(np.abs(hsi).max()), float(np.abs(msi).max()))
-    e = math.frexp(big)[1] if math.isfinite(big) else 0
+    big = [float(np.abs(t).max()) for t in (hsi, msi)]
+    for name, m in zip(("HSI", "MSI"), big):
+        if not math.isfinite(m):
+            raise NumericalError(f"the {name} holds non-finite entries (NaN or Inf)", trace=[])
+    e = math.frexp(max(big))[1]
     # column-major copies, so that every unfold(., 3) of the pair is a view
     return e, *(np.ldexp(t, -e, out=np.empty(t.shape, order="F")) for t in (hsi, msi))
 
@@ -637,10 +650,7 @@ def _start(hsi, msi, ops: DegradationOps, cfg: FusionConfig):
             raise UsageError(f"provided factors have rank {f.rank}, config wants {cfg.rank}")
         f.C = np.ldexp(f.C, -e)
     else:
-        # init_factors refuses an msi with NaN or Inf; a random start then draws
-        # unscaled, and the first block update names the fault
-        finite = cfg.init != "random_uniform" or np.isfinite(msi).all()
-        f = init_factors(dims, cfg.rank, cfg.seed, cfg.init, msi=msi if finite else None)
+        f = init_factors(dims, cfg.rank, cfg.seed, cfg.init, msi=msi)
     _require_coupled_dims(f, hsi, msi, ops)
     return e, hsi, msi, f
 
@@ -732,7 +742,9 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     Runs the method selected in ``cfg`` (``two_stage`` is delegated to
     :func:`two_stage_recover`).  The objective value is recorded after every
     block update; iteration stops at ``outer_iters`` sweeps or earlier when
-    the relative objective change between sweeps drops below ``tol``.
+    the relative objective change between sweeps drops below ``tol``.  A
+    pair with a NaN or Inf entry raises NumericalError naming the image
+    before any work, with an empty trace (:func:`_normalize_pair`).
     """
     if cfg.method == "two_stage":
         return two_stage_recover(hsi, msi, ops, cfg)
@@ -778,8 +790,8 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
     Solves ``unfold(hsi, 3) = K @ C^T`` where column r of K is
     ``vec((P1 A_r)(P2 B_r)^T)``, i.e. the spatially degraded block map.  The
     system determines C only when K has full column rank, which needs at
-    least as many coarse pixels as blocks.  An HSI that holds NaN or Inf, or
-    a solution that overflows, raises NumericalError.
+    least as many coarse pixels as blocks.  An HSI, ``a`` or ``b`` that holds
+    NaN or Inf, or a solution that overflows, raises NumericalError.
     """
     hsi = _check_tensor3(hsi, "hsi")
     a, b = _check_matrix(a, "a"), _check_matrix(b, "b")
@@ -789,8 +801,9 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
                             ("hsi's spatial size", hsi.shape[:2], (p1[0], p2[0]))):
         if got != want:
             raise UsageError(f"{name} is {got}, the operators and rank need {want}")
-    if not np.isfinite(hsi).all():
-        raise NumericalError("the HSI holds non-finite entries (NaN or Inf)")
+    for name, m in (("the HSI", hsi), ("a", a), ("b", b)):
+        if not np.isfinite(m).all():
+            raise NumericalError(f"{name} holds non-finite entries (NaN or Inf)")
     k_mat = _block_maps(ops.P1 @ a, ops.P2 @ b, rank)
     sol, eff_rank = _min_norm_lstsq(k_mat, unfold(hsi, 3))
     if eff_rank < rank.R:
@@ -891,11 +904,10 @@ def _compress(msi, n: int):
     ``||Y||^2``, above the exact-fit floor of a noiseless MSI.  For every
     model ``M = M' x1 U x2 V`` Pythagoras gives ``||Y - M||^2 = ||G - M'||^2 +
     offset``, whatever orthonormal U and V are taken; their choice bears on
-    how well the core can be fit, not on what its residual means.  A
-    non-finite MSI raises NumericalError.
+    how well the core can be fit, not on what its residual means.  The MSI
+    is finite: a fusion run refuses a non-finite pair before it gets here
+    (:func:`_normalize_pair`).
     """
-    if not np.isfinite(msi).all():
-        raise NumericalError("the MSI holds non-finite entries (NaN or Inf)")
 
     def subspace(y):  # eigh orders the eigenvalues up: the last min(n, dim), largest first
         top = np.linalg.eigh(y.T @ y)[1][:, :-min(n, y.shape[1]) - 1:-1]
@@ -1075,8 +1087,10 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     update, taken in the mode-3 unfolding by :func:`_fit` as the line
     search's check and the coupled objective are, and for C at the point the
     search left; then the final coupled objective of the assembled factors.
-    A failed compression or LM start fails block A's update of sweep 1; a
-    failed stage 2 raises NumericalError carrying the stage-1 trace.
+    A pair with a NaN or Inf entry raises NumericalError naming the image
+    before stage 1, with an empty trace (:func:`_normalize_pair`).  A failed
+    compression or LM start fails block A's update of sweep 1; a failed
+    stage 2 raises NumericalError carrying the stage-1 trace.
     """
     start = time.perf_counter()
     rank = cfg.rank

@@ -809,6 +809,12 @@ def test_fuse_config_validation():
     # a config is checked when it is made, and refused there
     truth, _, ops, hsi, msi = coupled_instance(30)
     rank = RankSpec(2, 2)
+
+    def spoiled(name, value):
+        f = truth.copy()
+        getattr(f, name)[1, 0] = value
+        return f
+
     for bad in (
         {"method": "nope"},
         {"outer_iters": 0},
@@ -832,9 +838,22 @@ def test_fuse_config_validation():
         # factors given with another init used to be ignored without a word
         {"init_factors": truth},
         {"init": "svd_warm", "init_factors": truth},
+        # a start that is not a BtdFactors used to be accepted here and then
+        # to escape bcd_fuse as a bare AttributeError
+        {"init": "provided", "init_factors": {"A": truth.A, "B": truth.B, "C": truth.C}},
+        {"init": "provided", "init_factors": (truth.A, truth.B, truth.C)},
+        {"init": "provided", "init_factors": "truth"},
+        # a NaN A used to pass stereo and two_stage silently, and an Inf C
+        # warned twice before block A failed
+        {"init": "provided", "init_factors": spoiled("A", np.nan)},
+        {"init": "provided", "init_factors": spoiled("C", np.inf)},
     ):
-        with pytest.raises(UsageError):
-            FusionConfig(rank=rank, **bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError) as info:
+                FusionConfig(rank=rank, **bad)
+        if "init_factors" in bad:
+            assert "cfg.init_factors" in str(info.value)
     with pytest.raises(UsageError, match="cfg.rank must be a RankSpec"):
         FusionConfig(rank=(2, 2))
     # provided factors that do not fit the data or the rank are refused by the run
@@ -1340,6 +1359,21 @@ def test_recover_spectral_factor_refuses_a_non_finite_hsi(value):
             recover_spectral_factor(hsi, ops, truth.A, truth.B, truth.rank)
 
 
+@pytest.mark.parametrize("which", ["a", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_recover_spectral_factor_refuses_non_finite_spatial_factors(which, value):
+    # a NaN or Inf in a or b used to escape as a bare LinAlgError ("SVD did
+    # not converge"), an Inf after a warning: it is refused before the solve
+    truth, _, ops, hsi, _ = coupled_instance(63)
+    factors = {"a": truth.A.copy(), "b": truth.B.copy()}
+    factors[which][1, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match=rf"^{which} holds non-finite entries \(NaN or Inf\)$"):
+            recover_spectral_factor(hsi, ops, factors["a"], factors["b"], truth.rank)
+
+
 @pytest.mark.parametrize("shape, rank", [((40, 6), 6), ((40, 6), 3), ((5, 9), 5)],
                          ids=["tall", "rank-deficient", "underdetermined"])
 def test_min_norm_lstsq_matches_lstsq(shape, rank):
@@ -1389,25 +1423,26 @@ def test_two_stage_recovers_from_warm_start():
 
 
 @pytest.mark.parametrize(
-    "where, index, match, trace_len, provided",
-    [("hsi", (1, 2, 3), "non-finite", 3, False),
-     ("msi", (1, 2, 0), "block A update failed", 0, False),
-     ("msi", (1, 2, 0), "block A update failed", 0, True)],
+    "where, index, provided",
+    [("hsi", (1, 2, 3), False), ("msi", (1, 2, 0), False), ("msi", (1, 2, 0), True)],
     ids=["hsi", "msi", "msi-provided"],
 )
-def test_two_stage_nan_raises(where, index, match, trace_len, provided):
-    # stage 1 sees only the MSI, so a NaN in the HSI shows only in stage 2,
-    # after the one sweep that fits the noiseless MSI exactly; a NaN in the
-    # MSI used to escape stage 1's lstsq as LinAlgError, and from the true
-    # factors the solve returns NaN without raising
+def test_two_stage_nan_raises(where, index, provided):
+    # a NaN in the HSI used to show only in stage 2, after the one sweep that
+    # fits the noiseless MSI exactly (a trace of 3 entries), and one in the
+    # MSI failed block A of sweep 1: the pair is refused before stage 1, with
+    # the image named, an empty trace and no warning
     truth, _, ops, hsi, msi = coupled_instance(63)
     data = {"hsi": hsi.copy(), "msi": msi.copy()}
     data[where][index] = np.nan
     start = {"init": "provided", "init_factors": truth} if provided else {}
     cfg = FusionConfig(method="two_stage", rank=truth.rank, outer_iters=5, **start)
-    with pytest.raises(NumericalError, match=match) as info:
-        bcd_fuse(data["hsi"], data["msi"], ops, cfg)
-    assert len(info.value.trace) == trace_len
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as info:
+            bcd_fuse(data["hsi"], data["msi"], ops, cfg)
+    assert str(info.value) == f"the {where.upper()} holds non-finite entries (NaN or Inf)"
+    assert info.value.trace == []
 
 
 @pytest.mark.parametrize(
@@ -1447,23 +1482,44 @@ def test_two_stage_updates_match_pinv(rank, rtol):
 @pytest.mark.parametrize("method", ["cnn_btd", "stereo", "cnn_cpd"])
 @pytest.mark.parametrize("where, index", [("hsi", (1, 2, 3)), ("msi", (1, 2, 0))],
                          ids=["hsi", "msi"])
-def test_block_update_nan_names_block_and_sweep(method, where, index):
-    # the Sylvester solve's NumericalError used to escape the sweep bare,
-    # without its block, sweep or trace; stereo also warned of a jitter retry
-    # (with jitter nan for a NaN in the MSI), which cannot mend a NaN
+def test_coupled_fuse_refuses_a_nan_pair_before_any_update(method, where, index):
+    # a NaN used to fail the Sylvester solve of block A at sweep 1, and stereo
+    # warned of a jitter retry (with jitter nan for a NaN in the MSI) that
+    # cannot mend it: the pair is refused before any update, with the image
+    # named, an empty trace and no warning
     truth, _, ops, hsi, msi = coupled_instance(63)
     data = {"hsi": hsi.copy(), "msi": msi.copy()}
     data[where][index] = np.nan
     cfg = FusionConfig(method=method, rank=truth.rank, outer_iters=5)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NumericalError) as info:
             bcd_fuse(data["hsi"], data["msi"], ops, cfg)
-    message = str(info.value)
-    assert message.startswith("block A update failed at sweep 1"), message
-    assert "non-finite" in message
+    assert str(info.value) == f"the {where.upper()} holds non-finite entries (NaN or Inf)"
     assert info.value.trace == []
-    assert not [w for w in caught if "jitter" in str(w.message)]
+
+
+@pytest.mark.parametrize("method", ["cnn_btd", "cnn_cpd", "stereo", "two_stage"])
+@pytest.mark.parametrize("init", ["random_uniform", "svd_warm"])
+@pytest.mark.parametrize("where", ["hsi", "msi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fuse_refuses_a_non_finite_pair_before_any_work(monkeypatch, method, init, where, value):
+    # one rule for every method and start: the pair is refused before a
+    # start is drawn, the MSI compressed or a Sylvester system factored
+    import btdfuse.solver as solver
+
+    truth, _, ops, hsi, msi = coupled_instance(63)
+    data = {"hsi": hsi.copy(), "msi": msi.copy()}
+    data[where][1, 2, 0] = value
+    cfg = FusionConfig(method=method, rank=truth.rank, outer_iters=5, init=init)
+    for name in ("init_factors", "_compress", "_SylvesterFactor"):
+        monkeypatch.setattr(solver, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as info:
+            bcd_fuse(data["hsi"], data["msi"], ops, cfg)
+    assert str(info.value) == f"the {where.upper()} holds non-finite entries (NaN or Inf)"
+    assert info.value.trace == []
 
 
 def test_stereo_failed_retry_names_block_and_sweep():
