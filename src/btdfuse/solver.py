@@ -7,12 +7,11 @@ A, B, C of the block-term model:
   quadratic program by a fixed number of ADMM iterations (``cnn_cpd`` is the
   same algorithm with every block rank forced to 1).
 * ``stereo``: each block solves the unconstrained quadratic exactly.
-* ``two_stage``: fits the spatial factors to the MSI alone, by alternating
-  least squares with an exact line search along each sweep's step, then
-  recovers the spectral factor from the HSI by linear least squares.  It
-  fits the MSI compressed to its leading mode-1 and mode-2 subspaces of at
-  most sum(L) dimensions, started by Levenberg-Marquardt steps on that core
-  where the core fit is small.
+* ``two_stage``: fits the spatial factors to the MSI alone, then recovers
+  the spectral factor from the HSI by linear least squares.  It fits the MSI
+  compressed to its leading mode-1 and mode-2 subspaces of at most sum(L)
+  dimensions, by Levenberg-Marquardt steps on that core where the core fit
+  is small and then by sweeps of alternating least squares.
 
 Every block subproblem is the same least squares problem, ``P^T P Y b + Y c
 = rhs`` for Y = A, B or C: the operator P (P1, P2 or P3) acts on the unknown
@@ -34,21 +33,17 @@ block: each stacks a factor's column blocks as one (R, rows, max L) array,
 zero past each block's width, runs one batched product or SVD over the R
 blocks and gathers the result back to factor columns.  ``two_stage`` solves
 its least-squares updates on the explicit designs instead, from their thin
-SVDs, since a Gram squares the design's condition number.  Its line search
-needs only the core's residual along a line, a degree-6 polynomial whose
-coefficients are the inner products of the four terms of the model's
-residual by power of the step length (``_line_fit``); one dense residual per
-sweep checks the point it picks.
+SVDs, since a Gram squares the design's condition number.
 
 The solver forms the dense data fit by one rule, ``_fit``: an image's
 squared residual ``||c S^T - Y3^T||^2`` in its mode-3 unfolding Y3, with S
 the block maps and c the spectral factor of its model.  ``objective()`` is
 ``_fit`` of the HSI with (P1 A, P2 B, C) plus ``_fit`` of the MSI with (A, B,
-P3 C); every stage-1 trace entry of ``two_stage`` and the line search's check
-are ``_fit`` of the MSI's core with the stage-1 factors, plus the residual
-the compression leaves.  Levenberg-Marquardt on the core forms its
-residual from the core's Khatri-Rao matrix instead (``_core_fit``), which
-its Gauss-Newton system (``_core_normal_equations``) reuses.
+P3 C); every stage-1 trace entry of ``two_stage`` is ``_fit`` of the MSI's
+core with the stage-1 factors, plus the residual the compression leaves.
+Levenberg-Marquardt on the core forms its residual from the core's
+Khatri-Rao matrix instead (``_core_fit``), which its Gauss-Newton system
+(``_core_normal_equations``) reuses.
 
 With a stated form the factor takes the thin SVD ``P = U S Q1^T``, so that
 ``P^T P = Q1 S^2 Q1^T`` with min(rows, cols) columns in Q1.  The operators
@@ -709,9 +704,9 @@ def _run(cfg: FusionConfig, method: str, start: float, e: int, update, finish,
         for sweep in range(1, cfg.outer_iters + 1):
             for block in "ABC":
                 record(update(block))
-            j, prev = trace[-1], trace[-4] if sweep > 1 else None
-            if j <= floor or (cfg.tol > 0 and prev is not None
-                              and abs(prev - j) / max(abs(prev), 1e-30) < cfg.tol):
+            j, before = trace[-1], trace[-4] if sweep > 1 else None
+            if j <= floor or (cfg.tol > 0 and before is not None
+                              and abs(before - j) / max(abs(before), 1e-30) < cfg.tol):
                 break
         block = None
         f, tail = finish()
@@ -820,67 +815,14 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
     return sol.T
 
 
-def _line_fit(y3, x: dict, d: dict, rank: RankSpec) -> np.ndarray:
-    """Coefficients p_0..p_6 of the core's residual ``||M(mu) - Y3||^2`` along ``x + mu d``.
-
-    ``x`` and ``d`` map "A", "B" and "C" (the reduced spectral factor) to
-    stage-1 factors and steps, and ``Y3`` is the mode-3 unfolding of the
-    MSI's core that stage 1 fits.  ``M(mu) = S(mu) C(mu)^T`` with S(mu) the
-    block maps of ``(A + mu dA, B + mu dB)``.  The block maps are bilinear, so
-    ``M(mu) - Y3 = m_0 + mu m_1 + mu^2 m_2 + mu^3 m_3`` with ``m_0 = S(A, B)
-    C^T - Y3``, and ``p_k = sum_{i+j=k} <m_i, m_j>``: four arrays the size of
-    the core and one 4 x 4 Gram of them.
-    """
-    (a, b, c), (da, db, dc) = x.values(), d.values()
-    s0, s2 = _block_maps(a, b, rank), _block_maps(da, db, rank)
-    s1 = _block_maps(da, b, rank) + _block_maps(a, db, rank)
-    m = np.stack((s0 @ c.T - y3, s0 @ dc.T + s1 @ c.T, s1 @ dc.T + s2 @ c.T, s2 @ dc.T))
-    m = m.reshape(4, -1)
-    return np.bincount(np.add.outer(np.arange(4), np.arange(4)).ravel(), (m @ m.T).ravel())
-
-
-def _line_search(y3, x: dict, prev: dict, rank: RankSpec, j: float) -> float:
-    """Move the stage-1 factors ``x`` along the sweep's step if that fits the MSI better.
-
-    The step is ``d = x - prev``; ``j`` is the mode-3 residual at ``x``.
-    The residual along ``x + mu d`` is the degree-6 polynomial of
-    :func:`_line_fit`.  A sum of squares has its lowest real value at a real
-    root of its derivative, so the lowest finite value over the real parts of
-    all the roots is taken as mu*; a root so far out that the polynomial
-    overflows there is never taken.  ``x`` moves to ``x + mu* d`` only when the
-    dense mode-3 residual there (:func:`_fit`, the quantity of every stage-1
-    entry) is below ``j`` by more than 1e-12 of it.  Near a minimum the step
-    is at rounding level and so is the polynomial: moving on such a decrease
-    walked the factors along a nearly flat fit, by up to 1.4e-7 of their
-    norm over four sweeps, in a direction the rounding of the start or of
-    the summation order chose.  Returns the residual at the point ``x``
-    holds on return.
-    """
-    d = {k: x[k] - prev[k] for k in x}
-    p = _line_fit(y3, x, d, rank)
-    mus = np.roots(p[:0:-1] * np.arange(len(p) - 1, 0, -1)).real  # p' from its highest power
-    with np.errstate(over="ignore", invalid="ignore"):  # a root far out overflows p
-        values = np.vander(mus, len(p), increasing=True) @ p
-    finite = np.isfinite(values)
-    if not finite.any():  # a zero step has no root
-        return j
-    mu = mus[finite][np.argmin(values[finite])]
-    new = {k: x[k] + mu * d[k] for k in x}
-    res = _fit(y3, new["C"], _block_maps(new["A"], new["B"], rank))
-    if res < j * (1.0 - 1e-12):
-        x.update(new)
-        return res
-    return j
-
-
 # Levenberg-Marquardt starts two_stage's stage 1 only while the core fit has
 # at most this many parameters, (min(sum(L), I_M) + min(sum(L), J_M)) sum(L)
-# + K_M R (a 6x6x2 MSI at R4L2 has 104), where it cost no more than the 20
-# sweeps of the uncompressed MSI it was measured against.  At the
-# benchmark's 145x145 MSI of 4 bands (one BLAS thread) a step takes about
-# 0.25 ms at the 84 parameters of R3L2; at the 220 of R5L2 a fuse with LM
-# took 59-91 ms against 75-81 ms with the sweeps alone, and at the 420 of
-# R7L2 LM alone took about 500 ms against 90 ms for the whole fuse.
+# + K_M R (a 6x6x2 MSI at R4L2 has 104), since its damped system is solved
+# densely.  At the benchmark's 145x145 MSI of 4 bands (one BLAS thread) a
+# step takes about 0.25 ms at the 84 parameters of R3L2.  Against 15-31 ms
+# for the 20 sweeps on the core, LM alone took 67-78 ms at the 220 of R5L2,
+# 88-210 ms at the 312 of R6L2 and 232-288 ms at the 420 of R7L2, and it
+# lifted the estimate's R-SNR by 8-16 dB at each.
 _LM_MAX_PARAMS = 250
 # steps, taken or refused, after which Levenberg-Marquardt stops
 _LM_MAX_STEPS = 200
@@ -1063,10 +1005,8 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     update takes the minimum-norm solution from its explicit design's thin
     SVD, not from the normal equations, whose Gram squares the design's
     condition number; stage 2 recovers the full spectral factor from the HSI
-    the same way.  From the second sweep on, each sweep ends with an exact
-    line search along its whole step (:func:`_line_search`, as in De
-    Lathauwer & Nion's ALS with line search for rank-(L, L, 1) terms), which
-    stage 1 takes when it lowers the MSI residual by more than 1e-12 of it.
+    the same way.  Each update minimizes the MSI residual over its block, so
+    no stage-1 entry rises past rounding.
 
     Stage 1 fits the MSI's core, the MSI compressed to its leading mode-1 and
     mode-2 subspaces U and V of min(sum(L), I_M) and min(sum(L), J_M)
@@ -1084,9 +1024,8 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     the lifted factors.
 
     The objective trace holds the stage-1 MSI residual after each block
-    update, taken in the mode-3 unfolding by :func:`_fit` as the line
-    search's check and the coupled objective are, and for C at the point the
-    search left; then the final coupled objective of the assembled factors.
+    update, taken in the mode-3 unfolding by :func:`_fit` as the coupled
+    objective is; then the final coupled objective of the assembled factors.
     A pair with a NaN or Inf entry raises NumericalError naming the image
     before stage 1, with an empty trace (:func:`_normalize_pair`).  A failed
     compression or LM start fails block A's update of sweep 1; a failed
@@ -1098,7 +1037,6 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     # stage-1 factors, C holding the reduced spectral factor
     x = {"A": f0.A, "B": f0.B, "C": ops.P3 @ f0.C}
     data = []  # _stage1_data's (y, offset, lift), from the first update
-    prev = {}  # the stage-1 factors at the end of the last sweep
 
     def update(block):
         if not data:  # here, so that a failure names block A and sweep 1
@@ -1110,10 +1048,6 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
         x[block] = _min_norm_lstsq(w, y[block])[0].T
         # the C update's design is the block maps; the A and B updates rebuild them
         j = _fit(y["C"], x["C"], w if block == "C" else _block_maps(x["A"], x["B"], rank))
-        if block == "C":
-            if prev:
-                j = _line_search(y["C"], x, prev, rank, j)
-            prev.update(x)
         return offset + j
 
     def finish():

@@ -1601,103 +1601,17 @@ def test_two_stage_stops_at_perfect_msi_fit():
     assert len(res.objective_trace) == 4
 
 
-def _stage1_line(seed, rank, dims=(7, 6, 4)):
-    """Random stage-1 factors x, a step d and an MSI unfolding Y3 of the given sizes."""
-    rng = np.random.default_rng(seed)
-    i, j, k_m = dims
-    x = {"A": rng.standard_normal((i, rank.total)), "B": rng.standard_normal((j, rank.total)),
-         "C": rng.standard_normal((k_m, rank.R))}
-    d = {k: rng.standard_normal(v.shape) for k, v in x.items()}
-    return x, d, rng.standard_normal((i * j, k_m))
-
-
-def _mode3_fit(f, rank):
-    from btdfuse.model import _block_maps
-
-    return _block_maps(f["A"], f["B"], rank) @ f["C"].T
-
-
-def _mode3_residual(y3, f, rank):
-    return frob_norm(y3 - _mode3_fit(f, rank)) ** 2
-
-
-@pytest.mark.parametrize("rank", [RankSpec(3, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1)],
-                         ids=["R3L2", "R3L123", "R1"])
-def test_line_fit_is_the_dense_residual_along_the_line(rank):
-    # the degree-6 polynomial built from Grams and one contraction of Y3 is
-    # the dense mode-3 residual at every point of the line x + mu d
-    from btdfuse.solver import _line_fit
-
-    x, d, y3 = _stage1_line(5, rank)
-    y_sq = frob_norm(y3) ** 2
-    p = _line_fit(y3, x, d, rank)
-    assert p.shape == (7,)
-    for mu in (-1.7, -0.3, 0.0, 0.6, 2.4):
-        dense = _mode3_residual(y3, {k: x[k] + mu * d[k] for k in x}, rank)
-        assert abs(np.polynomial.polynomial.polyval(mu, p) - dense) <= 1e-10 * y_sq, mu
-
-
-@pytest.mark.parametrize("rank", [RankSpec(3, 2), RankSpec(3, (1, 2, 3)), RankSpec(1, 1)],
-                         ids=["R3L2", "R3L123", "R1"])
-def test_line_search_finds_the_fit_on_a_line_through_it(rank):
-    # the multilinear model is exact at mu = 1 of a line whose step ends at
-    # the truth: the search goes there, and a residual it cannot beat keeps x
-    from btdfuse.solver import _line_search
-
-    truth, d, _ = _stage1_line(6, rank)
-    y3 = _mode3_fit(truth, rank)
-    prev = {k: truth[k] - 3.0 * d[k] for k in truth}
-    x = {k: truth[k] - 2.0 * d[k] for k in truth}  # so the step x - prev is d
-    j = _mode3_residual(y3, x, rank)
-    got = _line_search(y3, x, prev, rank, j)
-    assert got <= 1e-20 * frob_norm(y3) ** 2
-    for k in "ABC":
-        np.testing.assert_allclose(x[k], truth[k], atol=1e-8)
-    start = {k: truth[k] - 2.0 * d[k] for k in truth}
-    kept = dict(start)
-    assert _line_search(y3, kept, prev, rank, 0.0) == 0.0
-    assert all(kept[k] is start[k] for k in "ABC")
-
-
-def test_line_search_skips_a_root_past_the_float_range(monkeypatch):
-    # the polynomial of a stalled two_stage run (a step of 1.4e-51 in C): its
-    # derivative has roots near 5.5e95, where the polynomial overflows, and
-    # inf - inf made NaN, which argmin took as mu*, with numpy's overflow and
-    # invalid-value warnings.  A value that is not finite is never taken: here
-    # the search keeps x and its residual
-    import btdfuse.solver as solver
-
-    rank = RankSpec(3, 2)
-    x, d, y3 = _stage1_line(7, rank)
-    p = np.array([1.53623226e-2, -1.93924021e-5, 1.08976579e-4, -3.36495144e-6,
-                  1.11385104e-7, -1.46082896e-104, 1.10131134e-200])
-    monkeypatch.setattr(solver, "_line_fit", lambda *a: p)
-    prev = {k: x[k] - d[k] for k in x}
-    start = dict(x)
-    j = _mode3_residual(y3, x, rank)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert solver._line_search(y3, x, prev, rank, j) == j
-    assert all(x[k] is start[k] for k in "ABC")
-
-
-def test_two_stage_first_sweep_is_plain_als(monkeypatch):
-    # the search needs the step of a whole sweep: a one-sweep run never
-    # calls it and keeps the plain ALS sweep bit for bit, which is the first
-    # sweep of every longer run; each later sweep searches once
-    import btdfuse.solver as solver
-
+def test_two_stage_first_sweep_is_plain_als():
+    # every sweep is plain ALS and depends only on the sweeps before it: the
+    # stage-1 entries of a k-sweep run are the first 3k of a 6-sweep run's,
+    # bit for bit, for k = 1..5
     _, _, ops, hsi, msi = coupled_instance(65, snr=30.0)
-    cfg = FusionConfig(method="two_stage", rank=RankSpec(2, 2), outer_iters=1, seed=4)
-    search = solver._line_search
-    monkeypatch.setattr(solver, "_line_search", lambda *a: pytest.fail("searched in sweep 1"))
-    one = bcd_fuse(hsi, msi, ops, cfg)
-    calls = []
-    monkeypatch.setattr(solver, "_line_search", lambda *a: calls.append(1) or search(*a))
-    four = bcd_fuse(hsi, msi, ops, dataclasses.replace(cfg, outer_iters=4))
-    assert len(calls) == 3
-    assert four.objective_trace[:3] == one.objective_trace[:3]
-    assert len(four.objective_trace) == 3 * 4 + 1
+    cfg = FusionConfig(method="two_stage", rank=RankSpec(2, 2), outer_iters=6, seed=4)
+    six = bcd_fuse(hsi, msi, ops, cfg).objective_trace
+    assert len(six) == 3 * 6 + 1
+    for k in range(1, 6):
+        run = bcd_fuse(hsi, msi, ops, dataclasses.replace(cfg, outer_iters=k))
+        assert run.objective_trace[:-1] == six[:3 * k], k
 
 
 @settings(max_examples=25, deadline=None)
@@ -1708,12 +1622,11 @@ def test_two_stage_first_sweep_is_plain_als(monkeypatch):
     sweeps=st.integers(2, 40),
 )
 def test_two_stage_trace_never_rises(seed, rank, snr, sweeps):
-    # each ALS update minimizes the MSI residual over its block and the
-    # search only moves to a lower residual, so stage 1 never goes up by more
-    # than 1e-12 relative, or near an exact fit by more than the rounding of
-    # residuals taken in different unfoldings, about eps ||Y_M|| sqrt(residual)
-    # (at most 2e-14 ||Y_M|| sqrt(residual) over 400-sweep noiseless runs, with
-    # and without the search)
+    # each ALS update minimizes the MSI residual over its block, so stage 1
+    # never goes up by more than 1e-12 relative, or near an exact fit by more
+    # than the rounding of residuals taken in different unfoldings, about eps
+    # ||Y_M|| sqrt(residual) (at most 2e-14 ||Y_M|| sqrt(residual) over
+    # 400-sweep noiseless runs)
     _, _, ops, hsi, msi = coupled_instance(seed, snr=snr)
     cfg = FusionConfig(method="two_stage", rank=rank, outer_iters=sweeps, seed=seed + 1)
     stage1 = bcd_fuse(hsi, msi, ops, cfg).objective_trace[:-1]
@@ -1732,10 +1645,10 @@ def test_two_stage_entries_are_the_msi_residual(dims, k_m, rank, monkeypatch):
     # residual of the lifted factors (U A', V B') for any orthonormal U and V,
     # also where sum(L) > min(I_M, J_M) makes U or V a full basis (R3L14,
     # and R2L6 in mode 1 of a 10x14 MSI): every residual stage 1 takes of the
-    # core, the entries and the line search's checks, must be it to 1e-12
-    # relative.  R3L14 takes 4 bands: with 3, its A update's design has full
-    # row rank (sum(L) = 42 > J*K_M = 36) and fits the noisy MSI exactly in
-    # sweep 1, where the residuals are rounding
+    # core, one per block update, must be it to 1e-12 relative.  R3L14 takes
+    # 4 bands: with 3, its A update's design has full row rank (sum(L) = 42 >
+    # J*K_M = 36) and fits the noisy MSI exactly in sweep 1, where the
+    # residuals are rounding
     import math
 
     import btdfuse.solver as solver
@@ -1750,7 +1663,7 @@ def test_two_stage_entries_are_the_msi_residual(dims, k_m, rank, monkeypatch):
     res = bcd_fuse(hsi, msi, ops, cfg)
     (normalized, (y, offset, (u, v))), = seen
     on_core = [(c, maps, j) for y3, c, maps, j in fits if y3 is y["C"]]
-    assert len(on_core) > 3 * 6
+    assert len(on_core) == 3 * 6
     lifted = np.kron(v, u)  # vec(U X V^T) = kron(V, U) vec(X)
     for c, maps, j in on_core:
         dense = fit(unfold(normalized, 3), c, lifted @ maps)
@@ -1860,6 +1773,21 @@ def test_two_stage_above_the_lm_bound_runs_the_sweeps_on_the_core(monkeypatch):
     for before, after in zip(stage1, stage1[1:]):
         assert after <= before * (1 + 1e-12) + 1e-12 * y_norm * before ** 0.5, (before, after)
     assert stage1[-1] <= 0.01 * frob_norm(msi) ** 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 200), rank=st.sampled_from((RankSpec(3, 2), RankSpec(6, 2))))
+def test_two_stage_stage1_never_rises_with_and_without_lm(seed, rank):
+    # on the 16x16 MSI of 4 bands above, R3L2's core fit (84 parameters)
+    # starts with LM and R6L2's (312) runs the sweeps alone; either way every
+    # update is an exact block minimum of plain ALS, so no stage-1 entry rises
+    # past the tolerance of the test above
+    _, _, ops, hsi, msi = coupled_instance(seed, dims=(16, 16, 12), rank=rank, K_M=4, snr=30.0)
+    res = bcd_fuse(hsi, msi, ops, FusionConfig(method="two_stage", rank=rank, outer_iters=10,
+                                                seed=seed + 1))
+    stage1, y_norm = res.objective_trace[:-1], frob_norm(msi)
+    for before, after in zip(stage1, stage1[1:]):
+        assert after <= before * (1 + 1e-12) + 1e-12 * y_norm * before ** 0.5, (before, after)
 
 
 @pytest.mark.parametrize("snr", [None, 30.0], ids=["noiseless", "30dB"])

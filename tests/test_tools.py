@@ -113,7 +113,10 @@ def test_parity_compare_gates_on_rtol(parity, tmp_path, capsys):
     assert "0 of 1 solver arrays equal" in capsys.readouterr().out
     assert parity.main(["compare", base, near, "--rtol", "1e-12"]) == 0
     assert parity.main(["compare", base, _dump(tmp_path / "short.npz", trace=x)]) == 1
-    assert "0 of 1 command-line outputs equal" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "gone: cli/out\n" in out and "0 of 1 command-line outputs equal" in out
+    assert parity.main(["compare", _dump(tmp_path / "short.npz", trace=x), base]) == 1
+    assert "new: cli/out\n" in capsys.readouterr().out
     nan = _dump(tmp_path / "nan.npz", trace=np.array([1.0, np.nan, 3.0]), **{"cli/out": x})
     for rtol in ("0", "1e300", "inf"):
         assert parity.main(["compare", base, nan, "--rtol", rtol]) == 1

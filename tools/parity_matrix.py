@@ -8,9 +8,12 @@ each of the 24 cases it saves the objective trace, ``iters_run``, the
 estimate and the factors A, B, C: 144 arrays.  Each method also runs once
 with the uneven partition ``RankSpec(3, (1, 2, 3))`` from ``random_uniform``
 with tol 0, saved under ``METHOD/L123/...``: 24 arrays more.  ``two_stage``
-also runs once with ``RankSpec(3, 11)`` from ``random_uniform`` with tol 0,
-saved under ``two_stage/L11/...``: 6 arrays more.  Its sum(L) = 33 exceeds
-the MSI's 30x30, so stage 1 fits the MSI rotated in modes 1 and 2.
+also runs twice more from ``random_uniform`` with tol 0, 12 arrays: with
+``RankSpec(3, 11)`` under ``two_stage/L11/...``, whose sum(L) = 33 exceeds
+the MSI's 30x30, so that stage 1 fits the MSI rotated in modes 1 and 2; and
+with ``RankSpec(6, 2)`` under ``two_stage/R6L2/...``, whose sum(L) = 12 is
+below 30 but whose core fit has 312 parameters, above the Levenberg-Marquardt
+bound, so that stage 1 runs its sweeps alone on a compressed core.
 
 ``dump`` also runs the command line on a fixed script (``CLI_SCRIPT``):
 ``make-sri``; ``simulate`` with default and with explicit flags; ``fuse`` for
@@ -53,7 +56,8 @@ Usage::
 ``dump`` imports ``btdfuse`` from ``SRC_DIR`` (for example the ``src`` of a
 checkout of the parent commit) and runs the command line with it on
 ``PYTHONPATH``.  ``compare`` lists every array that is not equal under
-``np.array_equal`` with its largest relative difference, counts the solver
+``np.array_equal`` with its largest relative difference, and every array
+found on one side only as new or gone, counts the solver
 arrays, the workspace and operator arrays, the command-line outputs and the
 metric report fields apart, and exits 1 when any differs by more than ``X``
 relative (default 0: every array must be equal).  An array missing on one
@@ -246,11 +250,13 @@ def dump(src: str, out: str) -> None:
     # (label, rank, init, tol) of each case, run for every method
     cases = [(f"{init}/{tol:g}", rank, init, tol) for init in INITS for tol in TOLS]
     cases.append(("L123/random_uniform/0", bf.RankSpec(3, (1, 2, 3)), "random_uniform", 0.0))
-    # sum(L) = 33 > 30 = I_M = J_M, run by two_stage alone
-    wide = ("L11/random_uniform/0", bf.RankSpec(3, 11), "random_uniform", 0.0)
+    # run by two_stage alone: sum(L) = 33 > 30 = I_M = J_M, and a compressed
+    # core fit of 312 parameters, above the Levenberg-Marquardt bound
+    only_two_stage = [("L11/random_uniform/0", bf.RankSpec(3, 11), "random_uniform", 0.0),
+                      ("R6L2/random_uniform/0", bf.RankSpec(6, 2), "random_uniform", 0.0)]
     arrays = {}
     for method in METHODS:
-        for label, case_rank, init, tol in cases + [wide] * (method == "two_stage"):
+        for label, case_rank, init, tol in cases + only_two_stage * (method == "two_stage"):
             cfg = bf.FusionConfig(method=method, rank=case_rank, outer_iters=40,
                                   tol=tol, seed=5, init=init)
             res = bf.bcd_fuse(hsi, msi, ops, cfg)
@@ -283,7 +289,10 @@ def compare(base: str, new: str, rtol: float = 0.0) -> int:
         elif not np.array_equal(a[name], b[name]):
             differ.append((name, _rel_diff(a[name], b[name])))
     for name, rel in differ:
-        print(f"differs: {name}  max |diff| / max |base| = {rel:.3e}")
+        if name not in a.files or name not in b.files:
+            print(f"{'new' if name in b.files else 'gone'}: {name}")
+        else:
+            print(f"differs: {name}  max |diff| / max |base| = {rel:.3e}")
     worst = max((rel for _, rel in differ), default=0.0)
     for kind, test in (("solver arrays",
                         lambda n: not n.startswith(("cli/", "metrics/", "workspace/", "ops/"))),
