@@ -14,6 +14,7 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import sys
 import time
 from collections import namedtuple
@@ -28,10 +29,10 @@ from .degradation import (
     make_degradation_ops,
 )
 from .errors import FormatError, NumericalError, UsageError
-from .metrics import compute_report
+from .metrics import compute_report, r_snr
 from .model import RankSpec, btd_reconstruct, check_coupled_identifiability
 from .solver import INIT_STRATEGIES, METHODS, FusionConfig, bcd_fuse, init_factors
-from .tensor_ops import _check_dims, _check_int, _check_real, frob_norm
+from .tensor_ops import _check_dims, _check_int, _check_real
 from .tensorfile import read_tensor, write_tensor
 
 __all__ = ["main", "entry", "build_parser"]
@@ -74,6 +75,8 @@ _DEGRADATION_KEYS = tuple(_SETTINGS)[:7]
 _FUSION_KEYS = tuple(_SETTINGS)[7:]
 # the other top-level keys of a `bench` config
 _BENCH_KEYS = ("trials", "seed_base", "output", "sri_path", "sri_dims", "sri_rank", "methods")
+# the most float64 entries one numpy array can hold: its size in bytes is an intp
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 def _add_settings(p: argparse.ArgumentParser, keys):
@@ -147,16 +150,13 @@ def _emit(manifest: dict):
     print(json.dumps(manifest, indent=2))
 
 
-def _noisy_entry(path, clean, noisy) -> dict:
-    """Manifest entry of a written noisy tensor; its realized SNR is None without noise.
+def _noisy_entry(path, clean, noisy, snr_db) -> dict:
+    """Manifest entry of a written noisy tensor.
 
-    Both norms are taken of the tensors scaled by the power of two of the
-    clean tensor's largest entry, which is exact, so a clean norm past the
-    float range still gives a finite ratio.
+    Its realized SNR is ``r_snr(clean, noisy)``, at most 300 dB as
+    ``evaluate`` reports it, and None without noise (``snr_db`` inf).
     """
-    e = -math.frexp(float(np.abs(clean).max()))[1]
-    err = frob_norm(np.ldexp(clean, e) - np.ldexp(noisy, e))
-    snr = None if err == 0.0 else 20.0 * math.log10(frob_norm(np.ldexp(clean, e)) / err)
+    snr = None if snr_db == math.inf else r_snr(clean, noisy)
     return {"path": path, "dims": list(noisy.shape), "realized_snr_db": snr}
 
 
@@ -164,26 +164,44 @@ def _rank(R, L, shape) -> RankSpec:
     """``RankSpec(R, L)`` for an image of ``shape``; R is checked before L is broadcast to R blocks.
 
     No I x J x K tensor has a rank above min(IJ, IK, JK), so a larger R is
-    refused as too large for the image.
+    refused as too large for the image.  An L whose factors A and B, of
+    sum(L) columns, no numpy array can hold is refused too.
     """
     i, j, k = shape
     most = min(i * j, i * k, j * k)
     if (R := _check_int(R, "R", 1)) > most:
         raise UsageError(f"R is too large for a {i}x{j}x{k} image, whose rank is at most "
                          f"{most}, got {R}")
-    return RankSpec(R, L)
+    rank = RankSpec(R, L)
+    if max(i, j) * rank.total > _MAX_ENTRIES:
+        raise UsageError(f"L is too large: factors of {max(i, j)}x{rank.total} entries exceed "
+                         f"the {_MAX_ENTRIES} a numpy array can hold")
+    return rank
 
 
 def _synthetic_sri(dims, R, L, seed, name):
     """The image of ``init_factors(dims, RankSpec(R, L), seed, "random_uniform")``.
 
-    ``dims`` is checked as the setting ``name`` and R against the image.
+    ``dims`` is checked as the setting ``name``, also against the entries a
+    numpy array can hold, and R and L against the image.
     """
     dims = _check_dims(dims, name)
+    if math.prod(dims) > _MAX_ENTRIES:
+        raise UsageError(f"{name} {'x'.join(map(str, dims))} exceed the {_MAX_ENTRIES} "
+                         "entries a numpy array can hold")
     return btd_reconstruct(init_factors(dims, _rank(R, L, dims), seed, "random_uniform"))
 
 
+def _check_destination(*paths):
+    """Refuse, before any work, an output path whose directory does not exist."""
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"cannot write {path}: no directory {folder}")
+
+
 def cmd_make_sri(args) -> int:
+    _check_destination(args.out)
     sri = _synthetic_sri(args.dims, args.blocks, args.block_rank, args.seed, "dims")
     write_tensor(args.out, sri)
     _emit({
@@ -213,6 +231,7 @@ def _degradation_ops(shape, s, k_m=None):
 
 
 def cmd_simulate(args) -> int:
+    _check_destination(args.out_hsi, args.out_msi)
     sri = read_tensor(args.sri)
     ops = _degradation_ops(sri.shape, args)
     hsi, msi = apply_degradation(sri, ops)
@@ -222,8 +241,8 @@ def cmd_simulate(args) -> int:
     write_tensor(args.out_msi, msi_noisy)
     _emit({
         "command": "simulate",
-        "hsi": _noisy_entry(args.out_hsi, hsi, hsi_noisy),
-        "msi": _noisy_entry(args.out_msi, msi, msi_noisy),
+        "hsi": _noisy_entry(args.out_hsi, hsi, hsi_noisy, args.snr_db),
+        "msi": _noisy_entry(args.out_msi, msi, msi_noisy, args.snr_db),
         "parameters": {
             **{key: ops.params[key] for key in ("kernel_size", "sigma", "ratio", "offset")},
             "bands": ops.P3.shape[0],
@@ -264,6 +283,7 @@ def cmd_fuse(args) -> int:
     entry = {key: getattr(args, key) for key in ("method", *_FUSION_KEYS)} | {"R": args.blocks}
     # every setting is checked before the images are read, and R against their size after
     _fusion_config(dict(entry, R=min(args.blocks, 1)), args.seed, (1, 1, 1))
+    _check_destination(args.out)
     hsi = read_tensor(args.hsi)
     msi = read_tensor(args.msi)
     i_m, j_m, k_m = msi.shape
@@ -327,8 +347,9 @@ def _bench_config(raw) -> argparse.Namespace:
                              **_settings(_DEGRADATION_KEYS, raw))
     cfg.trials = _check_int(raw.get("trials", 1), "trials", 1)
     cfg.seed_base = _check_int(raw.get("seed_base", 0), "seed_base", 0)
-    if not cfg.output:
+    if not isinstance(cfg.output, str) or not cfg.output:
         raise UsageError("bench config needs an 'output' table path")
+    _check_destination(cfg.output)
     methods = raw.get("methods")
     if not methods or not isinstance(methods, list):
         raise UsageError("bench config needs a nonempty 'methods' list")
@@ -421,10 +442,11 @@ def entry(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (UsageError, NumericalError, OSError) as exc:
-        # OSError covers missing/unreadable files and FormatError
+    except (UsageError, NumericalError, OSError, MemoryError) as exc:
+        # OSError covers missing/unreadable files and FormatError; a MemoryError
+        # is an array larger than the machine holds, which a smaller setting avoids
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, NumericalError) else 2
+        return 2 if isinstance(exc, OSError) else 3 if isinstance(exc, NumericalError) else 1
 
 
 def main():

@@ -32,8 +32,8 @@ Khatri-Rao matrices.  It, the block maps and ``svd_warm`` loop over no
 block: each stacks a factor's column blocks as one (R, rows, max L) array,
 zero past each block's width, runs one batched product or SVD over the R
 blocks and gathers the result back to factor columns.  ``two_stage`` solves
-its least-squares updates on the explicit designs instead, from their thin
-SVDs, since a Gram squares the design's condition number.
+its least-squares updates on the explicit designs instead, by numpy's
+SVD-based ``lstsq``, since a Gram squares the design's condition number.
 
 The solver forms the dense data fit by one rule, ``_fit``: an image's
 squared residual ``||c S^T - Y3^T||^2`` in its mode-3 unfolding Y3, with S
@@ -87,7 +87,7 @@ from .model import (
     check_coupled_identifiability,
 )
 from .tensor_ops import _check_dims, _check_int, _check_matrix, _check_real, _check_tensor3
-from .tensor_ops import frob_norm, kronecker, mode_product, pw_khatri_rao, unfold, unvec, vec
+from .tensor_ops import frob_norm, khatri_rao, kronecker, mode_product, pw_khatri_rao, unfold, unvec, vec
 
 __all__ = [
     "FusionConfig",
@@ -766,27 +766,16 @@ def bcd_fuse(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> FusionResult:
     return _run(cfg, cfg.method, start, e, update, lambda: (f, ()), broken=broken)
 
 
-def _min_norm_lstsq(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-    """``lstsq(w, y, rcond=None)``'s minimum-norm solution and the rank of ``w``.
-
-    From the thin SVD ``w = U S V^T``: ``V_r (U_r^T y / s_r)`` over the
-    singular values above ``eps * max(rows, cols) * s_max``, the ones
-    ``lstsq`` keeps.  Never forms ``w^T w``, and with many right-hand sides
-    it is several times faster than ``lstsq``.
-    """
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    r = int(np.count_nonzero(s > np.finfo(np.float64).eps * max(w.shape) * s[:1]))
-    return vt[:r].T @ ((u[:, :r].T @ y) / s[:r, None]), r
-
-
 def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> np.ndarray:
     """Least-squares spectral factor given fixed spatial factors.
 
     Solves ``unfold(hsi, 3) = K @ C^T`` where column r of K is
     ``vec((P1 A_r)(P2 B_r)^T)``, i.e. the spatially degraded block map.  The
     system determines C only when K has full column rank, which needs at
-    least as many coarse pixels as blocks.  An HSI, ``a`` or ``b`` that holds
-    NaN or Inf, or a solution that overflows, raises NumericalError.
+    least as many coarse pixels as blocks: C is ``lstsq(K, unfold(hsi, 3),
+    rcond=None)``'s minimum-norm solution, and a rank of K below R, as lstsq
+    reports it, raises NumericalError.  So do an HSI, ``a`` or ``b`` that
+    holds NaN or Inf, and a solution that overflows.
     """
     hsi = _check_tensor3(hsi, "hsi")
     a, b = _check_matrix(a, "a"), _check_matrix(b, "b")
@@ -800,7 +789,7 @@ def recover_spectral_factor(hsi, ops: DegradationOps, a, b, rank: RankSpec) -> n
         if not np.isfinite(m).all():
             raise NumericalError(f"{name} holds non-finite entries (NaN or Inf)")
     k_mat = _block_maps(ops.P1 @ a, ops.P2 @ b, rank)
-    sol, eff_rank = _min_norm_lstsq(k_mat, unfold(hsi, 3))
+    sol, _, eff_rank, _ = np.linalg.lstsq(k_mat, unfold(hsi, 3), rcond=None)
     if eff_rank < rank.R:
         raise NumericalError(
             "the spatially degraded block-map matrix is rank-deficient "
@@ -874,7 +863,7 @@ def _core_fit(y3, a, b, c, spread):
     ``vec(a_l b_l^T)``, so that ``kr spread`` is the block maps.
     """
     c_x = c @ spread.T
-    kr = (b[:, None, :] * a[None, :, :]).reshape(-1, a.shape[1])
+    kr = khatri_rao(b, a)
     return kr @ c_x.T - y3, kr, c_x
 
 
@@ -1002,11 +991,12 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
     Stage 1 runs unconstrained alternating least squares on the MSI-only
     objective ``||Y_M - sum_r A_r B_r^T o (P3 C)_r||_F^2`` with the reduced
     spectral factor as an auxiliary variable (discarded afterwards); each
-    update takes the minimum-norm solution from its explicit design's thin
-    SVD, not from the normal equations, whose Gram squares the design's
-    condition number; stage 2 recovers the full spectral factor from the HSI
-    the same way.  Each update minimizes the MSI residual over its block, so
-    no stage-1 entry rises past rounding.
+    update takes ``np.linalg.lstsq``'s minimum-norm solution on its explicit
+    design, which comes from the design's SVD, not from the normal
+    equations, whose Gram squares the design's condition number; stage 2
+    recovers the full spectral factor from the HSI the same way.  Each
+    update minimizes the MSI residual over its block, so no stage-1 entry
+    rises past rounding.
 
     Stage 1 fits the MSI's core, the MSI compressed to its leading mode-1 and
     mode-2 subspaces U and V of min(sum(L), I_M) and min(sum(L), J_M)
@@ -1045,7 +1035,7 @@ def two_stage_recover(hsi, msi, ops: DegradationOps, cfg: FusionConfig) -> Fusio
         a, b, c_m = x.values()
         w = (_block_maps(a, b, rank) if block == "C"
              else pw_khatri_rao(c_m, b if block == "A" else a, rank.L))
-        x[block] = _min_norm_lstsq(w, y[block])[0].T
+        x[block] = np.linalg.lstsq(w, y[block], rcond=None)[0].T
         # the C update's design is the block maps; the A and B updates rebuild them
         j = _fit(y["C"], x["C"], w if block == "C" else _block_maps(x["A"], x["B"], rank))
         return offset + j

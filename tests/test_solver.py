@@ -1374,20 +1374,6 @@ def test_recover_spectral_factor_refuses_non_finite_spatial_factors(which, value
             recover_spectral_factor(hsi, ops, factors["a"], factors["b"], truth.rank)
 
 
-@pytest.mark.parametrize("shape, rank", [((40, 6), 6), ((40, 6), 3), ((5, 9), 5)],
-                         ids=["tall", "rank-deficient", "underdetermined"])
-def test_min_norm_lstsq_matches_lstsq(shape, rank):
-    from btdfuse.solver import _min_norm_lstsq
-
-    rng = np.random.default_rng(65)
-    w = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
-    y = rng.standard_normal((shape[0], 7))
-    got, got_rank = _min_norm_lstsq(w, y)
-    want, _, want_rank, _ = np.linalg.lstsq(w, y, rcond=None)
-    assert got_rank == want_rank == rank
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
 def test_two_stage_recovers_from_warm_start():
     rank = RankSpec(3, 2)
     rng = np.random.default_rng(7)

@@ -23,6 +23,7 @@ from btdfuse import (
     btd_reconstruct,
     init_factors,
     make_degradation_ops,
+    r_snr,
     read_tensor,
     write_tensor,
 )
@@ -373,6 +374,30 @@ def test_simulate_reports_the_realized_snr_of_overflowing_noise(tmp_path, capsys
                                   snr="-3230")
     for name in ("hsi", "msi"):
         assert abs(manifest[name]["realized_snr_db"] + 3230.0) < 0.5
+
+
+@pytest.mark.parametrize("scale", [0, 600])
+def test_simulate_realized_snr_is_r_snr(tmp_path, capsys, scale):
+    # the realized SNR was simulate's own ratio of two norms, which can differ
+    # from r_snr, the R-SNR that evaluate reports, in the last digit; at
+    # 2^600 the pair's squared norms are past the float range
+    sri = tmp_path / "sri.btf"
+    assert run_cli(capsys, "make-sri", "--out", str(sri), "--dims", "20", "20", "8",
+                   "--seed", "3")[0] == 0
+    write_tensor(sri, np.ldexp(read_tensor(sri), scale))
+    ops = make_degradation_ops(20, 20, 8, K_M=4, kernel_size=3, sigma=1.5, d=3)
+    clean = dict(zip(("hsi", "msi"), apply_degradation(read_tensor(sri), ops)))
+    paths = {key: tmp_path / f"{key}.btf" for key in clean}
+    for snr in ("30", "inf"):
+        code, out, _ = run_cli(capsys, "simulate", "--sri", str(sri),
+                               "--out-hsi", str(paths["hsi"]), "--out-msi", str(paths["msi"]),
+                               "--kernel", "3", "--sigma", "1.5", "--ratio", "3",
+                               "--bands", "4", "--snr-db", snr)
+        assert code == 0
+        manifest = json.loads(out, parse_constant=_refuse_constant)
+        for key, path in paths.items():
+            want = None if snr == "inf" else r_snr(clean[key], read_tensor(path))
+            assert manifest[key]["realized_snr_db"] == want
 
 
 # ---------------------------------------------------------------------------
@@ -1058,6 +1083,53 @@ def test_bench_refuses_an_snr_past_the_float_range(tmp_path, capsys, snr_db):
     assert not (tmp_path / "table.csv").exists()
 
 
+def test_bench_refuses_an_image_past_the_index_range(tmp_path, capsys):
+    # this image of 2*10^24 entries used to end in numpy's MemoryError
+    path, _ = bench_config(tmp_path, sri_dims=[10**12, 10**12, 2], sri_rank={"R": 1, "L": 1})
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: sri_dims 1000000000000x1000000000000x2 exceed the "), err
+    assert not (tmp_path / "table.csv").exists()
+
+
+def _no_fusion(*args, **kwargs):
+    raise AssertionError("a fusion ran before the output path was checked")
+
+
+@pytest.mark.parametrize("command", ["make-sri", "simulate-hsi", "simulate-msi", "fuse",
+                                     "bench"])
+def test_commands_refuse_an_output_in_a_missing_folder_first(tmp_path, capsys, monkeypatch,
+                                                              command):
+    # fuse used to run the whole fusion and then name a temporary file, bench
+    # ran every trial first, and simulate wrote the HSI before the MSI failed
+    sri, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(12, 12, 8))
+    monkeypatch.setattr(btdfuse.cli, "bcd_fuse", _no_fusion)
+    dest = str(tmp_path / "missing" / "out.btf")
+    ok = {key: str(tmp_path / f"new_{key}.btf") for key in ("hsi", "msi")}
+    simulate = ["simulate", "--sri", str(sri), "--kernel", "3", "--sigma", "1.5",
+                "--ratio", "3", "--bands", "4", "--snr-db", "30"]
+    argv = {
+        "make-sri": ["make-sri", "--out", dest, "--dims", "6", "5", "4"],
+        "simulate-hsi": [*simulate, "--out-hsi", dest, "--out-msi", ok["msi"]],
+        "simulate-msi": [*simulate, "--out-hsi", ok["hsi"], "--out-msi", dest],
+        "fuse": ["fuse", "--hsi", str(hsi), "--msi", str(msi), "--out", dest, "-R", "2",
+                 "--kernel", "3", "--sigma", "1.5", "--ratio", "3"],
+        "bench": ["bench", "--config", str(bench_config(tmp_path, output=dest)[0])],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {dest}: no directory {os.path.dirname(dest)}\n"
+    assert not any(os.path.exists(p) for p in ok.values())
+
+
+def test_bench_refuses_an_output_that_is_not_a_path(tmp_path, capsys):
+    # a number used to reach the table writer only after every trial
+    path, _ = bench_config(tmp_path, output=5)
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: bench config needs an 'output' table path\n"
+
+
 def test_bench_all_failures_exit_3(tmp_path, capsys):
     # every trial hits the stage-2 rank deficiency, so nothing completes
     path, _ = bench_config(
@@ -1110,6 +1182,23 @@ PROCESS_CASES = [
     pytest.param(["fuse", "--hsi", "{hsi}", "--msi", "{msi}", "--out", "{tmp}/est.btf",
                   "--method", "two_stage", "-R", "5", "-L", "1", "--kernel", "3",
                   "--sigma", "1.5", "--ratio", "3"], 3, id="numerical-3"),
+    # sizes no machine holds used to end in a traceback: numpy's MemoryError
+    # (a 6x(2*10^15) factor, the first factor of a 10^12 x 10^12 x 2 image) or
+    # its ValueError past its index range (sum(L) = 2*10^20, a 6x(2*10^18)
+    # factor, an image of 4*10^21 entries)
+    pytest.param(["fuse", "--hsi", "{hsi}", "--msi", "{msi}", "--out", "{tmp}/est.btf",
+                  "-R", "2", "-L", "1000000000000000", "--kernel", "3", "--sigma", "1.5",
+                  "--ratio", "3"], 1, id="memory-1"),
+    pytest.param(["fuse", "--hsi", "{hsi}", "--msi", "{msi}", "--out", "{tmp}/est.btf",
+                  "-R", "2", "-L", "100000000000000000000", "--kernel", "3", "--sigma", "1.5",
+                  "--ratio", "3"], 1, id="sum-l-past-index-1"),
+    pytest.param(["fuse", "--hsi", "{hsi}", "--msi", "{msi}", "--out", "{tmp}/est.btf",
+                  "-R", "2", "-L", "1000000000000000000", "--kernel", "3", "--sigma", "1.5",
+                  "--ratio", "3"], 1, id="factor-past-index-1"),
+    pytest.param(["make-sri", "--out", "{tmp}/s.btf", "--dims", "1000000000000000000000", "2",
+                  "2", "-R", "1", "-L", "1"], 1, id="dims-past-index-1"),
+    pytest.param(["make-sri", "--out", "{tmp}/s.btf", "--dims", "1000000000000",
+                  "1000000000000", "2", "-R", "1", "-L", "1"], 1, id="sides-past-index-1"),
 ]
 
 
