@@ -350,6 +350,8 @@ def _bench_config(raw) -> argparse.Namespace:
     if not isinstance(cfg.output, str) or not cfg.output:
         raise UsageError("bench config needs an 'output' table path")
     _check_destination(cfg.output)
+    if cfg.sri_path is not None and not isinstance(cfg.sri_path, str):
+        raise UsageError("bench config's 'sri_path' must be a path string")
     methods = raw.get("methods")
     if not methods or not isinstance(methods, list):
         raise UsageError("bench config needs a nonempty 'methods' list")

@@ -4,9 +4,10 @@ All four image metrics compare an estimate against a reference of the same
 shape: reconstruction SNR (dB, higher better), band-averaged Pearson cross
 correlation (1 best), mean spectral angle (radians, 0 best), and the
 dimensionless relative global error ERGAS (0 best).  All four are read from
-one pass over the pair, which makes no full-size temporary for a column-major
-(band-major) pair, the layout of the tensor file and of ``btd_reconstruct``,
-nor for a row-major one.  A pair holding a NaN or an Inf is refused.
+one walk over the pair, one band at a time, which makes no full-size
+temporary for a column-major (band-major) pair, the layout of the tensor file
+and of ``btd_reconstruct``, nor for a row-major one.  A pair holding a NaN or
+an Inf is refused.
 ``match_blocks`` resolves the permutation/scaling ambiguity between two
 factor sets before comparing them.
 """
@@ -66,9 +67,6 @@ class MatchResult:
     matched_error: float
 
 
-# Bytes per operand in one chunk: a chunk of each input and the two
-# temporaries of its size take 2 MB, which stays in one core's L2 cache.
-_CHUNK_BYTES = 1 << 19
 # The range each tensor's largest squared pixel norm must lie in for the sweep
 # to run on the pair as given.  The margin past the normal range keeps the sums
 # over pixels from overflowing and the error energy of a close estimate from
@@ -102,25 +100,25 @@ class _Sums:
 
 
 def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
-    """Every pixel's norm, then one walk over ``ref``/``est`` in chunks of whole bands.
+    """Every pixel's norm, then one walk over ``ref``/``est`` one band at a time.
 
     The pair is read as (pixels, bands) views in ``ref``'s own order: in
     place for a column-major pair (the layout of the tensor file,
     ``btd_reconstruct`` and ``mode_product``), each band one contiguous
     vector, and for a row-major pair, each band one strided vector.  A pair
     in any other layout, or whose ``est`` is not in ``ref``'s order, is first
-    copied to that order (column-major unless ``ref`` is row-major).  Each
-    chunk adds to its pixels' squared chords between the unit fibers of
-    ``ref`` and ``est``, and gives its bands' error energy, means and
-    mean-centred sums in one pass, since no band spans two chunks.  The data
-    are first shifted by the first pixel's spectrum, so that a constant band
-    gives exactly zero.
+    copied to that order (column-major unless ``ref`` is row-major).  Two
+    one-band buffers take in turn each band's scaled error, the difference of
+    the unit fibers of ``ref`` and ``est`` and the two bands shifted by the
+    first pixel's spectrum, so that a constant band gives exactly zero; dot
+    products reduce them to the band's error energy and mean-centred sums,
+    and the squared difference adds to every pixel's squared chord.
 
     A pair in which either tensor's squared pixel norms overflow or come
     near the subnormal range is swept again with ``ref`` scaled by ``2^-a``
     and ``est`` by ``2^-b``, the powers of two that bring each one's largest
     entry into [1/2, 1).  The error is taken at the larger of the two
-    scales, ``2^-c`` with ``c = max(a, b)``: each chunk of ``ref`` is
+    scales, ``2^-c`` with ``c = max(a, b)``: each band of ``ref`` is
     multiplied by ``2^(a - c)`` and of ``est`` by ``2^(b - c)`` before the
     difference (``err_exps``, which is ``(0, 0)`` for a pair swept as it is).
     These scalings are exact, so the metrics of ``2^k ref`` and ``2^k est``
@@ -157,33 +155,25 @@ def _sweep(ref, est, err_exps=(0, 0)) -> _Sums:
     # rounds twice, which costs digits near an angle of pi
     keep = (nx2 > 0) & (ny2 > 0)
     nx, ny = np.sqrt(np.where(keep, nx2, 1.0)), np.sqrt(np.where(keep, ny2, 1.0))
-    step = min(k, max(1, _CHUNK_BYTES // (8 * n)))
-    s_buf, t_buf = (np.empty((step, n)) for _ in range(2))
-    x0, y0 = xs[0][:, None], ys[0][:, None]
+    s, t, chord = np.empty(n), np.empty(n), np.zeros(n)
     mean, err_sq, sxx, syy, sxy = (np.empty(k) for _ in range(5))
-    chord = np.zeros(n)
-    for b0 in range(0, k, step):
-        bs = slice(b0, min(b0 + step, k))
-        x, y = xs[:, bs].T, ys[:, bs].T  # (bands, pixels)
-        s, t = s_buf[: bs.stop - b0], t_buf[: bs.stop - b0]
+    for b, (x, y) in enumerate(zip(xs.T, ys.T)):
         np.ldexp(x, err_exps[0], out=s)
         s -= np.ldexp(y, err_exps[1], out=t)
-        err_sq[bs] = np.einsum("kp,kp->k", s, s)
+        err_sq[b] = s @ s
         np.divide(x, nx, out=s)
         s -= np.divide(y, ny, out=t)
-        chord += np.einsum("kp,kp->p", s, s)
+        chord += np.square(s, out=s)
 
-        np.subtract(x, x0[bs], out=s)
-        np.subtract(y, y0[bs], out=t)
-        mean[bs] = s.sum(axis=1) / n
-        s -= mean[bs, None]
-        t -= (t.sum(axis=1) / n)[:, None]
-        sxx[bs] = np.einsum("kp,kp->k", s, s)
-        syy[bs] = np.einsum("kp,kp->k", t, t)
-        sxy[bs] = np.einsum("kp,kp->k", s, t)
+        np.subtract(x, x[0], out=s)
+        np.subtract(y, y[0], out=t)
+        mean[b] = s.sum() / n
+        s -= mean[b]
+        t -= t.sum() / n
+        sxx[b], syy[b], sxy[b] = s @ s, t @ t, s @ t
     half_chord = 0.5 * np.sqrt(chord[keep])
     return _Sums(
-        pixels=n, ref_sq=float(nx2.sum()), ref_mean=x0[:, 0] + mean, err_sq=err_sq,
+        pixels=n, ref_sq=float(nx2.sum()), ref_mean=xs[0] + mean, err_sq=err_sq,
         sxx=sxx, syy=syy, sxy=sxy,
         angle_sum=float(np.sum(2.0 * np.arcsin(np.minimum(half_chord, 1.0)))),
         angle_count=int(np.count_nonzero(keep)), err_exp=-err_exps[0],

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import btdfuse
-import btdfuse.metrics
 from btdfuse import (
     BtdFactors,
     MetricsReport,
@@ -256,7 +254,6 @@ def metric_pairs(draw):
     i = draw(st.integers(1, 7))
     j = draw(st.integers(2, 13))
     k = draw(st.integers(1, 6))
-    chunk_bytes = draw(st.integers(8, 8 * i * j * k))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     ref = rng.uniform(0.1, 1.0, size=(i, j, k))
@@ -273,17 +270,14 @@ def metric_pairs(draw):
         for kk in np.flatnonzero(rng.uniform(size=k) < 0.3):
             est[:, :, kk] = rng.uniform(-1.0, 1.0)  # constant estimate band
     layout = draw(st.sampled_from(["C", "F", "view"]))
-    return in_layout(ref, layout), in_layout(est, layout), chunk_bytes
+    return in_layout(ref, layout), in_layout(est, layout)
 
 
 @settings(max_examples=200, deadline=None)
 @given(metric_pairs())
 def test_blocked_metrics_match_dense_formulas(case):
-    ref, est, chunk_bytes = case
-    # a chunk holds chunk_bytes // (8 I J) bands (at least 1), so that count
-    # need not divide K
-    with mock.patch.object(btdfuse.metrics, "_CHUNK_BYTES", chunk_bytes):
-        rep = compute_report(ref, est, 3)
+    ref, est = case
+    rep = compute_report(ref, est, 3)
     if np.array_equal(ref, est):
         assert rep.r_snr_db == 300.0
         assert rep.sam_rad == 0.0
@@ -298,10 +292,9 @@ def test_blocked_metrics_match_dense_formulas(case):
 def test_cc_of_an_image_with_itself_is_exactly_one(case):
     # dividing sxy by sqrt(sxx) sqrt(syy) gave 1 - 2^-53, 1 - 2^-52 or 1 + 2^-52, a
     # correlation above 1, on about one random image in seventeen
-    ref, _, chunk_bytes = case
-    with mock.patch.object(btdfuse.metrics, "_CHUNK_BYTES", chunk_bytes):
-        assert cc(ref, ref) == 1.0
-        assert cc(ref, -ref) == -1.0
+    ref, _ = case
+    assert cc(ref, ref) == 1.0
+    assert cc(ref, -ref) == -1.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,10 +303,9 @@ def test_compute_report_is_scale_equivariant(case, k):
     # a power-of-two scaling is exact, so the report must not move by a bit,
     # also where the squared pixel norms of the scaled pair overflow or
     # underflow
-    ref, est, chunk_bytes = case
-    with mock.patch.object(btdfuse.metrics, "_CHUNK_BYTES", chunk_bytes):
-        base = compute_report(ref, est, 3)
-        scaled = compute_report(np.ldexp(ref, k), np.ldexp(est, k), 3)
+    ref, est = case
+    base = compute_report(ref, est, 3)
+    scaled = compute_report(np.ldexp(ref, k), np.ldexp(est, k), 3)
     assert scaled == base
 
 
@@ -368,14 +360,17 @@ def test_compute_report_allocates_less_than_one_input():
     rng = np.random.default_rng(18)
     ref = rng.uniform(0.5, 1.5, size=(64, 64, 100))
     est = ref + 0.01 * rng.standard_normal(ref.shape)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        compute_report(ref, est, 4)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < ref.nbytes
+    # a row-major and a column-major pair are both read in place
+    for layout in ("C", "F"):
+        pair = in_layout(ref, layout), in_layout(est, layout)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            compute_report(*pair, 4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < ref.nbytes, layout
 
 
 # ---------------------------------------------------------------------------

@@ -1130,6 +1130,18 @@ def test_bench_refuses_an_output_that_is_not_a_path(tmp_path, capsys):
     assert err == "error: bench config needs an 'output' table path\n"
 
 
+@pytest.mark.parametrize("sri_path", [5, True, ["a"]], ids=["int", "bool", "list"])
+def test_bench_refuses_an_sri_path_that_is_not_a_path(tmp_path, capsys, monkeypatch, sri_path):
+    # such a value used to reach read_tensor and end in a TypeError traceback
+    path, _ = bench_config(tmp_path, sri_path=sri_path)
+    fused = []
+    monkeypatch.setattr(btdfuse.cli, "bcd_fuse", lambda *a: fused.append(a))
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: bench config's 'sri_path' must be a path string\n"
+    assert fused == [] and not os.path.exists(tmp_path / "table.csv")
+
+
 def test_bench_all_failures_exit_3(tmp_path, capsys):
     # every trial hits the stage-2 rank deficiency, so nothing completes
     path, _ = bench_config(
@@ -1199,6 +1211,8 @@ PROCESS_CASES = [
                   "2", "-R", "1", "-L", "1"], 1, id="dims-past-index-1"),
     pytest.param(["make-sri", "--out", "{tmp}/s.btf", "--dims", "1000000000000",
                   "1000000000000", "2", "-R", "1", "-L", "1"], 1, id="sides-past-index-1"),
+    # a bench sri_path of 5 used to end in read_tensor's TypeError traceback
+    pytest.param(["bench", "--config", "{bench_sri_5}"], 1, id="bench-sri-path-1"),
 ]
 
 
@@ -1208,7 +1222,8 @@ def test_process_exit_codes(tmp_path, capsys, argv, want):
     # entry() and leaves through sys.exit
     sri, hsi, msi, _ = make_pair(tmp_path, capsys, dims=(6, 6, 5), blocks=2,
                                  block_rank=1, ratio=3, sigma=1.5, bands=2)
-    paths = {"sri": sri, "hsi": hsi, "msi": msi, "tmp": tmp_path}
+    bench_sri_5, _ = bench_config(tmp_path, sri_path=5)
+    paths = {"sri": sri, "hsi": hsi, "msi": msi, "tmp": tmp_path, "bench_sri_5": bench_sri_5}
     src = os.path.dirname(os.path.dirname(os.path.abspath(btdfuse.cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -29,7 +29,10 @@ numeric change on the command line as it does on the solver.  Last, it saves
 ``compute_report`` of the command line's ``sri``/``est_cnn_btd`` pair (ratio
 3) with the pair in C, F and transposed-view layouts, under
 ``metrics/LAYOUT/FIELD``, so that ``compare`` also covers every layout the
-metrics read.
+metrics read, and of the pair scaled by 2^600 and of the pair with the
+estimate scaled by 2^-600, under ``metrics/up600/FIELD`` and
+``metrics/est_down600/FIELD``: their squared pixel norms overflow or
+underflow, so ``compare`` also covers the metrics' rescaled walk.
 
 Under ``workspace/RANK/BLOCK/RHO/...`` it saves what ``build_subproblem``
 returns for blocks A, B and C at rho 0, "auto" and 2.5, from
@@ -107,6 +110,9 @@ LAYOUTS = {
     # neither C nor F: pixel columns slowest, each spectral fiber contiguous
     "view": lambda t: np.ascontiguousarray(t.transpose(1, 0, 2)).transpose(1, 0, 2),
 }
+# the powers of two compute_report is given the reference and the estimate
+# scaled by, past the range where the metrics read a pair as it is
+SCALINGS = {"up600": (600, 600), "est_down600": (0, -600)}
 # (name, argv) of each command, run in one scratch directory in this order
 CLI_SCRIPT = (
     ("make_sri", ["make-sri", "--out", "sri.btf", "--dims", "30", "30", "24", "-R", "3",
@@ -201,12 +207,15 @@ def dump_cli(src: str) -> dict:
 
 
 def dump_metrics(ref: np.ndarray, est: np.ndarray) -> dict:
-    """``compute_report(ref, est, 3)``'s fields with the pair in each of ``LAYOUTS``."""
+    """``compute_report(ref, est, 3)``'s fields in each of ``LAYOUTS`` and ``SCALINGS``."""
     from btdfuse import compute_report
 
+    pairs = {name: (layout(ref), layout(est)) for name, layout in LAYOUTS.items()}
+    pairs.update({name: (np.ldexp(ref, a), np.ldexp(est, b))
+                  for name, (a, b) in SCALINGS.items()})
     return {f"metrics/{name}/{field}": np.asarray(value)
-            for name, layout in LAYOUTS.items()
-            for field, value in compute_report(layout(ref), layout(est), 3).as_dict().items()}
+            for name, pair in pairs.items()
+            for field, value in compute_report(*pair, 3).as_dict().items()}
 
 
 def dump_workspaces(hsi: np.ndarray, msi: np.ndarray, ops) -> dict:
